@@ -23,8 +23,7 @@
 //
 // Flags: --sessions N, --arrival A (restrict to one mix), --seed S,
 // --policy P (restrict to one policy), --churn X (surge join/drain rate),
-// --wallclock/--threads N (baseline rows on the thread-pool engine;
-// speculation rows need the virtual-time scheduler and are skipped).
+// --wallclock/--threads N (every row on the thread-pool engine).
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -113,7 +112,6 @@ int run(const cli::ScenarioOptions& opt) {
     for (cluster::PolicyKind policy : policies) {
       double base_p99 = -1;
       for (bool spec : {false, true}) {
-        if (spec && opt.wallclock) continue;  // engine has no checkpoint surface
         cluster::LoadGenOptions lg;
         lg.policy = policy;
         lg.workers = straggler_topology();
@@ -123,7 +121,7 @@ int run(const cli::ScenarioOptions& opt) {
         // Both modes checkpoint at the same cadence so the spec-vs-base
         // delta isolates speculation itself, not checkpoint overhead
         // (same ablation shape as the checkpoint bench).
-        if (!opt.wallclock) lg.dispatch.checkpoint_every = kCheckpointEvery;
+        lg.dispatch.checkpoint_every = kCheckpointEvery;
         lg.dispatch.speculate = spec;
         auto r = cluster::run_loadgen(trace, lg);
         std::string label = row_label(arrival, policy, spec);

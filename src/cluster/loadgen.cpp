@@ -229,24 +229,28 @@ LoadGenResult run_loadgen(const Trace& trace, const LoadGenOptions& opts) {
   if (opts.home_shards > 0) c.set_home_shards(opts.home_shards);
   res.home_shards = c.home_shards();
   auto policy = make_policy(opts.policy);
-  Scheduler sched(c, *policy, opts.dispatch);
-  std::unique_ptr<WallClockEngine> engine;
+  std::unique_ptr<Scheduler> engine;
+  WallClockEngine* wall = nullptr;
   if (opts.wallclock) {
     WallClockOptions wopt;
     wopt.threads = opts.threads;
     wopt.dilation = opts.dilation;
     wopt.home_dilation = opts.home_dilation;
-    wopt.statics_skip = opts.dispatch.statics_skip;
-    engine = std::make_unique<WallClockEngine>(c, *policy, wopt);
+    auto w = std::make_unique<WallClockEngine>(c, *policy, wopt, opts.dispatch);
+    wall = w.get();
+    engine = std::move(w);
+  } else {
+    engine = std::make_unique<Scheduler>(c, *policy, opts.dispatch);
   }
+  Scheduler& sched = *engine;
 
   // Admission gate: no session spawns and no class image ships unless the
   // whole-program analyzer admitted the shared tenant program.  The
-  // scheduler/engine above already logged the ProgramRejected event.
+  // scheduler above already logged the ProgramRejected event.
   if (!c.admission().admitted) {
     res.admitted = false;
     for (const auto& d : c.admission().diagnostics) res.rejection_diags.push_back(d.str());
-    res.exactly_once = engine ? engine->exactly_once() : sched.exactly_once();
+    res.exactly_once = sched.exactly_once();
     return res;
   }
 
@@ -284,17 +288,14 @@ LoadGenResult run_loadgen(const Trace& trace, const LoadGenOptions& opts) {
       case Injection::Kind::Join: {
         WorkerSpec ws;
         ws.name = "surge" + std::to_string(inj.surge);
-        surge_ids[inj.surge] = engine ? engine->add_worker(ws) : c.add_worker(ws);
+        surge_ids[inj.surge] = sched.add_worker(ws);
         ++res.surge_joins;
         break;
       }
       case Injection::Kind::Drain: {
         auto it = surge_ids.find(inj.surge);
         if (it == surge_ids.end() || c.state(it->second) != WorkerState::Active) break;
-        if (engine)
-          engine->drain_worker(it->second);
-        else
-          c.drain_worker(it->second);
+        sched.drain_worker(it->second);
         ++res.surge_drains;
         break;
       }
@@ -303,10 +304,7 @@ LoadGenResult run_loadgen(const Trace& trace, const LoadGenOptions& opts) {
         // next completion lands the loss mid-round, while the round's
         // sibling segments are still queued on the victim.
         if (c.accepting_size() > 2) {
-          if (engine)
-            engine->fail_after(engine->completions() + 1, -1);
-          else
-            sched.fail_after(sched.completions() + 1, -1);
+          sched.fail_after(sched.completions() + 1, -1);
           ++res.failures_armed;
         }
         break;
@@ -367,9 +365,8 @@ LoadGenResult run_loadgen(const Trace& trace, const LoadGenOptions& opts) {
       const uint16_t trig = p.find_method(pfx + la.spec.trigger_method);
       if (k >= 1 && mig::pause_at_depth(home, ss.tid, trig, depth)) {
         auto specs = split_top_frames(k);
-        auto out = engine ? engine->run(ss.tid, specs) : sched.run(ss.tid, specs);
+        sched.run(ss.tid, specs);
         home.ti().set_debug_enabled(false);
-        (void)out;
         ss.segments += k;
         res.segments += k;
         res.tenants[static_cast<size_t>(ts.tenant)].segments += k;
@@ -389,7 +386,7 @@ LoadGenResult run_loadgen(const Trace& trace, const LoadGenOptions& opts) {
       ss.ok = ss.result == expected[static_cast<size_t>(ts.app)];
     }
     ss.ms = (c.home_now() - ts.arrival).ms();
-    if (engine) ss.wall_ms = wall_ms_since_start();
+    if (wall) ss.wall_ms = wall_ms_since_start();
     if (writes_statics[static_cast<size_t>(lock_key(ts))]) {
       auto it = lock.find(lock_key(ts));
       if (it != lock.end() && it->second == pick) lock.erase(it);
@@ -408,7 +405,7 @@ LoadGenResult run_loadgen(const Trace& trace, const LoadGenOptions& opts) {
       ++tn.completed;
       tn.completion_ms.add(st[i].ms);
       res.completion_ms.add(st[i].ms);
-      if (engine) res.wall_completion_ms.add(st[i].wall_ms);
+      if (wall) res.wall_completion_ms.add(st[i].wall_ms);
       tn.mean_wait_ms += (st[i].first_step - ts.arrival).ms();
     }
     all_ok = all_ok && st[i].ok;
@@ -418,20 +415,28 @@ LoadGenResult run_loadgen(const Trace& trace, const LoadGenOptions& opts) {
   for (auto& tn : res.tenants)
     if (tn.completed > 0) tn.mean_wait_ms /= static_cast<double>(tn.completed);
   res.all_ok = all_ok && res.completed == res.sessions;
-  res.exactly_once = engine ? engine->exactly_once() : sched.exactly_once();
-  res.redispatched = engine ? engine->redispatches() : sched.redispatches();
-  res.workers_lost = engine ? engine->workers_lost() : sched.workers_lost();
-  const StaticsRefreshStats& sst = engine ? engine->statics_stats() : sched.statics_stats();
-  res.statics_scans = sst.scans;
-  res.statics_skipped = sst.skipped;
-  res.statics_bytes = sst.bytes;
-  if (!engine) {
-    res.resumed = sched.resumes();
-    res.speculated = sched.speculations();
-    res.cancelled = sched.cancellations();
-    res.checkpoints = sched.checkpoints();
-  } else {
-    mig::ShardContention total = engine->total_contention();
+  res.exactly_once = sched.exactly_once();
+  // FNV-1a over every field of every event, in log order.
+  uint64_t digest = 14695981039346656037ULL;
+  for (const Event& e : sched.log()) {
+    const int64_t fields[] = {static_cast<int64_t>(e.kind), e.at.ns, e.round, e.segment, e.worker,
+                              e.attempt};
+    for (int64_t v : fields)
+      for (int b = 0; b < 64; b += 8)
+        digest = (digest ^ ((static_cast<uint64_t>(v) >> b) & 0xffU)) * 1099511628211ULL;
+  }
+  res.log_digest = digest;
+  res.redispatched = sched.redispatches();
+  res.workers_lost = sched.workers_lost();
+  res.statics_scans = sched.statics_stats().scans;
+  res.statics_skipped = sched.statics_stats().skipped;
+  res.statics_bytes = sched.statics_stats().bytes;
+  res.resumed = sched.resumes();
+  res.speculated = sched.speculations();
+  res.cancelled = sched.cancellations();
+  res.checkpoints = sched.checkpoints();
+  if (wall) {
+    mig::ShardContention total = wall->total_contention();
     res.lock_acq = total.acquisitions;
     res.wall_contended = total.contended;
     res.lock_wait_ns = total.wait_ns;

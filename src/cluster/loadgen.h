@@ -9,11 +9,12 @@
 // arrival indices.  The same seed always reproduces the same trace.
 //
 // The generator replays a trace against ONE shared Cluster + Scheduler
-// (or, optionally, the wall-clock engine): every tenant's classes are
-// emitted into a single program under a tenant prefix (AppSpec::emit), so
-// tenants share workers, the home node, placement state, and the event
-// log, while their statics and heap objects stay isolated by class
-// identity — the property the cross-tenant leakage tests pin down.
+// (optionally the wall-clock engine, which is a Scheduler): every
+// tenant's classes are emitted into a single program under a tenant
+// prefix (AppSpec::emit), so tenants share workers, the home node,
+// placement state, and the event log, while their statics and heap
+// objects stay isolated by class identity — the property the
+// cross-tenant leakage tests pin down.
 // Sessions interleave at dispatch-round granularity through the existing
 // event loop: the step picker is fair (fewest steps first, ties to the
 // oldest session), admission waits are accounted per tenant, and sessions
@@ -126,7 +127,7 @@ Trace filter_tenant(const Trace& t, int tenant);
 struct LoadGenOptions {
   PolicyKind policy = PolicyKind::LeastLoaded;
   /// Checkpoint / speculation knobs forwarded to the shared Scheduler
-  /// (ignored in wall-clock mode, which has no checkpoint surface yet).
+  /// (the wall-clock engine included).
   DispatchOptions dispatch{};
   /// Shared worker pool; empty = 4 uniform gigabit workers.
   std::vector<WorkerSpec> workers;
@@ -174,6 +175,10 @@ struct LoadGenResult {
   /// Attempt-aware exactly-once invariant over the shared event log
   /// spanning every tenant's rounds.
   bool exactly_once = false;
+  /// FNV-1a digest of that event log (each event's kind, virtual instant,
+  /// round, segment, worker, and attempt, in log order): two replays with
+  /// equal digests produced the same event stream.
+  uint64_t log_digest = 0;
   int segments = 0;
   int redispatched = 0;
   int resumed = 0;

@@ -145,8 +145,6 @@ int choose_backup(const PlacementPolicy& policy, const Cluster& c, const Placeme
   return best;
 }
 
-void PlacementPolicy::observe(const Cluster&, const Event&) {}
-
 VDur PlacementPolicy::estimate(const Cluster& c, int w, const PlacementRequest& req) const {
   auto it = ewma_ns_.find(req.cls);
   if (it == ewma_ns_.end()) return {};

@@ -29,7 +29,6 @@ namespace sod::cluster {
 
 class Cluster;
 struct Placement;
-struct Event;
 
 enum class PolicyKind { RoundRobin, LeastLoaded, LocalityAware, Learned };
 
@@ -62,13 +61,6 @@ class PlacementPolicy {
   /// wait for upstream results in a chained dispatch is excluded),
   /// normalized to the reference CPU via the worker's cpu_scale.
   virtual void observe(const Cluster& c, const PlacementRequest& req, const Placement& pl);
-  /// Scheduler events (dispatches, completions, failures, membership and
-  /// autoscale changes) streamed to the policy in virtual-time order —
-  /// the scheduler calls this for every event it appends to its log.  The
-  /// base implementation ignores them; policies can react (e.g. reset
-  /// per-worker state when a WorkerLost arrives) without coupling to the
-  /// scheduler loop.
-  virtual void observe(const Cluster& c, const Event& e);
 
  private:
   static constexpr double kAlpha = 0.4;

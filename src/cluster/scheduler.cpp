@@ -175,6 +175,19 @@ void Scheduler::fail_after_checkpoints(int checkpoints, int worker) {
 
 void Scheduler::fail_worker(int worker) { do_fail(worker); }
 
+int Scheduler::add_worker(const WorkerSpec& spec) {
+  SOD_CHECK(out_ == nullptr, "add_worker during a dispatch round");
+  int id = c_->add_worker(spec);
+  emit(EventKind::WorkerJoined, c_->home_now(), -1, id);
+  return id;
+}
+
+void Scheduler::drain_worker(int id) {
+  SOD_CHECK(out_ == nullptr, "drain_worker during a dispatch round");
+  c_->drain_worker(id);
+  emit(EventKind::WorkerDraining, c_->home_now(), -1, id);
+}
+
 void Scheduler::emit(EventKind kind, VDur at, int segment, int worker, int attempt) {
   Event e;
   e.kind = kind;
@@ -185,7 +198,6 @@ void Scheduler::emit(EventKind kind, VDur at, int segment, int worker, int attem
   e.worker = worker;
   e.attempt = attempt;
   log_.push_back(e);
-  policy_->observe(*c_, e);
 }
 
 int Scheduler::pick_failure_target() const {
@@ -294,14 +306,16 @@ void Scheduler::dispatch(size_t i) {
   if (!dst.class_shipped(entry_cls)) pl.shipped_bytes += t.req.class_image_bytes;
 
   dst.mark_class_shipped(entry_cls);
-  dst.enable_class_fetch(&home, c_->link(w));
+  dst.enable_class_fetch(&home, c_->link(w), home_gate());
   // A re-dispatch re-serializes and re-ships from home's current send
   // front: the original copy died with the lost worker.
-  home.node().charge_host(
-      home.serde().cost(t.req.state_bytes, static_cast<int>(cs.frames.size())));
+  VDur serde = home.serde().cost(t.req.state_bytes, static_cast<int>(cs.frames.size()));
+  home.node().charge_host(serde);
   sim::deliver(home.node(), dst.node(), c_->link(w), pl.shipped_bytes);
+  on_ship(static_cast<int>(i), w, serde, c_->link(w).transfer_time(pl.shipped_bytes));
 
   t.seg = std::make_unique<mig::Segment>(dst);
+  t.seg->objman().set_home_gate(home_gate());
   t.seg->objman().set_shard_map(&c_->shard_map());
   t.seg->objman().bind_home(&home, home_tid_, t.spec.depth_hi, c_->link(w));
   t.seg->restore(cs);
@@ -329,14 +343,17 @@ Scheduler::CheckpointRestore Scheduler::restore_from_checkpoint(
   if (!dst.class_shipped(t.req.cls)) r.pl.shipped_bytes += t.req.class_image_bytes;
 
   dst.mark_class_shipped(t.req.cls);
-  dst.enable_class_fetch(&home, c_->link(w));
+  dst.enable_class_fetch(&home, c_->link(w), home_gate());
   // The checkpoint lives at home: home re-serializes and ships it to the
   // new worker from its current send front.
-  home.node().charge_host(home.serde().cost(ck.ckpt.state_bytes,
-                                            static_cast<int>(ck.ckpt.state.frames.size())));
+  VDur serde =
+      home.serde().cost(ck.ckpt.state_bytes, static_cast<int>(ck.ckpt.state.frames.size()));
+  home.node().charge_host(serde);
   sim::deliver(home.node(), dst.node(), c_->link(w), r.pl.shipped_bytes);
+  on_ship(static_cast<int>(i), w, serde, c_->link(w).transfer_time(r.pl.shipped_bytes));
 
   r.seg = std::make_unique<mig::Segment>(dst);
+  r.seg->objman().set_home_gate(home_gate());
   r.seg->objman().set_shard_map(&c_->shard_map());
   r.seg->objman().bind_home(&home, home_tid_, t.spec.depth_hi, c_->link(w));
   r.seg->restore(ck.ckpt.state);
@@ -426,7 +443,7 @@ void Scheduler::cancel_attempt(size_t i, int loser_worker, int loser_attempt, VD
   ++out_->cancelled;
 }
 
-void Scheduler::prepare(size_t i) {
+void Scheduler::prepare(size_t i, const std::function<void()>& then) {
   Task& t = tasks_[i];
   mig::SodNode& home = c_->home();
   Placement& pl = t.pl;
@@ -435,6 +452,8 @@ void Scheduler::prepare(size_t i) {
   // Re-bind the worker's objman.* natives to this segment: a later
   // segment restored on the same worker overwrote them.
   seg.objman().install(dst);
+  bc::Value v_in{};
+  VDur relay{};
   if (i > 0) {
     const Task& up = tasks_[i - 1];
     // The upper segment's updates reached home with its completion
@@ -444,15 +463,14 @@ void Scheduler::prepare(size_t i) {
     // idempotently against its new worker.
     size_t stat_bytes = refresh_primitive_statics(
         home, dst, opt_.statics_skip ? &c_->facts() : nullptr, &statics_stats_);
-    bc::Value v_in = up.result;
+    v_in = up.result;
     if (up.pl.worker != pl.worker) {
       // The result is relayed worker -> home -> worker (links are
       // home-anchored), so it pays both the source uplink and the
       // destination downlink; home only stores-and-forwards.
-      VDur arrival = c_->worker(up.pl.worker).node().clock.now() +
-                     c_->link(up.pl.worker).transfer_time(kResultMsgBytes) +
-                     c_->link(pl.worker).transfer_time(kResultMsgBytes);
-      dst.node().clock.wait_until(arrival);
+      relay = c_->link(up.pl.worker).transfer_time(kResultMsgBytes) +
+              c_->link(pl.worker).transfer_time(kResultMsgBytes);
+      dst.node().clock.wait_until(c_->worker(up.pl.worker).node().clock.now() + relay);
       if (v_in.tag == bc::Ty::Ref && v_in.r != bc::kNull) {
         // Cross-worker ref chaining: the upstream worker's heap id would
         // alias or dangle here.  The upstream write-back already
@@ -480,14 +498,23 @@ void Scheduler::prepare(size_t i) {
     // A completed upper segment on this worker may have dropped debug
     // mode; deliver() needs its pending-call breakpoint to fire.
     dst.ti().set_debug_enabled(true);
-    seg.deliver(v_in);
   }
-  // Debug mode is per-node, not per-segment: a lower segment restored on
-  // this worker after `seg` left the node's debug interpreter on, and
-  // seg's own run_to_completion() would not drop it (its debug_held_ is
-  // false).  Force fast mode — the paper runs it outside migration
-  // events — or the whole execution is charged at the debug multiplier.
-  dst.ti().set_debug_enabled(false);
+  run_guest(pl.worker, relay, [&] {
+    if (i > 0) seg.deliver(v_in);
+    // Debug mode is per-node, not per-segment: a lower segment restored on
+    // this worker after `seg` left the node's debug interpreter on, and
+    // seg's own run_to_completion() would not drop it (its debug_held_ is
+    // false).  Force fast mode — the paper runs it outside migration
+    // events — or the whole execution is charged at the debug multiplier.
+    dst.ti().set_debug_enabled(false);
+    then();
+  });
+}
+
+svm::StopReason Scheduler::run_chunk(mig::Segment& seg, int worker) {
+  svm::StopReason sr{};
+  run_guest(worker, VDur{}, [&] { sr = seg.run_chunk(opt_.checkpoint_every); });
+  return sr;
 }
 
 void Scheduler::run_attempts(size_t i) {
@@ -506,8 +533,7 @@ void Scheduler::run_attempts(size_t i) {
   // observe home running ahead of it.
   bool primary_done = false;
   while (!race.backup_live) {
-    svm::StopReason sr = t.seg->run_chunk(opt_.checkpoint_every);
-    if (sr == svm::StopReason::Done) {
+    if (run_chunk(*t.seg, t.pl.worker) == svm::StopReason::Done) {
       primary_done = true;
       break;
     }
@@ -525,10 +551,9 @@ void Scheduler::run_attempts(size_t i) {
         dispatch(i);
         ++out_->redispatched;
         ++redispatched_total_;
-        prepare(i);
         // The restarted attempt re-executes from the original capture on
         // its new worker; its span restarts with it.
-        t.pl.executed_at = c_->worker(t.pl.worker).node().clock.now();
+        prepare(i, [&] { t.pl.executed_at = c_->worker(t.pl.worker).node().clock.now(); });
       }
       continue;
     }
@@ -587,13 +612,13 @@ void Scheduler::run_attempts(size_t i) {
     }
     bool advance_backup = !backup_done && (primary_done || b_now < p_now);
     if (advance_backup) {
-      if (race.backup_seg->run_chunk(opt_.checkpoint_every) == svm::StopReason::Done) {
+      if (run_chunk(*race.backup_seg, race.backup_pl.worker) == svm::StopReason::Done) {
         backup_done = true;
         backup_result = race.backup_seg->result();
         backup_completed = clock_of(race.backup_pl.worker);
       }
     } else {
-      if (t.seg->run_chunk(opt_.checkpoint_every) == svm::StopReason::Done) {
+      if (run_chunk(*t.seg, t.pl.worker) == svm::StopReason::Done) {
         primary_done = true;
         primary_result = t.seg->result();
         primary_completed = clock_of(t.pl.worker);
@@ -608,16 +633,16 @@ void Scheduler::run_attempts(size_t i) {
 
 void Scheduler::execute(size_t i) {
   Task& t = tasks_[i];
-  prepare(i);
   Placement& pl = t.pl;
   mig::SodNode& dst = c_->worker(pl.worker);
-  pl.executed_at = dst.node().clock.now();
-  if (opt_.checkpoint_every == 0) {
-    t.result = t.seg->run_to_completion();
-    pl.completed_at = dst.node().clock.now();
-  } else {
-    run_attempts(i);
-  }
+  prepare(i, [&] {
+    pl.executed_at = dst.node().clock.now();
+    if (opt_.checkpoint_every == 0) {
+      t.result = t.seg->run_to_completion();
+      pl.completed_at = dst.node().clock.now();
+    }
+  });
+  if (opt_.checkpoint_every > 0) run_attempts(i);
   c_->note_completed(t.pl.worker, t.est_cost);
   t.completed = true;
   ++completed_total_;
@@ -647,6 +672,7 @@ void Scheduler::write_back(size_t i) {
   auto rep = mig::write_back(*t.seg, c_->home(), home_tid_, bottom ? t.spec.depth_hi : 0,
                              t.result, c_->link(t.pl.worker));
   out_->writeback_bytes += rep.bytes;
+  on_write_back(static_cast<int>(i), t.pl.worker, c_->home().serde().cost(rep.bytes));
   // The ref-forwarding table only tracks classes the analyzer says can
   // actually chain a ref (return or statically store one); everyone else's
   // home-translated result is dropped here and prepare() checks none ever
@@ -655,15 +681,11 @@ void Scheduler::write_back(size_t i) {
   store_.drop(round_, static_cast<int>(i));
 }
 
-bool exactly_once_log(const std::vector<Event>& log) {
-  // Attempt-aware invariant: speculative duplicate dispatches are legal,
-  // but exactly one attempt per (round, segment) completes and writes
-  // back; the completing attempt must have been dispatched and must not
-  // have been cancelled or failed.
+bool Scheduler::exactly_once() const {
   std::map<std::pair<int, int>, std::pair<int, int>> counts;  // key -> (dispatched, completed)
   std::map<std::pair<int, int>, int> completing_attempt;
   std::set<std::tuple<int, int, int>> launched, killed;
-  for (const Event& e : log) {
+  for (const Event& e : log_) {
     auto rs = std::pair(e.round, e.segment);
     switch (e.kind) {
       case EventKind::SegmentDispatched:
@@ -690,8 +712,6 @@ bool exactly_once_log(const std::vector<Event>& log) {
   }
   return true;
 }
-
-bool Scheduler::exactly_once() const { return exactly_once_log(log_); }
 
 DispatchOutcome Scheduler::run(int home_tid, const std::vector<mig::SegmentSpec>& specs) {
   mig::SodNode& home = c_->home();

@@ -1,12 +1,10 @@
-// Scheduler — the event-driven execution half of the cluster layer.
+// Scheduler — the control path of the cluster layer.
 //
-// A Scheduler drives multi-segment dispatch over virtual time as an
-// explicit event loop instead of one inlined planning pass: placements,
-// completions, failures, membership changes, and autoscale decisions are
-// all Events, appended to a totally ordered log (the same seed and the
-// same failure schedule reproduce the same log and the same virtual-time
-// tables).  On top of the loop sit the elasticity features the monolithic
-// loop could not express:
+// A Scheduler drives multi-segment dispatch as an explicit event loop:
+// placements, completions, failures, membership changes, and autoscale
+// decisions are all Events, appended to a totally ordered log (the same
+// seed and the same failure schedule reproduce the same log and the same
+// virtual-time tables).  On top of the loop sit the elasticity features:
 //
 //  - worker failure: fail_worker()/fail_after() drop a worker mid-run;
 //    the scheduler re-dispatches its queued + in-flight segments to
@@ -37,10 +35,19 @@
 //    first completion wins, the loser is cancelled at its next
 //    chunk boundary and its write-back is suppressed.
 //
+// Every policy call, clock read, restore, checkpoint, and write-back runs
+// on the calling thread in one fixed order.  Four executor hooks (see the
+// protected section) mark where guest code runs and where communication
+// happens; the defaults run guest code inline and add nothing, which is
+// virtual time.  WallClockEngine (wallclock.h) overrides them to run guest
+// code on worker lanes and to replay communication as wall sleeps, so both
+// engines share this one control path and read identical virtual clocks.
+//
 // dispatch_segments() remains as a thin wrapper: it builds a one-round
 // Scheduler and runs the event stream.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -93,13 +100,6 @@ struct Event {
   int worker = -1;   ///< worker id (segment + membership events)
   int attempt = 0;   ///< attempt id (segment + checkpoint events)
 };
-
-/// The attempt-aware exactly-once invariant over a scheduler-shaped event
-/// log (shared by the virtual-time Scheduler and the wall-clock engine):
-/// every (round, segment) ever dispatched has exactly one SegmentCompleted,
-/// the completing attempt was itself dispatched, and no attempt that was
-/// cancelled or failed ever completes.
-bool exactly_once_log(const std::vector<Event>& log);
 
 struct DispatchOptions {
   /// Ship every segment as soon as it is serialized (the Fig. 1(c)
@@ -241,7 +241,9 @@ class Autoscaler {
 class Scheduler {
  public:
   Scheduler(Cluster& c, PlacementPolicy& policy, DispatchOptions opt = {});
-  ~Scheduler();  // Task is private and defined in the .cpp
+  virtual ~Scheduler();  // Task is private and defined in the .cpp
+  Scheduler(const Scheduler&) = delete;
+  Scheduler& operator=(const Scheduler&) = delete;
 
   Cluster& cluster() { return *c_; }
 
@@ -264,6 +266,10 @@ class Scheduler {
   /// Fails a worker immediately: drops its queue and, mid-run,
   /// re-dispatches its outstanding segments to surviving workers.
   void fail_worker(int worker);
+  /// Membership churn between rounds, logged as WorkerJoined /
+  /// WorkerDraining events.
+  int add_worker(const WorkerSpec& spec);
+  void drain_worker(int id);
 
   /// Captures the contiguous top-of-stack segments `specs` (specs[0] must
   /// start at depth 0, each next one at the previous depth_hi) from the
@@ -275,7 +281,7 @@ class Scheduler {
   /// with the segment lifecycle as events.  The home thread's top frame
   /// must be at a migration-safe point and its stack must be strictly
   /// deeper than specs.back().depth_hi.
-  DispatchOutcome run(int home_tid, const std::vector<mig::SegmentSpec>& specs);
+  virtual DispatchOutcome run(int home_tid, const std::vector<mig::SegmentSpec>& specs);
 
   /// Totally ordered event log across all rounds so far.
   const std::vector<Event>& log() const { return log_; }
@@ -309,6 +315,26 @@ class Scheduler {
   /// The sharded forwarding table itself (partition layout introspection).
   const RefForwardTable& forward_table() const { return forwards_; }
 
+ protected:
+  // Executor hooks, called on the control path at fixed points.  The
+  // defaults are the virtual-time executor: guest code runs inline and
+  // nothing else happens.
+
+  /// Gate that worker-side object faults and class fetches take on their
+  /// way home (nullptr: none).
+  virtual mig::HomeGate* home_gate() { return nullptr; }
+  /// Segment `segment` of the current round was just shipped to `worker`:
+  /// home spent `serde` serializing it and the link spends `transfer`.
+  virtual void on_ship(int /*segment*/, int /*worker*/, VDur /*serde*/, VDur /*transfer*/) {}
+  /// Runs `guest` — deliver, run_chunk, or run_to_completion of a segment
+  /// restored on `worker` — after a result relay of `relay` to it.
+  virtual void run_guest(int /*worker*/, VDur /*relay*/, const std::function<void()>& guest) {
+    guest();
+  }
+  /// Segment `segment`'s write-back from `worker` landed home, where
+  /// applying it costs `serde`.
+  virtual void on_write_back(int /*segment*/, int /*worker*/, VDur /*serde*/) {}
+
  private:
   struct Task;
   struct Race;
@@ -330,7 +356,10 @@ class Scheduler {
 
   void emit(EventKind kind, VDur at, int segment, int worker, int attempt = 0);
   void dispatch(size_t i);
-  void prepare(size_t i);
+  /// Home-side prelude of segment i's live attempt (natives, statics
+  /// refresh, result relay, ref forward), then one guest job that delivers
+  /// the upstream result and runs `then`.
+  void prepare(size_t i, const std::function<void()>& then);
   void execute(size_t i);
   void run_attempts(size_t i);
   bool take_checkpoint(size_t i);
@@ -339,6 +368,7 @@ class Scheduler {
   bool launch_backup(size_t i);
   void cancel_attempt(size_t i, int loser_worker, int loser_attempt, VDur loser_est,
                       int winner_worker, VDur winner_completed);
+  svm::StopReason run_chunk(mig::Segment& seg, int worker);
   void write_back(size_t i);
   void do_fail(int worker);
   int pick_failure_target() const;

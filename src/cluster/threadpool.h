@@ -34,8 +34,9 @@ class ThreadPool {
   /// Make lanes [0, n) exist (idempotent; thread-safe).
   void ensure_lane(size_t n);
 
-  /// Enqueue `job` on `lane` (FIFO within the lane).  Thread-safe; may be
-  /// called from pool threads themselves (e.g. failure re-dispatch).
+  /// Enqueue `job` on `lane` (FIFO within the lane), creating the lane if
+  /// it does not exist yet.  Thread-safe; may be called from pool threads
+  /// themselves.
   void submit(size_t lane, std::function<void()> job);
 
   /// Block until every submitted job has finished running.

@@ -1,60 +1,54 @@
-// WallClockEngine — the wall-clock execution half of the cluster layer.
+// WallClockEngine — the Scheduler on real threads.
 //
-// Executes dispatched segments genuinely concurrently: one ThreadPool lane
-// per cluster worker runs that worker's restore and execute jobs (a worker
-// SodNode stays single-threaded by construction), while home-side state is
-// guarded by a two-level lock protocol (the HomeGate of sod/homegate.h):
+// The engine is a Scheduler: placement, failure plans, re-dispatch,
+// checkpoints, speculation, the autoscaler, and every virtual-clock read
+// and charge run on the calling (home) thread in the Scheduler's order.
+// What the engine adds is where work happens in wall time, through the
+// Scheduler's executor hooks:
 //
-//   - one non-recursive ordered mutex (`order_mu_`) serializes every home
-//     virtual-clock charge, tool-interface read, heap access, placement
-//     accounting step, and event-log append — the single ordered path that
-//     keeps virtual-time results bit-identical at any shard count;
+//   - guest code (deliver, run_chunk, run_to_completion) runs on the
+//     worker's ThreadPool lane, one lane per cluster worker; the home
+//     thread blocks until the job finishes.  A round is a dependency
+//     chain, so guest code never runs on two lanes at once;
+//   - a segment ship serves its home serialization window on the
+//     segment's stripe, then sleeps the dilated transfer on the
+//     destination lane.  Lane FIFO order puts the ship before the
+//     segment's first guest job, so ships overlap upstream execution —
+//     the Fig. 1(c) freeze-time hiding on real cores;
+//   - a cross-worker result relay sleeps on the destination lane before
+//     the guest job it feeds;
+//   - a landed write-back serves its window on its stripe from the
+//     worker's lane.
+//
+// Home-side state is guarded by the two-level lock of sod/homegate.h:
+//
+//   - one non-recursive ordered mutex (`order_mu_`), held by the home
+//     thread for the whole round except while it waits for a guest job,
+//     serializes every home virtual-clock charge, tool-interface read,
+//     and heap access a lane's object faults and class fetches make;
 //   - N stripe mutexes, one per home shard (deterministic HomeShardMap
 //     over object refs, class ids, and (round, segment) keys), serialize
-//     the *wall-time service windows* of home-side work: serialization of
-//     a shipped segment, a fetched object batch, a class image, a landed
-//     write-back.  Services of different shards overlap in wall time;
-//     services of the same shard convoy — with one shard this degenerates
-//     to the old single-home-mutex bottleneck, which is exactly what the
-//     home_shards bench sweeps against.
+//     the *wall-time service windows* of home-side work.  Services of
+//     different shards overlap in wall time; services of the same shard
+//     convoy — with one shard this degenerates to a single home mutex,
+//     which is exactly what the home_shards bench sweeps against.
 //
 // Lock order is always stripe -> ordered, a thread holds at most one
-// stripe, and a gate acquired from a thread already inside the engine's
-// ordered section (write-back resolving stubs, the home-thread restore's
-// class fetches) detects that through a thread-local and becomes a nested
+// stripe, and a gate acquired from the home thread (restores, write-backs,
+// and checkpoints resolving stubs or fetching classes) detects through a
+// thread-local that it already holds the ordered lock and becomes a nested
 // no-op — so no capability is ever re-entered and clang's -Wthread-safety
 // can check the whole engine.
 //
-// Determinism contract with the virtual-time Scheduler (the twin CI
-// asserts against): for the same cluster topology, policy, and workload, a
-// wall-clock run produces the same completion set {(round, segment)}, the
-// same write-back payload bytes, bit-identical application results, and an
-// event log satisfying the same attempt-aware exactly_once() invariant.
-// In fault-free rounds the virtual timestamps are bit-identical too: all
-// virtual-clock accounting runs on the home thread in the Scheduler's
-// exact operation order (placement charge, ship, restore per segment; the
-// execute/write-back chain is dependency-ordered), so wall interleavings
-// only decide when real work happens, never what the clocks read.  Home
-// sharding preserves this bit for bit at any shard count: stripes only
-// schedule wall-side service sleeps, never virtual charges.  NOT
-// contracted after a worker loss: re-dispatch placements and the virtual
-// timestamps downstream of them (the wall engine picks survivors by queue
-// depth and restores on the survivor's live lane instead of consulting the
-// clock-reading policy, because surviving workers' clocks are live while
-// their lanes run).
-//
-// Communication is surfaced in wall time as real sleeps: a segment ship, a
-// cross-worker result relay, each sleeps its virtual transfer time scaled
-// by `dilation`; home-side service windows sleep their virtual service
-// time scaled by `home_dilation` while holding only their stripe.  With
-// >= 2 pool threads those sleeps (and the restores they gate) overlap
-// upstream execution — the Fig. 1(c) freeze-time hiding measured on real
-// cores instead of simulated.
+// Because the control path is the Scheduler's, a wall-clock run produces
+// the virtual-time run's results, write-back bytes, event log, and virtual
+// instants bit for bit, at any thread or shard count and after worker
+// losses: wall interleavings only decide when real work happens, never
+// what the clocks read.
 #pragma once
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <memory>
 #include <vector>
 
@@ -66,11 +60,8 @@
 namespace sod::cluster {
 
 struct WallClockOptions {
-  /// Pool threads; 0 = one per cluster worker (at run() entry).
+  /// Pool threads; 0 = one per cluster worker (at the first run()).
   int threads = 0;
-  /// Ship every segment as soon as it is serialized (Fig. 1(c)); when
-  /// false, segment i+1 ships only after segment i completed.
-  bool concurrent = true;
   /// Real-sleep seconds per virtual second of communication (ship/relay)
   /// time.  1.0 sleeps the full modelled transfer; benches dial it down to
   /// keep runs fast while preserving relative overlap.
@@ -81,59 +72,21 @@ struct WallClockOptions {
   /// home_shards bench turns this up to amplify the µs-scale serde costs
   /// into measurable stripe convoys while dialing transfers down.
   double home_dilation = -1.0;
-  /// Skip refresh_primitive_statics scans for classes the whole-program
-  /// analyzer proved statics-pure (same ablation switch as
-  /// DispatchOptions::statics_skip; bit-identical either way).
-  bool statics_skip = true;
 };
 
-/// The wall-clock twin of Scheduler::run.  One engine persists across
-/// dispatch rounds; its event log and counters span the whole scenario.
-/// The engine is its own HomeGate: worker-lane object faults and class
-/// fetches gate through it (see the file comment for the protocol).
-class WallClockEngine : private mig::HomeGate {
+/// The Scheduler with guest code on worker lanes and communication as wall
+/// sleeps.  The engine is its own HomeGate: worker-lane object faults and
+/// class fetches gate through it (see the file comment for the protocol).
+class WallClockEngine : public Scheduler, private mig::HomeGate {
  public:
-  WallClockEngine(Cluster& c, PlacementPolicy& policy, WallClockOptions opt = {});
+  WallClockEngine(Cluster& c, PlacementPolicy& policy, WallClockOptions opt = {},
+                  DispatchOptions dispatch = {});
   ~WallClockEngine() override;
 
-  Cluster& cluster() { return *c_; }
+  /// Scheduler::run with the lanes live; blocks until the bottom segment's
+  /// write-back lands and every lane is idle again.
+  DispatchOutcome run(int home_tid, const std::vector<mig::SegmentSpec>& specs) override;
 
-  /// Captures `specs` from the paused home thread and runs them on the
-  /// pool; blocks until the bottom segment's write-back lands.  Same
-  /// preconditions as Scheduler::run.
-  DispatchOutcome run(int home_tid, const std::vector<mig::SegmentSpec>& specs);
-
-  /// Schedules a worker loss once `completions` SegmentCompleted events
-  /// have fired over the engine's lifetime; processed under the ordered
-  /// lock at the triggering completion, so the loss lands mid-round while
-  /// other lanes are executing.  `worker` < 0 picks the accepting worker
-  /// with the deepest queue at the firing instant.
-  void fail_after(int completions, int worker = -1);
-  /// Fails a worker immediately (between or during rounds); outstanding
-  /// attempts on it are re-dispatched to survivors and their in-flight
-  /// jobs become stale no-ops (a non-winning attempt never writes back).
-  void fail_worker(int worker);
-  /// Membership churn, serialized against the running pool.
-  int add_worker(const WorkerSpec& spec);
-  void drain_worker(int id);
-
-  /// Totally ordered (by the ordered lock) event log across all rounds.
-  /// These accessors read engine state without the lock: they are meant
-  /// for the quiescent instants between runs (no lane job can be
-  /// writing), which the thread-safety analysis cannot express.
-  const std::vector<Event>& log() const SOD_NO_THREAD_SAFETY_ANALYSIS { return log_; }
-  bool exactly_once() const SOD_NO_THREAD_SAFETY_ANALYSIS { return exactly_once_log(log_); }
-  int rounds() const { return round_ + 1; }
-  int completions() const SOD_NO_THREAD_SAFETY_ANALYSIS { return completed_total_; }
-  int workers_lost() const SOD_NO_THREAD_SAFETY_ANALYSIS { return lost_total_; }
-  int redispatches() const SOD_NO_THREAD_SAFETY_ANALYSIS { return redispatched_total_; }
-  /// Statics-refresh scan/skip/byte counters over the engine's lifetime.
-  const StaticsRefreshStats& statics_stats() const SOD_NO_THREAD_SAFETY_ANALYSIS {
-    return statics_stats_;
-  }
-
-  /// Home shard count (the cluster's map, fixed at construction).
-  int home_shards() const { return shard_map_.shards(); }
   /// Per-stripe lock telemetry, indexed by shard (quiescent read).
   std::vector<mig::ShardContention> shard_contention() const;
   /// Sum over stripes (max fields folded with max).
@@ -146,8 +99,6 @@ class WallClockEngine : private mig::HomeGate {
   double last_round_wall_ms() const { return last_round_wall_ms_; }
 
  private:
-  struct Task;
-
   /// One home shard's stripe: the lock plus its telemetry.  The stats
   /// fields are written holding `mu` and read at quiescence; `waiters` is
   /// touched before the lock is held, so it is atomic.
@@ -157,6 +108,13 @@ class WallClockEngine : private mig::HomeGate {
     mig::ShardContention stats SOD_GUARDED_BY(mu);
   };
 
+  // Scheduler executor hooks.
+  mig::HomeGate* home_gate() override { return this; }
+  void on_ship(int segment, int worker, VDur serde, VDur transfer) override;
+  void run_guest(int worker, VDur relay, const std::function<void()>& guest) override
+      SOD_REQUIRES(order_mu_);
+  void on_write_back(int segment, int worker, VDur serde) override;
+
   // mig::HomeGate — the worker-lane side of the protocol.  Conditional
   // locking (nested detection, try-then-wait stripes) is beyond the static
   // analysis, so the implementations opt out and the protocol is enforced
@@ -165,76 +123,29 @@ class WallClockEngine : private mig::HomeGate {
   void service(mig::HomeGate::Section& s, VDur home_time) override;
   void release(mig::HomeGate::Section& s) override;
 
+  /// The home thread's side of the ordered lock (maintains the nested-
+  /// section thread-local).
+  void lock_ordered() SOD_ACQUIRE(order_mu_);
+  void unlock_ordered() SOD_RELEASE(order_mu_);
   /// Locks stripe `shard`, recording acquisition/contention telemetry.
   void lock_stripe(int shard) SOD_NO_THREAD_SAFETY_ANALYSIS;
   void unlock_stripe(int shard) SOD_NO_THREAD_SAFETY_ANALYSIS;
-  /// Engine-internal service window (ship serde, write-back apply): locks
-  /// the key's stripe, sleeps the dilated home service time, unlocks.
-  /// Must be called without the ordered lock (stripe -> ordered order).
-  void stripe_service(uint32_t key, VDur home_time);
-
-  void emit_locked(EventKind kind, VDur at, int segment, int worker, int attempt = 0)
-      SOD_REQUIRES(order_mu_);
-  /// Policy placement + virtual ship + virtual restore of segment i, all
-  /// on the home thread with lanes quiescent — the same operation order as
-  /// Scheduler::dispatch, which is what makes fault-free virtual
-  /// timestamps bit-identical.  Enqueues nothing.
-  void place_locked(size_t i) SOD_REQUIRES(order_mu_);
-  /// Queue-depth re-dispatch of segment i to a survivor (any thread, other
-  /// lanes live: no clock reads, no destination-clock charges).
-  void redispatch_locked(size_t i) SOD_REQUIRES(order_mu_);
-  /// Wall-only ship of an initially-placed segment: serves the home serde
-  /// window on the segment's stripe, sleeps the modelled transfer on the
-  /// destination lane, then marks the task executable.
-  void submit_ship(size_t i) SOD_REQUIRES(order_mu_);
-  void ship_job(size_t i, int attempt);
-  /// Full lane-side restore of a re-dispatched attempt (fault path only).
-  void submit_restore(size_t i) SOD_REQUIRES(order_mu_);
-  void restore_job(size_t i, int attempt);
-  void exec_job(size_t i, int attempt);
-  void do_fail_locked(int worker) SOD_REQUIRES(order_mu_);
-  void process_failure_plans_locked() SOD_REQUIRES(order_mu_);
-  int pick_failure_target_locked() const SOD_REQUIRES(order_mu_);
+  /// Service window on a lane: locks the stripe of segment `segment` of
+  /// the current round, sleeps the dilated home service time, unlocks.
+  void submit_service(int worker, int segment, VDur home_time, int64_t then_sleep_ns = 0);
   int64_t sleep_ns_for(VDur virt) const;
   int64_t home_sleep_ns_for(VDur virt) const;
 
-  Cluster* c_;
-  PlacementPolicy* policy_;
-  WallClockOptions opt_;
+  WallClockOptions wopt_;
   mig::HomeShardMap shard_map_;
-  std::unique_ptr<ThreadPool> pool_;
-
-  /// The ordered home lock: guards the home SodNode, the cluster
-  /// membership and queue accounting, the event log, every Task, and the
-  /// outcome under construction.  Non-recursive: nested entry is detected
-  /// through a thread-local (see OrderedLock / acquire) instead of
-  /// re-locking.
+  /// The ordered home lock.  Non-recursive: nested entry is detected
+  /// through a thread-local (see acquire) instead of re-locking.
   mutable Mutex order_mu_;
-  std::condition_variable_any cv_;
   /// One stripe per home shard (unique_ptr: mutexes do not move).
   std::vector<std::unique_ptr<Stripe>> stripes_;
+  /// Declared after the stripes so its threads join before they go.
+  std::unique_ptr<ThreadPool> pool_;
 
-  struct FailurePlan {
-    int at_count;
-    int worker;
-    bool fired = false;
-  };
-  std::vector<FailurePlan> plans_ SOD_GUARDED_BY(order_mu_);
-  std::vector<Event> log_ SOD_GUARDED_BY(order_mu_);
-  StaticsRefreshStats statics_stats_ SOD_GUARDED_BY(order_mu_);
-  int seq_ SOD_GUARDED_BY(order_mu_) = 0;
-  int round_ = -1;  ///< home thread only (run() entry/exit)
-  int completed_total_ SOD_GUARDED_BY(order_mu_) = 0;
-  int lost_total_ SOD_GUARDED_BY(order_mu_) = 0;
-  int redispatched_total_ SOD_GUARDED_BY(order_mu_) = 0;
-
-  // Live only inside run().  `tasks_` is written under the ordered lock
-  // while lanes run, but run() also reads it after pool_->wait_idle() with
-  // the lock dropped (every job has drained) — a quiescence argument the
-  // analysis cannot express, so it stays unannotated.
-  int home_tid_ = -1;
-  std::vector<Task> tasks_;
-  DispatchOutcome* out_ SOD_GUARDED_BY(order_mu_) = nullptr;
   std::chrono::steady_clock::time_point round_t0_{};
   std::vector<double> wall_completed_ms_;
   double last_round_wall_ms_ = 0;

@@ -529,31 +529,8 @@ TEST(Scheduler, RedispatchIsDeterministic) {
   EXPECT_EQ(events_a, events_b);
 }
 
-/// mk(n): returns a fresh Node whose val is 1 + sum(1..n) — each level
-/// reads prev.val from the callee's returned object, so a split chain
-/// must move a *ref* result between segments.
-bc::Program node_chain_program() {
-  ProgramBuilder pb;
-  auto& nd = pb.cls("Node");
-  nd.field("val", Ty::I64);
-  auto& m = pb.cls("M").method("mk", {{"n", Ty::I64}}, Ty::Ref);
-  uint16_t prev = m.local("prev", Ty::Ref);
-  uint16_t cur = m.local("cur", Ty::Ref);
-  bc::Label rec = m.label();
-  m.stmt().iload("n").iconst(1).if_icmpge(rec);
-  m.stmt().new_("Node").astore(cur);
-  m.stmt().aload(cur).iconst(1).putfield("Node.val");
-  m.stmt().aload(cur).aret();
-  m.bind(rec);
-  m.stmt().iload("n").iconst(1).isub().invoke("M.mk").astore(prev);
-  m.stmt().new_("Node").astore(cur);
-  m.stmt().aload(cur).aload(prev).getfield("Node.val").iload("n").iadd().putfield("Node.val");
-  m.stmt().aload(cur).aret();
-  return pb.build();
-}
-
 TEST(Scheduler, CrossWorkerRefChainsThroughHomeForwarding) {
-  auto p = node_chain_program();
+  auto p = sod::testing::node_chain_program();
   prep::preprocess_program(p);
   uint16_t mk = p.find_method("M.mk");
   Cluster c(p);
@@ -634,17 +611,14 @@ TEST(Scheduler, AutoscalerJoinsOnHighWaterAndDrainsIdleJoinerImmediately) {
   EXPECT_EQ(c.home().vm().thread(tid).result.as_i64(), sod::testing::fib_ref(26));
 }
 
-TEST(Policy, ObserveReceivesSchedulerEvents) {
+TEST(Scheduler, CustomPolicyFailoverLogsEveryAttempt) {
   struct Probe final : PlacementPolicy {
-    std::vector<EventKind> seen;
     const char* name() const override { return "probe"; }
     int choose(const Cluster& c, const PlacementRequest&) override {
       for (int w = 0; w < c.size(); ++w)
         if (c.accepting(w)) return w;
       return -1;
     }
-    using PlacementPolicy::observe;
-    void observe(const Cluster&, const Event& e) override { seen.push_back(e.kind); }
   };
   auto p = prepped_fib();
   uint16_t fib = p.find_method("Main.fib");
@@ -661,8 +635,8 @@ TEST(Policy, ObserveReceivesSchedulerEvents) {
   EXPECT_EQ(out.redispatched, 2);
   auto count = [&](EventKind k) {
     int n = 0;
-    for (EventKind seen : probe.seen)
-      if (seen == k) ++n;
+    for (const Event& e : s.log())
+      if (e.kind == k) ++n;
     return n;
   };
   EXPECT_EQ(count(EventKind::SegmentDispatched), 5);  // 3 initial + 2 re-dispatches
@@ -687,7 +661,7 @@ TEST(Scheduler, CrossShardRefChainMatchesUnshardedRun) {
     }
   };
   auto run_at = [](int shards) {
-    auto p = node_chain_program();
+    auto p = sod::testing::node_chain_program();
     prep::preprocess_program(p);
     uint16_t mk = p.find_method("M.mk");
     Cluster c(p);

@@ -44,6 +44,29 @@ inline int64_t fib_ref(int64_t n) {
   return a;
 }
 
+/// mk(n): returns a fresh Node whose val is 1 + sum(1..n) — each level
+/// reads prev.val from the callee's returned object, so a split chain
+/// must move a *ref* result between segments.
+inline bc::Program node_chain_program() {
+  ProgramBuilder pb;
+  auto& nd = pb.cls("Node");
+  nd.field("val", Ty::I64);
+  auto& m = pb.cls("M").method("mk", {{"n", Ty::I64}}, Ty::Ref);
+  uint16_t prev = m.local("prev", Ty::Ref);
+  uint16_t cur = m.local("cur", Ty::Ref);
+  bc::Label rec = m.label();
+  m.stmt().iload("n").iconst(1).if_icmpge(rec);
+  m.stmt().new_("Node").astore(cur);
+  m.stmt().aload(cur).iconst(1).putfield("Node.val");
+  m.stmt().aload(cur).aret();
+  m.bind(rec);
+  m.stmt().iload("n").iconst(1).isub().invoke("M.mk").astore(prev);
+  m.stmt().new_("Node").astore(cur);
+  m.stmt().aload(cur).aload(prev).getfield("Node.val").iload("n").iadd().putfield("Node.val");
+  m.stmt().aload(cur).aret();
+  return pb.build();
+}
+
 /// Run a single-method program to completion and return the result.
 inline Value run1(const bc::Program& p, std::string_view method,
                   std::vector<Value> args, svm::NativeRegistry* reg = nullptr) {

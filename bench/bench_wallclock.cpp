@@ -69,15 +69,18 @@ RunRec run_once(int threads, int rounds) {
   c.add_worker({"device", dev, sim::Link::wifi_kbps(2000)});
 
   auto policy = cluster::make_policy(cluster::PolicyKind::LeastLoaded);
-  std::unique_ptr<cluster::Scheduler> sched;
-  std::unique_ptr<cluster::WallClockEngine> engine;
+  std::unique_ptr<cluster::Scheduler> engine;
+  cluster::WallClockEngine* wall = nullptr;
   if (threads > 0) {
     cluster::WallClockOptions wopt;
     wopt.threads = threads;
-    engine = std::make_unique<cluster::WallClockEngine>(c, *policy, wopt);
+    auto w = std::make_unique<cluster::WallClockEngine>(c, *policy, wopt);
+    wall = w.get();
+    engine = std::move(w);
   } else {
-    sched = std::make_unique<cluster::Scheduler>(c, *policy, cluster::DispatchOptions{});
+    engine = std::make_unique<cluster::Scheduler>(c, *policy);
   }
+  cluster::Scheduler& sched = *engine;
 
   uint16_t trigger = p.find_method(spec.trigger_method);
   int tid = c.home().vm().spawn(p.find_method(spec.entry), spec.bench_args);
@@ -89,7 +92,7 @@ RunRec run_once(int threads, int rounds) {
     if (!mig::pause_at_depth(c.home(), tid, trigger, kSegmentsPerRound + 4)) break;
     VDur round_start = c.home_now();
     auto specs = cluster::split_top_frames(kSegmentsPerRound);
-    auto out = engine ? engine->run(tid, specs) : sched->run(tid, specs);
+    auto out = sched.run(tid, specs);
     c.home().ti().set_debug_enabled(false);
     rec.writeback_bytes += out.writeback_bytes;
     for (const auto& pl : out.placements) {
@@ -97,17 +100,17 @@ RunRec run_once(int threads, int rounds) {
       virt_sum_ms += (pl.completed_at - round_start).ms();
       rec.virt_completed_ns.push_back(pl.completed_at.ns);
     }
-    if (engine) {
-      for (double w : engine->last_completed_wall_ms()) wall_sum_ms += w;
-      rec.wall_total_ms += engine->last_round_wall_ms();
+    if (wall) {
+      for (double w : wall->last_completed_wall_ms()) wall_sum_ms += w;
+      rec.wall_total_ms += wall->last_round_wall_ms();
     }
   }
   c.home().ti().set_debug_enabled(false);
   auto rr = c.home().run_guest(tid);
   rec.ok = rr.reason == svm::StopReason::Done &&
            c.home().vm().thread(tid).result.as_i64() == spec.bench_expected;
-  rec.exactly_once = engine ? engine->exactly_once() : sched->exactly_once();
-  if (engine) rec.lock = engine->total_contention();
+  rec.exactly_once = sched.exactly_once();
+  if (wall) rec.lock = wall->total_contention();
   rec.virt_total_ms = c.home().node().clock.now().ms();
   if (rec.segments > 0) {
     rec.virt_mean_ms = virt_sum_ms / rec.segments;

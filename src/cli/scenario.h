@@ -1,7 +1,7 @@
 // Scenario registry — every app, bench, and example registers itself here
-// at static-init time, so `sodctl` (and the per-scenario standalone
-// binaries) drive them through one API.  Future workloads are added by
-// registering a struct, not by writing a new main().
+// at static-init time, so `sodctl` drives them all through one API.
+// Future workloads are added by registering a struct, not by writing a new
+// main().
 #pragma once
 
 #include <functional>
@@ -145,7 +145,7 @@ struct ScenarioRegistrar {
 bool maybe_write_json(const ScenarioOptions& opt, const std::string& bench_name,
                       const Table& t);
 
-/// Shared flag parsing for sodctl and the standalone scenario binaries.
+/// Flag parsing for `sodctl run|bench`.
 /// Understands --smoke, --nodes N, --policy P, --churn X, --fail-at N,
 /// --autoscale, --checkpoint-every N, --speculate, --threads N,
 /// --wallclock, --home-shards N, --sessions N, --arrival A, --seed S,

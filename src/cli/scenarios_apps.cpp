@@ -30,15 +30,26 @@ using sod::mig::SodNode;
 /// single-frame segments that are placed by the selected policy and kept
 /// in flight on different workers concurrently (Fig. 1(c)); home then
 /// finishes the residual computation and the result is checked against the
-/// app's expected value.  With --wallclock / --threads N the rounds run on
-/// the genuinely concurrent WallClockEngine pool instead of the
-/// virtual-time scheduler; results are bit-identical either way.
+/// app's expected value.  One Scheduler drives every round — a
+/// WallClockEngine under --wallclock / --threads N — so --checkpoint-every,
+/// --speculate and --fail-at apply on both engines and the printed virtual
+/// instants are bit-identical either way.
 int run_table1_app(const AppSpec& spec, const ScenarioOptions& opt) {
+  const char* name = spec.name.c_str();
   int nodes = opt.nodes > 0 ? opt.nodes : 2;
   auto kind = sod::cluster::parse_policy(opt.policy.empty() ? "round-robin" : opt.policy);
   if (!kind) {
-    std::fprintf(stderr, "%s: unknown placement policy '%s'\n", spec.name.c_str(),
-                 opt.policy.c_str());
+    std::fprintf(stderr, "%s: unknown placement policy '%s'\n", name, opt.policy.c_str());
+    return 2;
+  }
+  // No standby pool and no churn schedule: these flags would be dropped.
+  if (opt.churn >= 0 || opt.autoscale) {
+    std::fprintf(stderr, "%s: --churn and --autoscale apply to the elastic scenario only\n",
+                 name);
+    return 2;
+  }
+  if (opt.fail_at >= 0 && nodes < 3) {
+    std::fprintf(stderr, "%s: --fail-at needs a surviving worker (--nodes 3 or more)\n", name);
     return 2;
   }
   sod::bc::Program p = spec.build();
@@ -50,12 +61,22 @@ int run_table1_app(const AppSpec& spec, const ScenarioOptions& opt) {
   auto policy = sod::cluster::make_policy(*kind);
   SodNode& home = c.home();
 
-  std::unique_ptr<sod::cluster::WallClockEngine> engine;
+  sod::cluster::DispatchOptions dopt;
+  dopt.checkpoint_every = static_cast<uint64_t>(opt.checkpoint_every);
+  dopt.speculate = opt.speculate;
+  std::unique_ptr<sod::cluster::Scheduler> engine;
+  sod::cluster::WallClockEngine* wall = nullptr;
   if (opt.wallclock) {
     sod::cluster::WallClockOptions wopt;
     wopt.threads = opt.threads;
-    engine = std::make_unique<sod::cluster::WallClockEngine>(c, *policy, wopt);
+    auto w = std::make_unique<sod::cluster::WallClockEngine>(c, *policy, wopt, dopt);
+    wall = w.get();
+    engine = std::move(w);
+  } else {
+    engine = std::make_unique<sod::cluster::Scheduler>(c, *policy, dopt);
   }
+  sod::cluster::Scheduler& sched = *engine;
+  if (opt.fail_at >= 0) sched.fail_after(opt.fail_at);
 
   uint16_t trigger = p.find_method(spec.trigger_method);
   int depth = std::min(spec.paper_depth, 4);
@@ -71,22 +92,14 @@ int run_table1_app(const AppSpec& spec, const ScenarioOptions& opt) {
   while (remaining > 0 && sod::mig::pause_at_depth(home, tid, trigger, depth)) {
     int k = std::min(remaining, depth - 1);
     if (remaining > k) k = std::max(1, depth - 2);
-    auto specs = sod::cluster::split_top_frames(k);
-    auto out = engine ? engine->run(tid, specs)
-                      : sod::cluster::dispatch_segments(c, tid, specs, *policy);
+    auto out = sched.run(tid, sod::cluster::split_top_frames(k));
     home.ti().set_debug_enabled(false);
-    for (size_t s = 0; s < out.placements.size(); ++s) {
-      const auto& pl = out.placements[s];
-      if (engine)
-        std::printf("round %d: segment [%d,%d) -> %s, done %.3f ms virtual / %.3f ms wall\n",
-                    rounds, pl.spec.depth_lo, pl.spec.depth_hi, pl.worker_name.c_str(),
-                    pl.completed_at.ms(), engine->last_completed_wall_ms()[s]);
-      else
-        std::printf("round %d: segment [%d,%d) -> %s, restored %.3f ms, done %.3f ms\n",
-                    rounds, pl.spec.depth_lo, pl.spec.depth_hi, pl.worker_name.c_str(),
-                    pl.restored_at.ms(), pl.completed_at.ms());
-    }
+    for (const auto& pl : out.placements)
+      std::printf("round %d: segment [%d,%d) -> %s, restored %.3f ms, done %.3f ms\n", rounds,
+                  pl.spec.depth_lo, pl.spec.depth_hi, pl.worker_name.c_str(), pl.restored_at.ms(),
+                  pl.completed_at.ms());
     if (out.faults > 0) std::printf("round %d: %d object faults\n", rounds, out.faults);
+    if (wall) std::printf("round %d: %.3f ms wall\n", rounds, wall->last_round_wall_ms());
     segments += k;
     remaining -= k;
     ++rounds;
@@ -94,23 +107,28 @@ int run_table1_app(const AppSpec& spec, const ScenarioOptions& opt) {
   home.ti().set_debug_enabled(false);
   auto rr = home.run_guest(tid);
   if (rr.reason != sod::svm::StopReason::Done) {
-    std::fprintf(stderr, "%s: guest did not run to completion\n", spec.name.c_str());
+    std::fprintf(stderr, "%s: guest did not run to completion\n", name);
+    return 1;
+  }
+  if (!sched.exactly_once()) {
+    std::fprintf(stderr, "%s: event log violates exactly-once\n", name);
     return 1;
   }
   int64_t got = home.vm().thread(tid).result.as_i64();
-  std::string mode = engine ? " [wall-clock, " +
-                                  std::to_string(opt.threads > 0 ? opt.threads : c.size()) +
-                                  " thread(s)]"
-                            : "";
-  std::printf("%s(%s) = %lld over %d node(s), %d segment(s) in %d round(s) [%s]%s, %.3f ms "
-              "virtual\n",
-              spec.name.c_str(), std::to_string(spec.bench_args[0].as_i64()).c_str(),
+  std::string mode = wall ? " [wall-clock, " +
+                                std::to_string(opt.threads > 0 ? opt.threads : c.size()) +
+                                " thread(s)]"
+                          : "";
+  std::printf("%s(%s) = %lld over %d node(s), %d segment(s) in %d round(s) [%s]%s, "
+              "%d checkpoint(s), %d worker(s) lost, %d re-dispatch(es), %.3f ms virtual\n",
+              name, std::to_string(spec.bench_args[0].as_i64()).c_str(),
               static_cast<long long>(got), nodes, segments, rounds,
-              sod::cluster::policy_name(*kind), mode.c_str(), home.node().clock.now().ms());
+              sod::cluster::policy_name(*kind), mode.c_str(), sched.checkpoints(),
+              sched.workers_lost(), sched.redispatches(), home.node().clock.now().ms());
   // FFT/TSP use INT64_MIN as "no closed-form expectation" (the tests check
   // them against host-side references instead).
   if (spec.bench_expected != INT64_MIN && got != spec.bench_expected) {
-    std::fprintf(stderr, "%s: expected %lld\n", spec.name.c_str(),
+    std::fprintf(stderr, "%s: expected %lld\n", name,
                  static_cast<long long>(spec.bench_expected));
     return 1;
   }

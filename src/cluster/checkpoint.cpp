@@ -50,8 +50,6 @@ int CheckpointStore::live() const {
   return n;
 }
 
-AttemptTracker::AttemptTracker() : AttemptTracker(Config{}) {}
-
 void AttemptTracker::observe(uint16_t cls, VDur ref_span) {
   if (ref_span.ns < 0) return;
   double observed = static_cast<double>(ref_span.ns);

@@ -96,7 +96,6 @@ class AttemptTracker {
     double alpha = 0.4;  ///< EWMA smoothing weight for new observations
   };
 
-  AttemptTracker();
   explicit AttemptTracker(Config cfg) : cfg_(cfg) {}
 
   /// Trains the per-class EWMA with an observed execution span already
@@ -111,8 +110,6 @@ class AttemptTracker {
   /// straggler.  Never true before the first observation of the class —
   /// with nothing learned there is no baseline to be slow against.
   bool straggler(uint16_t cls, VDur age) const;
-
-  double straggler_factor() const { return cfg_.straggler_factor; }
 
  private:
   Config cfg_;

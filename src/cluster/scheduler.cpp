@@ -26,23 +26,6 @@ bool same_payload(const bc::Value& a, const bc::Value& b) {
 
 }  // namespace
 
-const char* event_name(EventKind k) {
-  switch (k) {
-    case EventKind::SegmentDispatched: return "segment_dispatched";
-    case EventKind::SegmentCompleted: return "segment_completed";
-    case EventKind::SegmentFailed: return "segment_failed";
-    case EventKind::WorkerJoined: return "worker_joined";
-    case EventKind::WorkerDraining: return "worker_draining";
-    case EventKind::WorkerLost: return "worker_lost";
-    case EventKind::AutoscaleTick: return "autoscale_tick";
-    case EventKind::CheckpointTaken: return "checkpoint_taken";
-    case EventKind::SpeculativeDispatched: return "speculative_dispatched";
-    case EventKind::AttemptCancelled: return "attempt_cancelled";
-    case EventKind::ProgramRejected: return "program_rejected";
-  }
-  SOD_UNREACHABLE("bad EventKind");
-}
-
 size_t refresh_primitive_statics(mig::SodNode& src, mig::SodNode& dst,
                                  const analysis::ProgramFacts* facts,
                                  StaticsRefreshStats* stats) {
@@ -150,7 +133,7 @@ Scheduler::Scheduler(Cluster& c, PlacementPolicy& policy, DispatchOptions opt)
     : c_(&c),
       policy_(&policy),
       opt_(opt),
-      tracker_(AttemptTracker::Config{opt.straggler_factor}) {
+      tracker_(AttemptTracker::Config{}) {
   // Partition the home-side tables by the cluster's shard map (fixed at
   // construction; set_home_shards must run before the scheduler is built).
   forwards_.configure(&c.shard_map());
@@ -172,8 +155,6 @@ void Scheduler::fail_after_checkpoints(int checkpoints, int worker) {
   SOD_CHECK(checkpoints >= 1, "fail_after_checkpoints needs a positive checkpoint count");
   plans_.push_back(FailurePlan{FailurePlan::Trigger::Checkpoints, checkpoints, worker});
 }
-
-void Scheduler::fail_worker(int worker) { do_fail(worker); }
 
 int Scheduler::add_worker(const WorkerSpec& spec) {
   SOD_CHECK(out_ == nullptr, "add_worker during a dispatch round");

@@ -6,10 +6,10 @@
 // seed and the same failure schedule reproduce the same log and the same
 // virtual-time tables).  On top of the loop sit the elasticity features:
 //
-//  - worker failure: fail_worker()/fail_after() drop a worker mid-run;
-//    the scheduler re-dispatches its queued + in-flight segments to
-//    surviving workers through the active policy, re-shipping class
-//    images and replaying write-backs idempotently (each segment's
+//  - worker failure: fail_after()/fail_after_checkpoints() plans drop a
+//    worker mid-run; the scheduler re-dispatches its queued + in-flight
+//    segments to surviving workers through the active policy, re-shipping
+//    class images and replaying write-backs idempotently (each segment's
 //    updates write back eagerly at completion, so completed work survives
 //    any later loss; primitive-statics refreshes re-ship only fields that
 //    still differ).
@@ -77,8 +77,6 @@ enum class EventKind {
   ProgramRejected,        ///< admission gate refused the program; nothing ships
 };
 
-const char* event_name(EventKind k);
-
 /// Wire size of the small "here is your caller's value" message forwarded
 /// between chained segments (matches the Fig. 1(c) experiment).  A
 /// cross-worker ref result rides the same message: the payload already
@@ -116,9 +114,6 @@ struct DispatchOptions {
   /// threshold; the first completion wins and the loser is cancelled.
   /// Requires checkpoint_every > 0.
   bool speculate = false;
-  /// Attempt age vs learned per-class EWMA span multiple that flags a
-  /// straggler (AttemptTracker::Config::straggler_factor).
-  double straggler_factor = 1.75;
   /// On worker loss, re-dispatch the executing attempt from its newest
   /// checkpoint (resume) instead of the original capture (restart).  Only
   /// meaningful with checkpoint_every > 0; exposed so benches can ablate
@@ -263,9 +258,6 @@ class Scheduler {
   /// mid-execution, the case that distinguishes resume-from-checkpoint
   /// from restart-from-capture.
   void fail_after_checkpoints(int checkpoints, int worker = -1);
-  /// Fails a worker immediately: drops its queue and, mid-run,
-  /// re-dispatches its outstanding segments to surviving workers.
-  void fail_worker(int worker);
   /// Membership churn between rounds, logged as WorkerJoined /
   /// WorkerDraining events.
   int add_worker(const WorkerSpec& spec);

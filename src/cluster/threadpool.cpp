@@ -23,11 +23,6 @@ ThreadPool::~ThreadPool() {
   for (auto& t : workers_) t.join();
 }
 
-void ThreadPool::ensure_lane(size_t n) {
-  MutexLock lk(mu_);
-  if (lanes_.size() < n) lanes_.resize(n);
-}
-
 void ThreadPool::submit(size_t lane, std::function<void()> job) {
   {
     MutexLock lk(mu_);

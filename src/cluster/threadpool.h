@@ -31,9 +31,6 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Make lanes [0, n) exist (idempotent; thread-safe).
-  void ensure_lane(size_t n);
-
   /// Enqueue `job` on `lane` (FIFO within the lane), creating the lane if
   /// it does not exist yet.  Thread-safe; may be called from pool threads
   /// themselves.

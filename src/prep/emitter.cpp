@@ -32,11 +32,6 @@ void Emitter::bind(int label) {
 
 void Emitter::op(Op o) { code_.push_back(static_cast<uint8_t>(o)); }
 
-void Emitter::op_u8(Op o, uint8_t v) {
-  op(o);
-  code_.push_back(v);
-}
-
 void Emitter::op_u16(Op o, uint16_t v) {
   op(o);
   code_.push_back(static_cast<uint8_t>(v & 0xFF));
@@ -45,13 +40,6 @@ void Emitter::op_u16(Op o, uint16_t v) {
 
 void Emitter::iconst(int64_t v) {
   op(Op::ICONST);
-  uint8_t b[8];
-  std::memcpy(b, &v, 8);
-  code_.insert(code_.end(), b, b + 8);
-}
-
-void Emitter::dconst(double v) {
-  op(Op::DCONST);
   uint8_t b[8];
   std::memcpy(b, &v, 8);
   code_.insert(code_.end(), b, b + 8);

@@ -31,10 +31,8 @@ class Emitter {
 
   // --- emission ---
   void op(bc::Op o);
-  void op_u8(bc::Op o, uint8_t v);
   void op_u16(bc::Op o, uint16_t v);
   void iconst(int64_t v);
-  void dconst(double v);
   /// Branch to an original pc (remapped at finish()).
   void branch_old(bc::Op o, uint32_t old_target);
   /// Branch to an injected label.

@@ -76,12 +76,6 @@ std::vector<std::pair<Ref, Ref>> ObjectManager::home_entries() const {
   return out;
 }
 
-size_t ObjectManager::home_size() const {
-  size_t n = 0;
-  for (const auto& part : home_parts_) n += part.size();
-  return n;
-}
-
 Ref ObjectManager::local_of_home(Ref home_ref) const {
   const auto& part = home_part(home_ref);
   auto it = part.find(home_ref);

@@ -80,8 +80,6 @@ class ObjectManager {
   /// ref — the canonical write-back iteration order, independent of the
   /// shard count and of hash-map iteration order.
   std::vector<std::pair<Ref, Ref>> home_entries() const;
-  /// Number of (home, local) identities tracked.
-  size_t home_size() const;
   /// Local ref of a fetched home object (kNull if never fetched).
   Ref local_of_home(Ref home_ref) const;
 

@@ -94,10 +94,6 @@ GuestThread& VM::thread(int tid) {
   SOD_CHECK(tid >= 0 && tid < static_cast<int>(threads_.size()), "bad tid");
   return threads_[tid];
 }
-const GuestThread& VM::thread(int tid) const {
-  SOD_CHECK(tid >= 0 && tid < static_cast<int>(threads_.size()), "bad tid");
-  return threads_[tid];
-}
 
 Value VM::call(std::string_view qname, std::span<const Value> args) {
   uint16_t mid = prog_->find_method(qname);

@@ -99,7 +99,6 @@ class VM {
   /// through the breakpoint + restoration-handler protocol).
   int adopt_frames(std::vector<Frame> frames);
   GuestThread& thread(int tid);
-  const GuestThread& thread(int tid) const;
 
   /// Interpret until the thread finishes, crashes, pauses, or the
   /// instruction budget runs out.

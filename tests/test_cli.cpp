@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <regex>
 #include <set>
 #include <sstream>
 #include <string>
@@ -215,6 +216,45 @@ TEST(ClusterApps, FibRunsOnTheWallClockEngine) {
   opt.wallclock = true;
   opt.home_shards = 4;
   EXPECT_EQ(s->run(opt), 0) << "home_shards=4";
+
+  // Both engines are one Scheduler, so --checkpoint-every and --fail-at
+  // take effect on either and print the same virtual per-segment lines
+  // (`fib --nodes 4 --checkpoint-every 20000 --fail-at 2 [--threads 3]`).
+  std::string segment_lines[2];
+  for (int threads : {0, 3}) {
+    ScenarioOptions ck;
+    ck.nodes = 4;
+    ck.checkpoint_every = 20000;
+    ck.fail_at = 2;
+    ck.threads = threads;
+    ck.wallclock = threads > 0;
+    ::testing::internal::CaptureStdout();
+    EXPECT_EQ(s->run(ck), 0) << "threads=" << threads;
+    std::istringstream out(::testing::internal::GetCapturedStdout());
+    std::string summary;
+    for (std::string line; std::getline(out, line);) {
+      if (line.find("segment [") != std::string::npos) segment_lines[threads > 0] += line + "\n";
+      if (line.rfind("Fib(", 0) == 0) summary = line;
+    }
+    std::smatch m;
+    EXPECT_NE(summary.find("= 46368 "), std::string::npos) << summary;
+    ASSERT_TRUE(std::regex_search(summary, m, std::regex("(\\d+) checkpoint\\(s\\)")))
+        << summary;
+    EXPECT_GE(std::stoi(m[1]), 1) << summary;
+    ASSERT_TRUE(std::regex_search(summary, m, std::regex("(\\d+) worker\\(s\\) lost")))
+        << summary;
+    EXPECT_GE(std::stoi(m[1]), 1) << summary;
+  }
+  EXPECT_FALSE(segment_lines[0].empty());
+  EXPECT_EQ(segment_lines[0], segment_lines[1]);
+
+  // The app driver has no standby pool: --autoscale is a usage error, not
+  // a silently dropped flag.
+  ScenarioOptions scale;
+  scale.autoscale = true;
+  ::testing::internal::CaptureStderr();
+  EXPECT_EQ(s->run(scale), 2);
+  EXPECT_NE(::testing::internal::GetCapturedStderr().find("--autoscale"), std::string::npos);
 }
 
 // Speculative backups launch from the newest checkpoint, so --speculate

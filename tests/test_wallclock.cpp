@@ -40,7 +40,6 @@ using std::chrono::steady_clock;
 
 TEST(ThreadPool, LaneJobsRunInSubmissionOrder) {
   ThreadPool pool(4);
-  pool.ensure_lane(1);
   std::vector<int> seen;
   for (int i = 0; i < 200; ++i)
     pool.submit(0, [i, &seen] { seen.push_back(i); });  // same lane: no racing writers
@@ -52,7 +51,6 @@ TEST(ThreadPool, LaneJobsRunInSubmissionOrder) {
 
 TEST(ThreadPool, LanesOverlapAcrossThreads) {
   ThreadPool pool(2);
-  pool.ensure_lane(2);
   auto t0 = steady_clock::now();
   for (size_t lane = 0; lane < 2; ++lane)
     pool.submit(lane, [] { std::this_thread::sleep_for(milliseconds(100)); });
@@ -65,7 +63,6 @@ TEST(ThreadPool, LanesOverlapAcrossThreads) {
 
 TEST(ThreadPool, SingleThreadStillDrainsEveryLane) {
   ThreadPool pool(1);
-  pool.ensure_lane(3);
   std::atomic<int> done{0};
   for (size_t lane = 0; lane < 3; ++lane)
     for (int j = 0; j < 5; ++j) pool.submit(lane, [&done] { ++done; });
@@ -75,7 +72,6 @@ TEST(ThreadPool, SingleThreadStillDrainsEveryLane) {
 
 TEST(ThreadPool, WaitIdleCoversJobsSubmittedByJobs) {
   ThreadPool pool(2);
-  pool.ensure_lane(2);
   std::atomic<int> done{0};
   pool.submit(0, [&] {
     ++done;

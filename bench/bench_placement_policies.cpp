@@ -43,14 +43,13 @@ PolicyResult run_policy(cluster::PolicyKind kind, int rounds, int segments_per_r
   uint16_t trigger = p.find_method(spec.trigger_method);
   int tid = c.home().vm().spawn(p.find_method(spec.entry), spec.bench_args);
 
+  cluster::Scheduler sched(c, *policy);
   PolicyResult res;
   for (int r = 0; r < rounds; ++r) {
     // Pause four frames deeper than the split so residual recursion
     // survives the round and the next pause can fire again.
     if (!mig::pause_at_depth(c.home(), tid, trigger, segments_per_round + 4)) break;
-    auto out = cluster::dispatch_segments(c, tid,
-                                          cluster::split_top_frames(segments_per_round),
-                                          *policy);
+    auto out = sched.run(tid, cluster::split_top_frames(segments_per_round));
     c.home().ti().set_debug_enabled(false);
     for (const auto& pl : out.placements) {
       ++res.segments;

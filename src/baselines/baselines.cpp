@@ -66,16 +66,8 @@ EagerTiming process_migrate(SodNode& home, int home_tid, SodNode& dest, sim::Lin
     w.u16(loc.method);
     w.u32(loc.pc);
     w.u16(m.num_locals);
-    for (const auto& var : ti.get_local_variable_table(loc.method)) {
-      Value v = ti.get_local(home_tid, d, var.slot);
-      w.u8(static_cast<uint8_t>(v.tag));
-      switch (v.tag) {
-        case Ty::I64: w.i64(v.i); break;
-        case Ty::F64: w.f64(v.d); break;
-        case Ty::Ref: w.u32(v.r); break;
-        case Ty::Void: SOD_UNREACHABLE("void local");
-      }
-    }
+    for (const auto& var : ti.get_local_variable_table(loc.method))
+      svm::write_value(w, ti.get_local(home_tid, d, var.slot), std::identity{});
   }
   // statics (eager, by value — refs resolved through the heap graph)
   uint16_t nclasses = 0;
@@ -89,15 +81,7 @@ EagerTiming process_migrate(SodNode& home, int home_tid, SodNode& dest, sim::Lin
       if (P.field(fid).is_static) ti.get_static_field(fid);  // per-slot read cost
     auto vals = hvm.statics_of(c.id);
     w.u16(static_cast<uint16_t>(vals.size()));
-    for (const Value& v : vals) {
-      w.u8(static_cast<uint8_t>(v.tag));
-      switch (v.tag) {
-        case Ty::I64: w.i64(v.i); break;
-        case Ty::F64: w.f64(v.d); break;
-        case Ty::Ref: w.u32(v.r); break;
-        case Ty::Void: SOD_UNREACHABLE("void static");
-      }
-    }
+    for (const Value& v : vals) svm::write_value(w, v, std::identity{});
   }
   // the entire reachable heap, Java-serialized
   std::vector<Ref> roots = heap_roots(home, home_tid);
@@ -129,15 +113,7 @@ EagerTiming process_migrate(SodNode& home, int home_tid, SodNode& dest, sim::Lin
     rf.pc = r.u32();
     uint16_t nl = r.u16();
     rf.locals.resize(nl);
-    for (auto& v : rf.locals) {
-      Ty tg = static_cast<Ty>(r.u8());
-      switch (tg) {
-        case Ty::I64: v = Value::of_i64(r.i64()); break;
-        case Ty::F64: v = Value::of_f64(r.f64()); break;
-        case Ty::Ref: v = Value::of_ref(r.u32()); break;  // home ref, remapped below
-        case Ty::Void: SOD_UNREACHABLE("void local");
-      }
-    }
+    for (auto& v : rf.locals) v = svm::read_value(r);  // refs remapped below
   }
   struct RawStatics {
     uint16_t cls;
@@ -149,15 +125,7 @@ EagerTiming process_migrate(SodNode& home, int home_tid, SodNode& dest, sim::Lin
     s.cls = r.u16();
     uint16_t nv = r.u16();
     s.vals.resize(nv);
-    for (auto& v : s.vals) {
-      Ty tg = static_cast<Ty>(r.u8());
-      switch (tg) {
-        case Ty::I64: v = Value::of_i64(r.i64()); break;
-        case Ty::F64: v = Value::of_f64(r.f64()); break;
-        case Ty::Ref: v = Value::of_ref(r.u32()); break;
-        case Ty::Void: SOD_UNREACHABLE("void static");
-      }
-    }
+    for (auto& v : s.vals) v = svm::read_value(r);
   }
   auto map = dest.vm().heap().deserialize_graph(r);
   auto remap = [&](Value v) {

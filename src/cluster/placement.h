@@ -8,7 +8,7 @@
 // schedulers do.  Only accepting workers (Cluster::accepting) are ever
 // chosen — draining and retired members are invisible to placement.
 //
-// Every policy closes the loop: dispatch_segments feeds completed
+// Every policy closes the loop: the Scheduler feeds completed
 // placements back through observe(), which trains a per-class EWMA of
 // segment execution times (normalized to the reference CPU).  estimate()
 // turns the model into per-worker predicted execution costs — recorded
@@ -52,7 +52,7 @@ class PlacementPolicy {
   virtual int choose(const Cluster& c, const PlacementRequest& req) = 0;
   /// Predicted execution cost of `req` on worker `w`: the per-class EWMA
   /// of observed execution times scaled by the worker's CPU profile;
-  /// VDur{} before the first observation of the class.  dispatch_segments
+  /// VDur{} before the first observation of the class.  The Scheduler
   /// records it with the assignment (Cluster::note_assigned) so
   /// queued-but-not-yet-run work is visible in later arrival estimates.
   virtual VDur estimate(const Cluster& c, int w, const PlacementRequest& req) const;

@@ -256,89 +256,75 @@ void Scheduler::autoscale_tick(bool placement_phase) {
     emit(action->kind, c_->home_now(), -1, action->worker);
 }
 
-void Scheduler::dispatch(size_t i) {
-  Task& t = tasks_[i];
-  mig::SodNode& home = c_->home();
-  const mig::CapturedState& cs = t.cs;
-  uint16_t entry_cls = home.program().method(cs.frames[0].method).owner;
-  t.req.cls = entry_cls;
-  t.req.state_bytes = cs.wire_size();
-  t.req.class_image_bytes = home.program().class_image(entry_cls).size();
-  t.req.msp_state_slots = c_->facts().class_msp_state_slots(entry_cls);
-  int w = policy_->choose(*c_, t.req);
+int Scheduler::choose_worker(const PlacementRequest& req) {
+  int w = policy_->choose(*c_, req);
   SOD_CHECK(w >= 0 && w < c_->size(), "policy chose an invalid worker");
   SOD_CHECK(c_->accepting(w), "policy chose a non-accepting worker");
+  return w;
+}
+
+std::unique_ptr<mig::Segment> Scheduler::ship(size_t i, int w, const mig::CapturedState& state,
+                                              size_t state_bytes, Placement& pl) {
+  Task& t = tasks_[i];
+  mig::SodNode& home = c_->home();
+  mig::SodNode& dst = c_->worker(w);
+  pl = Placement{};
+  pl.worker = w;
+  pl.worker_name = dst.name();
+  pl.spec = t.spec;
+  pl.cls = t.req.cls;
+  pl.attempts = ++t.attempts;
+  pl.shipped_bytes = state_bytes;
+  if (!dst.class_shipped(pl.cls)) pl.shipped_bytes += t.req.class_image_bytes;
+
+  dst.mark_class_shipped(pl.cls);
+  dst.enable_class_fetch(&home, c_->link(w), home_gate());
+  // Home (re-)serializes the state and ships it from its current send
+  // front: a re-dispatch's original copy died with the lost worker, and a
+  // checkpoint lives at home.
+  VDur serde = home.serde().cost(state_bytes, static_cast<int>(state.frames.size()));
+  home.node().charge_host(serde);
+  sim::deliver(home.node(), dst.node(), c_->link(w), pl.shipped_bytes);
+  on_ship(static_cast<int>(i), w, serde, c_->link(w).transfer_time(pl.shipped_bytes));
+
+  auto seg = std::make_unique<mig::Segment>(dst);
+  seg->objman().set_home_gate(home_gate());
+  seg->objman().set_shard_map(&c_->shard_map());
+  seg->objman().bind_home(&home, home_tid_, t.spec.depth_hi, c_->link(w));
+  seg->restore(state);
+  pl.restored_at = dst.node().clock.now();
+  return seg;
+}
+
+void Scheduler::dispatch(size_t i) {
+  Task& t = tasks_[i];
+  const bc::Program& P = c_->home().program();
+  uint16_t entry_cls = P.method(t.cs.frames[0].method).owner;
+  t.req.cls = entry_cls;
+  t.req.state_bytes = t.cs.wire_size();
+  t.req.class_image_bytes = P.class_image(entry_cls).size();
+  t.req.msp_state_slots = c_->facts().class_msp_state_slots(entry_cls);
+  int w = choose_worker(t.req);
   t.est_cost = policy_->estimate(*c_, w, t.req);
   c_->note_assigned(w, t.est_cost);
-  mig::SodNode& dst = c_->worker(w);
 
   if (t.seg) t.faults_accum += t.seg->objman().stats().faults;
   t.deltas = {};
   t.resumed = false;
   t.partial = false;  // a restart re-executes the full segment
-  Placement& pl = t.pl;
-  pl = Placement{};
-  pl.worker = w;
-  pl.worker_name = dst.name();
-  pl.spec = t.spec;
-  pl.cls = entry_cls;
-  pl.attempts = ++t.attempts;
-  pl.shipped_bytes = t.req.state_bytes;
-  if (!dst.class_shipped(entry_cls)) pl.shipped_bytes += t.req.class_image_bytes;
-
-  dst.mark_class_shipped(entry_cls);
-  dst.enable_class_fetch(&home, c_->link(w), home_gate());
-  // A re-dispatch re-serializes and re-ships from home's current send
-  // front: the original copy died with the lost worker.
-  VDur serde = home.serde().cost(t.req.state_bytes, static_cast<int>(cs.frames.size()));
-  home.node().charge_host(serde);
-  sim::deliver(home.node(), dst.node(), c_->link(w), pl.shipped_bytes);
-  on_ship(static_cast<int>(i), w, serde, c_->link(w).transfer_time(pl.shipped_bytes));
-
-  t.seg = std::make_unique<mig::Segment>(dst);
-  t.seg->objman().set_home_gate(home_gate());
-  t.seg->objman().set_shard_map(&c_->shard_map());
-  t.seg->objman().bind_home(&home, home_tid_, t.spec.depth_hi, c_->link(w));
-  t.seg->restore(cs);
-  pl.restored_at = dst.node().clock.now();
+  t.seg = ship(i, w, t.cs, t.req.state_bytes, t.pl);
   t.dispatched = true;
-  emit(EventKind::SegmentDispatched, pl.restored_at, static_cast<int>(i), w, t.attempts);
+  emit(EventKind::SegmentDispatched, t.pl.restored_at, static_cast<int>(i), w, t.attempts);
 }
 
 Scheduler::CheckpointRestore Scheduler::restore_from_checkpoint(
     size_t i, int w, const CheckpointStore::Entry& ck) {
-  Task& t = tasks_[i];
-  mig::SodNode& home = c_->home();
-  mig::SodNode& dst = c_->worker(w);
-  PlacementRequest req = t.req;
+  PlacementRequest req = tasks_[i].req;
   req.state_bytes = ck.ckpt.state_bytes;
   CheckpointRestore r;
   r.est = policy_->estimate(*c_, w, req);
   c_->note_assigned(w, r.est);
-  r.pl.worker = w;
-  r.pl.worker_name = dst.name();
-  r.pl.spec = t.spec;
-  r.pl.cls = t.req.cls;
-  r.pl.attempts = ++t.attempts;
-  r.pl.shipped_bytes = ck.ckpt.state_bytes;
-  if (!dst.class_shipped(t.req.cls)) r.pl.shipped_bytes += t.req.class_image_bytes;
-
-  dst.mark_class_shipped(t.req.cls);
-  dst.enable_class_fetch(&home, c_->link(w), home_gate());
-  // The checkpoint lives at home: home re-serializes and ships it to the
-  // new worker from its current send front.
-  VDur serde =
-      home.serde().cost(ck.ckpt.state_bytes, static_cast<int>(ck.ckpt.state.frames.size()));
-  home.node().charge_host(serde);
-  sim::deliver(home.node(), dst.node(), c_->link(w), r.pl.shipped_bytes);
-  on_ship(static_cast<int>(i), w, serde, c_->link(w).transfer_time(r.pl.shipped_bytes));
-
-  r.seg = std::make_unique<mig::Segment>(dst);
-  r.seg->objman().set_home_gate(home_gate());
-  r.seg->objman().set_shard_map(&c_->shard_map());
-  r.seg->objman().bind_home(&home, home_tid_, t.spec.depth_hi, c_->link(w));
-  r.seg->restore(ck.ckpt.state);
-  r.pl.restored_at = dst.node().clock.now();
+  r.seg = ship(i, w, ck.ckpt.state, ck.ckpt.state_bytes, r.pl);
   // A checkpoint resumes mid-execution: no upstream delivery is pending,
   // the attempt starts executing right after its restore.
   r.pl.executed_at = r.pl.restored_at;
@@ -349,9 +335,7 @@ void Scheduler::resume_dispatch(size_t i, const CheckpointStore::Entry& ck) {
   Task& t = tasks_[i];
   PlacementRequest req = t.req;
   req.state_bytes = ck.ckpt.state_bytes;
-  int w = policy_->choose(*c_, req);
-  SOD_CHECK(w >= 0 && w < c_->size(), "policy chose an invalid worker");
-  SOD_CHECK(c_->accepting(w), "policy chose a non-accepting worker");
+  int w = choose_worker(req);
 
   if (t.seg) t.faults_accum += t.seg->objman().stats().faults;
   // The new attempt starts from the checkpoint's heap flush: its delta
@@ -759,13 +743,6 @@ DispatchOutcome Scheduler::run(int home_tid, const std::vector<mig::SegmentSpec>
   out.result = tasks_.back().result;
   out_ = nullptr;
   return out;
-}
-
-DispatchOutcome dispatch_segments(Cluster& c, int home_tid,
-                                  const std::vector<mig::SegmentSpec>& specs,
-                                  PlacementPolicy& policy, const DispatchOptions& opt) {
-  Scheduler s(c, policy, opt);
-  return s.run(home_tid, specs);
 }
 
 }  // namespace sod::cluster

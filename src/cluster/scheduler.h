@@ -42,9 +42,6 @@
 // virtual time.  WallClockEngine (wallclock.h) overrides them to run guest
 // code on worker lanes and to replay communication as wall sleeps, so both
 // engines share this one control path and read identical virtual clocks.
-//
-// dispatch_segments() remains as a thin wrapper: it builds a one-round
-// Scheduler and runs the event stream.
 #pragma once
 
 #include <functional>
@@ -347,6 +344,13 @@ class Scheduler {
   };
 
   void emit(EventKind kind, VDur at, int segment, int worker, int attempt = 0);
+  /// The policy's worker for `req`, checked to be an accepting member.
+  int choose_worker(const PlacementRequest& req);
+  /// Ships `state` (`state_bytes` on the wire, plus segment i's class
+  /// image if `w` lacks it) from home to worker `w` and restores it there
+  /// as a new attempt of segment i, filling `pl`.
+  std::unique_ptr<mig::Segment> ship(size_t i, int w, const mig::CapturedState& state,
+                                     size_t state_bytes, Placement& pl);
   void dispatch(size_t i);
   /// Home-side prelude of segment i's live attempt (natives, statics
   /// refresh, result relay, ref forward), then one guest job that delivers
@@ -393,13 +397,5 @@ class Scheduler {
   DispatchOutcome* out_ = nullptr;
   Race* race_ = nullptr;  ///< in-flight attempt race of the executing task
 };
-
-/// Thin wrapper for one-shot dispatch: builds a single-round Scheduler
-/// (no failure plan, no autoscaler) and runs the event stream.  Completed
-/// placements are fed back to the policy (PlacementPolicy::observe) so
-/// learning policies can refine their execution-time estimates.
-DispatchOutcome dispatch_segments(Cluster& c, int home_tid,
-                                  const std::vector<mig::SegmentSpec>& specs,
-                                  PlacementPolicy& policy, const DispatchOptions& opt = {});
 
 }  // namespace sod::cluster

@@ -8,17 +8,20 @@ namespace sod::mig {
 using bc::Method;
 using svm::StopReason;
 
-CapturedState capture_segment(SodNode& home, int home_tid, SegmentSpec seg) {
-  auto& ti = home.ti();
-  auto& vm = home.vm();
-  const bc::Program& P = home.program();
-  SOD_CHECK(seg.len() >= 1, "empty segment");
-  SOD_CHECK(seg.depth_hi <= ti.get_stack_depth(home_tid), "segment deeper than stack");
+namespace {
 
-  CapturedState cs;
-  // frames[0] = segment bottom = deepest captured depth.
-  for (int depth = seg.depth_hi - 1; depth >= seg.depth_lo; --depth) {
-    vmti::FrameLocation loc = ti.get_frame_location(home_tid, depth);
+/// Walks frames [depth_lo, depth_hi) of `tid` through the tool interface
+/// (frames[0] = deepest), then the statics of every loaded class (Fig. 3's
+/// "save static fields"), into `cs`; each ref local or static is stored as
+/// `map_ref(ref)`.  The top frame (depth 0) must sit at an MSP; a deeper
+/// frame resumes at the statement of its pending INVOKE.
+template <class MapRef>
+void capture_frames(SodNode& node, int tid, int depth_lo, int depth_hi, MapRef&& map_ref,
+                    CapturedState& cs) {
+  auto& ti = node.ti();
+  const bc::Program& P = node.program();
+  for (int depth = depth_hi - 1; depth >= depth_lo; --depth) {
+    vmti::FrameLocation loc = ti.get_frame_location(tid, depth);
     const Method& m = P.method(loc.method);
     CapturedFrame cf;
     cf.method = loc.method;
@@ -35,23 +38,15 @@ CapturedState capture_segment(SodNode& home, int home_tid, SegmentSpec seg) {
       cf.pc = m.stmt_at_or_before(invoke_pc);
       cf.pending_callee = static_cast<uint16_t>(bc::decode(m.code, invoke_pc).arg);
     }
-    const auto& vt = ti.get_local_variable_table(loc.method);
     cf.locals.assign(m.num_locals, Value::of_i64(0));
-    for (const auto& var : vt) {
-      Value v = ti.get_local(home_tid, depth, var.slot);
-      // References are left behind (fetched on demand); remember only
-      // whether they were null so the worker can stub non-null ones.
-      if (var.type == bc::Ty::Ref)
-        cf.locals[var.slot] = v.r != bc::kNull ? Value::of_ref(kRemoteMark) : Value::null();
-      else
-        cf.locals[var.slot] = v;
+    for (const auto& var : ti.get_local_variable_table(loc.method)) {
+      Value v = ti.get_local(tid, depth, var.slot);
+      cf.locals[var.slot] = var.type == bc::Ty::Ref ? map_ref(v.r) : v;
     }
     cs.frames.push_back(std::move(cf));
   }
-
-  // Statics of loaded classes (Fig. 3's "save static fields"); refs null.
   for (const auto& c : P.classes) {
-    if (!vm.class_loaded(c.id) || c.num_static_slots == 0) continue;
+    if (!node.vm().class_loaded(c.id) || c.num_static_slots == 0) continue;
     CapturedStatics st;
     st.cls = c.id;
     st.values.assign(c.num_static_slots, Value::of_i64(0));
@@ -59,14 +54,23 @@ CapturedState capture_segment(SodNode& home, int home_tid, SegmentSpec seg) {
       const bc::Field& f = P.field(fid);
       if (!f.is_static) continue;
       Value v = ti.get_static_field(fid);
-      if (f.type == bc::Ty::Ref)
-        st.values[f.slot] = v.r != bc::kNull ? Value::of_ref(kRemoteMark) : Value::null();
-      else
-        st.values[f.slot] = v;
+      st.values[f.slot] = f.type == bc::Ty::Ref ? map_ref(v.r) : v;
     }
     cs.statics.push_back(std::move(st));
   }
-  home.sync_ti_cost();
+  node.sync_ti_cost();
+}
+
+}  // namespace
+
+CapturedState capture_segment(SodNode& home, int home_tid, SegmentSpec seg) {
+  SOD_CHECK(seg.len() >= 1, "empty segment");
+  SOD_CHECK(seg.depth_hi <= home.ti().get_stack_depth(home_tid), "segment deeper than stack");
+  // References are left behind (fetched on demand); remember only whether
+  // they were null so the worker can stub non-null ones.
+  auto mark = [](Ref r) { return r != bc::kNull ? Value::of_ref(kRemoteMark) : Value::null(); };
+  CapturedState cs;
+  capture_frames(home, home_tid, seg.depth_lo, seg.depth_hi, mark, cs);
   return cs;
 }
 
@@ -133,14 +137,16 @@ void Segment::restore(const CapturedState& cs) {
         continue;
       }
       if (v.r != kRemoteMark) continue;
-      Ref stub = vm.heap().alloc_stub(0);
-      v = Value::of_ref(stub);
-      // Register the stub's identity so copies of it (e.g. a static array
-      // cached into a local) stay resolvable.
+      // The stub carries the static it stands for, so copies of it (e.g. a
+      // static array cached into a local) stay resolvable by any segment
+      // on this node: statics belong to the node, and a segment restored
+      // later overwrites them with its own stubs.
+      uint16_t field = bc::kNoId;
       for (uint16_t fid : P.cls(st.cls).field_ids) {
         const bc::Field& f = P.field(fid);
-        if (f.is_static && f.slot == slot) om_.register_static_stub(stub, fid);
+        if (f.is_static && f.slot == slot) field = fid;
       }
+      v = Value::of_ref(vm.heap().alloc_stub(0, field));
     }
     vm.overwrite_statics(st.cls, std::move(vals));
   }
@@ -223,12 +229,7 @@ Value Segment::run_to_completion() {
     debug_held_ = false;
   }
   svm::RunResult rr = dest_->run_guest(tid_);
-  if (rr.reason == StopReason::Crashed) {
-    const auto& th = dest_->vm().thread(tid_);
-    SOD_UNREACHABLE("migrated segment crashed: " +
-                    dest_->program().cls(dest_->vm().class_of(th.uncaught)).name + ": " +
-                    dest_->vm().exception_message(th.uncaught));
-  }
+  panic_if_crashed(rr.reason);
   SOD_CHECK(rr.reason == StopReason::Done, "segment did not finish");
   return dest_->vm().thread(tid_).result;
 }
@@ -252,18 +253,21 @@ svm::StopReason Segment::run_chunk(uint64_t budget) {
     dest_->ti().set_debug_enabled(false);
     dest_->sync_ti_cost();
   }
-  if (rr.reason == StopReason::Crashed) {
-    const auto& th = dest_->vm().thread(tid_);
-    SOD_UNREACHABLE("migrated segment crashed: " +
-                    dest_->program().cls(dest_->vm().class_of(th.uncaught)).name + ": " +
-                    dest_->vm().exception_message(th.uncaught));
-  }
+  panic_if_crashed(rr.reason);
   SOD_CHECK(rr.reason == StopReason::Done || rr.reason == StopReason::SafePoint,
             "segment chunk stopped unexpectedly");
   return rr.reason;
 }
 
 Value Segment::result() const { return dest_->vm().thread(tid_).result; }
+
+void Segment::panic_if_crashed(StopReason reason) const {
+  if (reason != StopReason::Crashed) return;
+  const auto& th = dest_->vm().thread(tid_);
+  SOD_UNREACHABLE("migrated segment crashed: " +
+                  dest_->program().cls(dest_->vm().class_of(th.uncaught)).name + ": " +
+                  dest_->vm().exception_message(th.uncaught));
+}
 
 // ---------------------------------------------------------------- write-back
 
@@ -279,45 +283,6 @@ uint64_t fnv1a(std::span<const uint8_t> bytes) {
     h *= 1099511628211ull;
   }
   return h;
-}
-
-/// Home-side twin of WriteBackBuilder::write_cell: encodes a home cell
-/// with its refs written raw (they already are home ids), so a worker
-/// cell whose translated encoding matches byte-for-byte is one home
-/// already holds — the first-checkpoint "fetched but never mutated" skip.
-void write_home_cell(const svm::Heap& heap, Ref r, ByteWriter& w) {
-  const svm::Cell& c = heap.cell(r);
-  if (const auto* o = std::get_if<svm::ObjCell>(&c)) {
-    w.u8(1);
-    w.u16(o->cls);
-    w.u16(static_cast<uint16_t>(o->fields.size()));
-    for (const Value& v : o->fields) {
-      w.u8(static_cast<uint8_t>(v.tag));
-      switch (v.tag) {
-        case bc::Ty::I64: w.i64(v.i); break;
-        case bc::Ty::F64: w.f64(v.d); break;
-        case bc::Ty::Ref: w.u32(v.r); break;
-        case bc::Ty::Void: SOD_UNREACHABLE("void field");
-      }
-    }
-  } else if (const auto* ai = std::get_if<svm::ArrICell>(&c)) {
-    w.u8(2);
-    w.u32(static_cast<uint32_t>(ai->v.size()));
-    for (int64_t x : ai->v) w.i64(x);
-  } else if (const auto* ad = std::get_if<svm::ArrDCell>(&c)) {
-    w.u8(3);
-    w.u32(static_cast<uint32_t>(ad->v.size()));
-    for (double x : ad->v) w.f64(x);
-  } else if (const auto* ar = std::get_if<svm::ArrRCell>(&c)) {
-    w.u8(4);
-    w.u32(static_cast<uint32_t>(ar->v.size()));
-    for (Ref x : ar->v) w.u32(x);
-  } else if (const auto* s = std::get_if<svm::StrCell>(&c)) {
-    w.u8(5);
-    w.str(s->s);
-  } else {
-    SOD_UNREACHABLE("home cell comparison of an empty cell");
-  }
 }
 
 class WriteBackBuilder {
@@ -380,7 +345,7 @@ class WriteBackBuilder {
         // translated payload still equals home's cell byte-for-byte, the
         // object was fetched and never mutated — home already holds it.
         ByteWriter hcell;
-        write_home_cell(*home_heap_, home_ref, hcell);
+        home_heap_->serialize_shallow(home_ref, hcell);
         if (hcell.bytes() == cell.bytes()) {
           skipped_bytes_ += cell.size() + 5;  // record header: tag + u32
           continue;
@@ -407,29 +372,15 @@ class WriteBackBuilder {
     for (const auto& c : P.classes)
       if (wvm.class_loaded(c.id) && c.num_static_slots > 0) ++nstatic;
     w.u16(nstatic);
+    auto wire = [this](Ref local) { return translate(local); };
     for (const auto& c : P.classes) {
       if (!wvm.class_loaded(c.id) || c.num_static_slots == 0) continue;
       w.u16(c.id);
       auto vals = wvm.statics_of(c.id);
       w.u16(static_cast<uint16_t>(vals.size()));
-      for (const Value& v : vals) {
-        w.u8(static_cast<uint8_t>(v.tag));
-        switch (v.tag) {
-          case bc::Ty::I64: w.i64(v.i); break;
-          case bc::Ty::F64: w.f64(v.d); break;
-          case bc::Ty::Ref: w.u32(translate(v.r)); break;
-          case bc::Ty::Void: SOD_UNREACHABLE("void static");
-        }
-      }
+      for (const Value& v : vals) svm::write_value(w, v, wire);
     }
-    // Result value.
-    w.u8(static_cast<uint8_t>(result.tag));
-    switch (result.tag) {
-      case bc::Ty::I64: w.i64(result.i); break;
-      case bc::Ty::F64: w.f64(result.d); break;
-      case bc::Ty::Ref: w.u32(translate(result.r)); break;
-      case bc::Ty::Void: break;
-    }
+    svm::write_value(w, result, wire);
     // Translating the result may have queued new objects; flush them in a
     // trailer section.
     flush_creations(w);
@@ -470,38 +421,7 @@ class WriteBackBuilder {
     }
   }
   void write_cell(ByteWriter& w, Ref local) {
-    const svm::Cell& c = heap_.cell(local);
-    if (const auto* o = std::get_if<svm::ObjCell>(&c)) {
-      w.u8(1);
-      w.u16(o->cls);
-      w.u16(static_cast<uint16_t>(o->fields.size()));
-      for (const Value& v : o->fields) {
-        w.u8(static_cast<uint8_t>(v.tag));
-        switch (v.tag) {
-          case bc::Ty::I64: w.i64(v.i); break;
-          case bc::Ty::F64: w.f64(v.d); break;
-          case bc::Ty::Ref: w.u32(translate(v.r)); break;
-          case bc::Ty::Void: SOD_UNREACHABLE("void field");
-        }
-      }
-    } else if (const auto* ai = std::get_if<svm::ArrICell>(&c)) {
-      w.u8(2);
-      w.u32(static_cast<uint32_t>(ai->v.size()));
-      for (int64_t x : ai->v) w.i64(x);
-    } else if (const auto* ad = std::get_if<svm::ArrDCell>(&c)) {
-      w.u8(3);
-      w.u32(static_cast<uint32_t>(ad->v.size()));
-      for (double x : ad->v) w.f64(x);
-    } else if (const auto* ar = std::get_if<svm::ArrRCell>(&c)) {
-      w.u8(4);
-      w.u32(static_cast<uint32_t>(ar->v.size()));
-      for (Ref x : ar->v) w.u32(translate(x));
-    } else if (const auto* s = std::get_if<svm::StrCell>(&c)) {
-      w.u8(5);
-      w.str(s->s);
-    } else {
-      SOD_UNREACHABLE("write-back of empty cell");
-    }
+    heap_.serialize_shallow(local, w, [this](Ref r) { return translate(r); });
   }
 
   Segment& seg_;
@@ -523,18 +443,10 @@ class WriteBackApplier {
     // Pass 1: read records, materialize creations, collect field patches.
     read_section(r);
     read_statics(r);
-    Value result{};
-    bc::Ty t = static_cast<bc::Ty>(r.u8());
-    uint32_t result_ref = 0;
-    switch (t) {
-      case bc::Ty::I64: result = Value::of_i64(r.i64()); break;
-      case bc::Ty::F64: result = Value::of_f64(r.f64()); break;
-      case bc::Ty::Ref: result_ref = r.u32(); break;
-      case bc::Ty::Void: break;
-    }
+    Value result = svm::read_value(r);
     read_section(r);  // trailer creations
     resolve_links();
-    if (t == bc::Ty::Ref) result = Value::of_ref(resolve(result_ref));
+    if (result.tag == bc::Ty::Ref) result = Value::of_ref(resolve(result.r));
     return result;
   }
 
@@ -577,7 +489,7 @@ class WriteBackApplier {
     svm::Heap& heap = home_.vm().heap();
     uint8_t kind = r.u8();
     switch (kind) {
-      case 1: {  // object
+      case svm::kWireObj: {
         uint16_t cls = r.u16();
         uint16_t n = r.u16();
         if (create) {
@@ -588,17 +500,16 @@ class WriteBackApplier {
         auto& o = heap.obj(target);
         SOD_CHECK(o.fields.size() == n, "write-back field count mismatch");
         for (uint16_t i = 0; i < n; ++i) {
-          bc::Ty t = static_cast<bc::Ty>(r.u8());
-          switch (t) {
-            case bc::Ty::I64: o.fields[i] = Value::of_i64(r.i64()); break;
-            case bc::Ty::F64: o.fields[i] = Value::of_f64(r.f64()); break;
-            case bc::Ty::Ref: patches_.push_back(Patch{target, i, r.u32()}); break;
-            case bc::Ty::Void: SOD_UNREACHABLE("void field");
+          Value v = svm::read_value(r);
+          if (v.tag == bc::Ty::Ref) {
+            patches_.push_back(Patch{target, i, v.r});
+          } else {
+            o.fields[i] = v;
           }
         }
         return target;
       }
-      case 2: {
+      case svm::kWireArrI: {
         uint32_t n = r.u32();
         if (create) target = heap.alloc_arr_i(n);
         auto& a = heap.arr_i(target);
@@ -606,7 +517,7 @@ class WriteBackApplier {
         for (auto& x : a.v) x = r.i64();
         return target;
       }
-      case 3: {
+      case svm::kWireArrD: {
         uint32_t n = r.u32();
         if (create) target = heap.alloc_arr_d(n);
         auto& a = heap.arr_d(target);
@@ -614,7 +525,7 @@ class WriteBackApplier {
         for (auto& x : a.v) x = r.f64();
         return target;
       }
-      case 4: {
+      case svm::kWireArrR: {
         uint32_t n = r.u32();
         if (create) target = heap.alloc_arr_r(n);
         auto& a = heap.arr_r(target);
@@ -623,7 +534,7 @@ class WriteBackApplier {
           patches_.push_back(Patch{target, i | 0x40000000u, r.u32()});
         return target;
       }
-      case 5: {
+      case svm::kWireStr: {
         std::string s = r.str();
         if (create) {
           target = heap.alloc_str(std::move(s));
@@ -642,19 +553,7 @@ class WriteBackApplier {
       uint16_t cls = r.u16();
       uint16_t n = r.u16();
       home_.vm().ensure_loaded(cls);
-      for (uint16_t i = 0; i < n; ++i) {
-        bc::Ty t = static_cast<bc::Ty>(r.u8());
-        switch (t) {
-          case bc::Ty::I64:
-            static_vals_.push_back({cls, i, Value::of_i64(r.i64()), 0, false});
-            break;
-          case bc::Ty::F64:
-            static_vals_.push_back({cls, i, Value::of_f64(r.f64()), 0, false});
-            break;
-          case bc::Ty::Ref: static_vals_.push_back({cls, i, Value{}, r.u32(), true}); break;
-          case bc::Ty::Void: SOD_UNREACHABLE("void static");
-        }
-      }
+      for (uint16_t i = 0; i < n; ++i) static_vals_.push_back({cls, i, svm::read_value(r)});
     }
   }
 
@@ -674,10 +573,10 @@ class WriteBackApplier {
     for (const auto& sv : static_vals_) {
       uint16_t fid = find_static_field(sv.cls, sv.slot);
       if (fid == bc::kNoId) continue;
-      if (!sv.is_ref) {
+      if (sv.val.tag != bc::Ty::Ref) {
         home_.vm().set_static(fid, sv.val);
-      } else if (sv.wire_ref != 0) {
-        home_.vm().set_static(fid, Value::of_ref(resolve(sv.wire_ref)));
+      } else if (sv.val.r != 0) {
+        home_.vm().set_static(fid, Value::of_ref(resolve(sv.val.r)));
       }
     }
   }
@@ -693,9 +592,7 @@ class WriteBackApplier {
   struct StaticVal {
     uint16_t cls;
     uint16_t slot;
-    Value val;
-    uint32_t wire_ref;
-    bool is_ref;
+    Value val;  ///< a ref holds its wire id until resolve_links
   };
 
   SodNode& home_;
@@ -746,11 +643,8 @@ WriteBackReport write_back(Segment& seg, SodNode& home, int home_tid, int frames
 SegmentCheckpoint checkpoint_segment(Segment& seg, SodNode& home, sim::Link link,
                                      CheckpointDeltas& deltas, bool apply_at_home) {
   SodNode& dest = seg.dest();
-  auto& vm = dest.vm();
-  auto& ti = dest.ti();
-  const bc::Program& P = dest.program();
   int tid = seg.tid();
-  int depth = ti.get_stack_depth(tid);
+  int depth = dest.ti().get_stack_depth(tid);
   SOD_CHECK(depth >= 1, "checkpoint of a finished segment");
 
   SegmentCheckpoint out;
@@ -767,49 +661,9 @@ SegmentCheckpoint checkpoint_segment(Segment& seg, SodNode& home, sim::Link link
     return wire == 0 ? Value::null() : Value::of_ref(wire);
   };
 
-  // Walk the whole in-flight stack through the tool interface, exactly as
-  // capture_segment does at home: frames[0] = deepest frame.  The top
-  // frame sits at the MSP run_chunk coasted to; deeper frames resume at
-  // the statement of their pending INVOKE.
-  for (int d = depth - 1; d >= 0; --d) {
-    vmti::FrameLocation loc = ti.get_frame_location(tid, d);
-    const Method& m = P.method(loc.method);
-    CapturedFrame cf;
-    cf.method = loc.method;
-    if (d == 0) {
-      SOD_CHECK(m.is_stmt_start(loc.pc), "checkpoint not at an MSP");
-      cf.pc = loc.pc;
-    } else {
-      uint32_t invoke_pc = loc.pc - 3;  // INVOKE is op + u16
-      SOD_CHECK(static_cast<bc::Op>(m.code[invoke_pc]) == bc::Op::INVOKE,
-                "checkpointed frame not at an INVOKE");
-      cf.pc = m.stmt_at_or_before(invoke_pc);
-      cf.pending_callee = static_cast<uint16_t>(bc::decode(m.code, invoke_pc).arg);
-    }
-    const auto& vt = ti.get_local_variable_table(loc.method);
-    cf.locals.assign(m.num_locals, Value::of_i64(0));
-    for (const auto& var : vt) {
-      Value v = ti.get_local(tid, d, var.slot);
-      cf.locals[var.slot] = var.type == bc::Ty::Ref ? wire_ref(v.r) : v;
-    }
-    cs.frames.push_back(std::move(cf));
-  }
-
-  // Statics of classes loaded at the worker, refs translated the same way.
-  for (const auto& c : P.classes) {
-    if (!vm.class_loaded(c.id) || c.num_static_slots == 0) continue;
-    CapturedStatics st;
-    st.cls = c.id;
-    st.values.assign(c.num_static_slots, Value::of_i64(0));
-    for (uint16_t fid : c.field_ids) {
-      const bc::Field& f = P.field(fid);
-      if (!f.is_static) continue;
-      Value v = ti.get_static_field(fid);
-      st.values[f.slot] = f.type == bc::Ty::Ref ? wire_ref(v.r) : v;
-    }
-    cs.statics.push_back(std::move(st));
-  }
-  dest.sync_ti_cost();
+  // Walk the whole in-flight stack exactly as capture_segment does at
+  // home; the top frame sits at the MSP run_chunk coasted to.
+  capture_frames(dest, tid, 0, depth, wire_ref, cs);
 
   // Heap flush: changed + created objects (and current statics) go home as
   // an updates-only write-back message; unchanged objects are skipped by

@@ -86,6 +86,8 @@ class Segment {
     bool home_refs = false;
   };
   void install_cs_natives();
+  /// Panics with the guest exception if a run of this segment crashed.
+  void panic_if_crashed(svm::StopReason reason) const;
 
   SodNode* dest_;
   ObjectManager om_;

@@ -57,7 +57,6 @@ void ObjectManager::bind_home(SodNode* home, int home_tid, int seg_len, sim::Lin
   local_map_.clear();
   side_.clear();
   local_stub_origin_.clear();
-  static_stub_origin_.clear();
   enter_state_.clear();
 }
 
@@ -86,21 +85,18 @@ void ObjectManager::register_local_stub(Ref stub, int frame_idx, uint16_t slot) 
   local_stub_origin_[stub] = {frame_idx, slot};
 }
 
-void ObjectManager::register_static_stub(Ref stub, uint16_t field_id) {
-  static_stub_origin_[stub] = field_id;
-}
-
 Ref ObjectManager::resolve_stub_home(Ref stub) {
   SOD_CHECK(worker_, "resolve_stub_home without worker");
-  Ref direct = worker_->vm().heap().stub_home(stub);
+  const svm::Heap& heap = worker_->vm().heap();
+  Ref direct = heap.stub_home(stub);
   if (direct != bc::kNull) return direct;
   if (!home_) return bc::kNull;
   // Origin lookups are worker-local; only the tool-interface read on home
   // runs inside a gate section (keyed by the field / slot the stub stands
   // for — any stable key works, it only picks the stripe).
-  if (auto sit = static_stub_origin_.find(stub); sit != static_stub_origin_.end()) {
-    GateSection gate(home_gate_, HomeShardMap::key_class(sit->second));
-    Value hv = home_->ti().get_static_field(sit->second);
+  if (uint16_t field = heap.stub_static(stub); field != bc::kNoId) {
+    GateSection gate(home_gate_, HomeShardMap::key_class(field));
+    Value hv = home_->ti().get_static_field(field);
     home_->sync_ti_cost();
     return hv.tag == bc::Ty::Ref ? hv.r : bc::kNull;
   }

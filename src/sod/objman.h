@@ -105,12 +105,10 @@ class ObjectManager {
   /// Record that `stub` stands for the home value of (frame_idx, slot) of
   /// the migrated segment (set while the restoration handler runs).
   void register_local_stub(Ref stub, int frame_idx, uint16_t slot);
-  /// Record that `stub` stands for the home value of static `field_id`
-  /// (set when statics are restored at the destination).
-  void register_static_stub(Ref stub, uint16_t field_id);
   /// Home ref a stub stands for: from the stub itself (deserialized
-  /// objects) or via GetLocal on the suspended home frame (captured
-  /// locals).  kNull if unresolvable.
+  /// objects), by reading the home static it carries (captured statics),
+  /// or via GetLocal on the suspended home frame (captured locals).
+  /// kNull if unresolvable.
   Ref resolve_stub_home(Ref stub);
   /// Reverse map: home ref of a fetched local object (kNull if local-new).
   Ref home_of_local(Ref local) const {
@@ -151,7 +149,6 @@ class ObjectManager {
   std::unordered_map<Ref, Ref> local_map_;  // local -> home
   std::unordered_map<uint64_t, Ref> side_;  // (holder, slot) -> home ref
   std::unordered_map<Ref, std::pair<int, uint16_t>> local_stub_origin_;  // stub -> (frame, slot)
-  std::unordered_map<Ref, uint16_t> static_stub_origin_;  // stub -> static field id
 
   // no-progress retry detection (per worker thread); progress counts
   // *repair actions* (slots actually filled in), so cache-hit repairs on

@@ -5,10 +5,17 @@
 
 namespace sod::svm {
 
-namespace {
-// Wire tags for cell kinds.
-enum : uint8_t { kWireObj = 1, kWireArrI, kWireArrD, kWireArrR, kWireStr };
-}  // namespace
+Value read_value(ByteReader& r) {
+  Value v;
+  v.tag = static_cast<Ty>(r.u8());
+  switch (v.tag) {
+    case Ty::I64: v.i = r.i64(); break;
+    case Ty::F64: v.d = r.f64(); break;
+    case Ty::Ref: v.r = r.u32(); break;
+    case Ty::Void: break;
+  }
+  return v;
+}
 
 Ref Heap::push_cell(Cell c, size_t bytes) {
   if (limit_ != 0 && used_ + bytes > limit_) {
@@ -69,7 +76,9 @@ Ref Heap::alloc_str(std::string s) {
   return push_cell(Cell(StrCell{std::move(s)}), b);
 }
 
-Ref Heap::alloc_stub(Ref home_ref) { return push_cell(Cell(StubCell{home_ref}), 8); }
+Ref Heap::alloc_stub(Ref home_ref, uint16_t static_field) {
+  return push_cell(Cell(StubCell{home_ref, static_field}), 8);
+}
 
 void Heap::replace_stub(Ref stub, Cell materialized) {
   SOD_CHECK(is_stub(stub), "replace_stub on non-stub");
@@ -108,43 +117,6 @@ const StrCell& Heap::str(Ref r) const {
   return *p;
 }
 
-void Heap::serialize_shallow(Ref r, ByteWriter& w) const {
-  const Cell& c = cell(r);
-  if (const auto* o = std::get_if<ObjCell>(&c)) {
-    w.u8(kWireObj);
-    w.u16(o->cls);
-    w.u16(static_cast<uint16_t>(o->fields.size()));
-    for (const Value& v : o->fields) {
-      w.u8(static_cast<uint8_t>(v.tag));
-      switch (v.tag) {
-        case Ty::I64: w.i64(v.i); break;
-        case Ty::F64: w.f64(v.d); break;
-        case Ty::Ref: w.u32(v.r); break;  // home ref id
-        case Ty::Void: SOD_UNREACHABLE("void field");
-      }
-    }
-  } else if (const auto* ai = std::get_if<ArrICell>(&c)) {
-    w.u8(kWireArrI);
-    w.u32(static_cast<uint32_t>(ai->v.size()));
-    for (int64_t x : ai->v) w.i64(x);
-  } else if (const auto* ad = std::get_if<ArrDCell>(&c)) {
-    w.u8(kWireArrD);
-    w.u32(static_cast<uint32_t>(ad->v.size()));
-    for (double x : ad->v) w.f64(x);
-  } else if (const auto* ar = std::get_if<ArrRCell>(&c)) {
-    w.u8(kWireArrR);
-    w.u32(static_cast<uint32_t>(ar->v.size()));
-    for (Ref x : ar->v) w.u32(x);
-  } else if (const auto* s = std::get_if<StrCell>(&c)) {
-    w.u8(kWireStr);
-    w.str(s->s);
-  } else if (std::holds_alternative<StubCell>(c)) {
-    SOD_UNREACHABLE("serialize of remote stub: materialize it first");
-  } else {
-    SOD_UNREACHABLE("serialize of empty cell");
-  }
-}
-
 size_t Heap::shallow_size(Ref r) const {
   ByteWriter w;
   serialize_shallow(r, w);
@@ -162,21 +134,15 @@ Ref Heap::deserialize_shallow(ByteReader& r, const RemoteRefSink& remote_of, boo
       o.fields.resize(n);
       std::vector<std::pair<uint32_t, Ref>> remotes;
       for (uint16_t i = 0; i < n; ++i) {
-        Ty tag = static_cast<Ty>(r.u8());
-        switch (tag) {
-          case Ty::I64: o.fields[i] = Value::of_i64(r.i64()); break;
-          case Ty::F64: o.fields[i] = Value::of_f64(r.f64()); break;
-          case Ty::Ref: {
-            Ref home = r.u32();
-            // Non-null remote refs become stubs (fetched on demand);
-            // genuine nulls stay null.
-            o.fields[i] =
-                (home != bc::kNull && stubs) ? Value::of_ref(alloc_stub(home)) : Value::null();
-            if (home != bc::kNull) remotes.emplace_back(i, home);
-            break;
-          }
-          case Ty::Void: SOD_UNREACHABLE("void field");
+        Value v = read_value(r);
+        if (v.tag == Ty::Ref) {
+          Ref home = v.r;
+          // Non-null remote refs become stubs (fetched on demand);
+          // genuine nulls stay null.
+          v = (home != bc::kNull && stubs) ? Value::of_ref(alloc_stub(home)) : Value::null();
+          if (home != bc::kNull) remotes.emplace_back(i, home);
         }
+        o.fields[i] = v;
       }
       size_t b = 16 + o.fields.size() * 8;
       Ref nr = push_cell(Cell(std::move(o)), b);

@@ -24,6 +24,7 @@
 #include <variant>
 #include <vector>
 
+#include "bytecode/program.h"
 #include "bytecode/types.h"
 #include "support/bytes.h"
 
@@ -38,10 +39,13 @@ using bc::Value;
 /// semantics across migration) but raise NullPointerException on any
 /// dereference, which drives the injected fault handlers exactly like the
 /// paper's plain-null scheme.  `home_ref` is the home-heap id when known
-/// (stubs from deserialized objects) or 0 (stubs standing for captured
-/// frame locals, resolved via GetLocal at the home).
+/// (stubs from deserialized objects) or 0.  A stub with home_ref 0 stands
+/// either for a captured static (`static_field`, resolved by reading that
+/// field at the home) or for a captured frame local (resolved via
+/// GetLocal at the home).
 struct StubCell {
   Ref home_ref = 0;
+  uint16_t static_field = bc::kNoId;
 };
 
 struct ObjCell {
@@ -63,6 +67,31 @@ struct StrCell {
 
 using Cell = std::variant<std::monostate, ObjCell, ArrICell, ArrDCell, ArrRCell, StrCell, StubCell>;
 
+// The value and cell wire format.  Every module that ships heap state
+// (object fetches, write-backs, checkpoints, eager process migration)
+// encodes through write_value / Heap::serialize_shallow and decodes values
+// through read_value, so the format lives here and nowhere else.
+// (CapturedState has its own value codec: a captured ref travels there as
+// a 1-byte null/remote flag.)
+
+/// Wire tags for cell kinds.
+enum : uint8_t { kWireObj = 1, kWireArrI, kWireArrD, kWireArrR, kWireStr };
+
+/// One tagged value: the tag byte, then the payload.  A ref travels as
+/// `map_ref(ref)` (a u32 wire id); Void travels as its tag alone.
+template <class MapRef>
+void write_value(ByteWriter& w, const Value& v, MapRef&& map_ref) {
+  w.u8(static_cast<uint8_t>(v.tag));
+  switch (v.tag) {
+    case Ty::I64: w.i64(v.i); break;
+    case Ty::F64: w.f64(v.d); break;
+    case Ty::Ref: w.u32(map_ref(v.r)); break;
+    case Ty::Void: break;
+  }
+}
+/// Inverse of write_value; a ref comes back as its raw wire id.
+Value read_value(ByteReader& r);
+
 class Heap {
  public:
   /// Byte budget; allocations beyond it fail (drives OutOfMemory-style
@@ -74,10 +103,11 @@ class Heap {
   Ref alloc_arr_d(size_t n);
   Ref alloc_arr_r(size_t n);
   Ref alloc_str(std::string s);
-  Ref alloc_stub(Ref home_ref);
+  Ref alloc_stub(Ref home_ref, uint16_t static_field = bc::kNoId);
 
   bool is_stub(Ref r) const { return std::holds_alternative<StubCell>(cell(r)); }
   Ref stub_home(Ref r) const { return std::get<StubCell>(cell(r)).home_ref; }
+  uint16_t stub_static(Ref r) const { return std::get<StubCell>(cell(r)).static_field; }
   /// Replace a stub in place with the materialized cell `from` (so every
   /// existing reference to the stub sees the real object).
   void replace_stub(Ref stub, Cell materialized);
@@ -104,8 +134,12 @@ class Heap {
   size_t count() const { return count_; }
   size_t used_bytes() const { return used_; }
 
-  /// Shallow wire form of one cell (embedded refs as raw home ids).
-  void serialize_shallow(Ref r, ByteWriter& w) const;
+  /// Shallow wire form of one cell; each embedded ref travels as
+  /// `map_ref(ref)`, called in field / element order.
+  template <class MapRef>
+  void serialize_shallow(Ref r, ByteWriter& w, MapRef&& map_ref) const;
+  /// Shallow wire form with embedded refs as raw ids.
+  void serialize_shallow(Ref r, ByteWriter& w) const { serialize_shallow(r, w, std::identity{}); }
   /// Byte size of the shallow wire form.
   size_t shallow_size(Ref r) const;
   /// Materialize a shallow cell into this heap.  Embedded non-null refs
@@ -144,5 +178,35 @@ class Heap {
   size_t used_ = 0;
   bool oom_ = false;
 };
+
+template <class MapRef>
+void Heap::serialize_shallow(Ref r, ByteWriter& w, MapRef&& map_ref) const {
+  const Cell& c = cell(r);
+  if (const auto* o = std::get_if<ObjCell>(&c)) {
+    w.u8(kWireObj);
+    w.u16(o->cls);
+    w.u16(static_cast<uint16_t>(o->fields.size()));
+    for (const Value& v : o->fields) write_value(w, v, map_ref);
+  } else if (const auto* ai = std::get_if<ArrICell>(&c)) {
+    w.u8(kWireArrI);
+    w.u32(static_cast<uint32_t>(ai->v.size()));
+    for (int64_t x : ai->v) w.i64(x);
+  } else if (const auto* ad = std::get_if<ArrDCell>(&c)) {
+    w.u8(kWireArrD);
+    w.u32(static_cast<uint32_t>(ad->v.size()));
+    for (double x : ad->v) w.f64(x);
+  } else if (const auto* ar = std::get_if<ArrRCell>(&c)) {
+    w.u8(kWireArrR);
+    w.u32(static_cast<uint32_t>(ar->v.size()));
+    for (Ref x : ar->v) w.u32(map_ref(x));
+  } else if (const auto* s = std::get_if<StrCell>(&c)) {
+    w.u8(kWireStr);
+    w.str(s->s);
+  } else if (std::holds_alternative<StubCell>(c)) {
+    SOD_UNREACHABLE("serialize of remote stub: materialize it first");
+  } else {
+    SOD_UNREACHABLE("serialize of empty cell");
+  }
+}
 
 }  // namespace sod::svm

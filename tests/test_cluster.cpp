@@ -129,7 +129,8 @@ TEST(Dispatch, ConcurrentSplitPreservesTheResultAndHidesFreezeTime) {
   int tid = c.home().vm().spawn(fib, std::vector<Value>{Value::of_i64(22)});
   ASSERT_TRUE(mig::pause_at_depth(c.home(), tid, fib, 4));
   auto pol = make_policy(PolicyKind::RoundRobin);
-  auto out = dispatch_segments(c, tid, split_top_frames(3), *pol);
+  Scheduler s(c, *pol);
+  auto out = s.run(tid, split_top_frames(3));
   c.home().ti().set_debug_enabled(false);
   auto rr = c.home().run_guest(tid);
   ASSERT_EQ(rr.reason, svm::StopReason::Done);
@@ -153,7 +154,8 @@ TEST(Dispatch, ConcurrentShippingBeatsTheSequentialBaseline) {
     auto pol = make_policy(PolicyKind::RoundRobin);
     DispatchOptions o;
     o.concurrent = concurrent;
-    auto out = dispatch_segments(c, tid, split_top_frames(3), *pol, o);
+    Scheduler s(c, *pol, o);
+    auto out = s.run(tid, split_top_frames(3));
     if (!concurrent) {
       EXPECT_FALSE(out.overlapped);
     }
@@ -356,7 +358,8 @@ TEST(Dispatch, ChainedSegmentsRunInFastModeDespiteSharedWorkerRestores) {
     int tid = c.home().vm().spawn(fib, std::vector<Value>{Value::of_i64(22)});
     EXPECT_TRUE(mig::pause_at_depth(c.home(), tid, fib, 4));
     auto pol = make_policy(PolicyKind::RoundRobin);
-    auto out = dispatch_segments(c, tid, split_top_frames(3), *pol);
+    Scheduler s(c, *pol);
+    auto out = s.run(tid, split_top_frames(3));
     c.home().ti().set_debug_enabled(false);
     EXPECT_EQ(c.home().run_guest(tid).reason, svm::StopReason::Done);
     EXPECT_EQ(c.home().vm().thread(tid).result.as_i64(), sod::testing::fib_ref(22));
@@ -376,10 +379,11 @@ TEST(Dispatch, JoinAndDrainBetweenRounds) {
   c.add_uniform_workers(2);
   int tid = c.home().vm().spawn(fib, std::vector<Value>{Value::of_i64(24)});
   auto pol = make_policy(PolicyKind::RoundRobin);
+  Scheduler s(c, *pol);
 
   auto round = [&](int k) {
     EXPECT_TRUE(mig::pause_at_depth(c.home(), tid, fib, k + 2));
-    auto out = dispatch_segments(c, tid, split_top_frames(k), *pol);
+    auto out = s.run(tid, split_top_frames(k));
     c.home().ti().set_debug_enabled(false);
     return out;
   };
@@ -415,7 +419,8 @@ TEST(Dispatch, MultiFrameSegmentsChainAcrossWorkers) {
   ASSERT_TRUE(mig::pause_at_depth(c.home(), tid, fib, 4));
   std::vector<mig::SegmentSpec> specs{{0, 1}, {1, 3}};
   auto pol = make_policy(PolicyKind::RoundRobin);
-  auto out = dispatch_segments(c, tid, specs, *pol);
+  Scheduler s(c, *pol);
+  auto out = s.run(tid, specs);
   c.home().ti().set_debug_enabled(false);
   ASSERT_EQ(c.home().run_guest(tid).reason, svm::StopReason::Done);
   EXPECT_EQ(c.home().vm().thread(tid).result.as_i64(), sod::testing::fib_ref(20));

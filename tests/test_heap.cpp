@@ -1,6 +1,10 @@
 // Heap: allocation, typed access, shallow/graph serialization, deep_equal.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <climits>
+#include <functional>
+
 #include "svm/heap.h"
 
 namespace sod::svm {
@@ -42,6 +46,11 @@ TEST(Heap, StubLifecycle) {
   ASSERT_NE(s, bc::kNull);
   EXPECT_TRUE(h.is_stub(s));
   EXPECT_EQ(h.stub_home(s), 42u);
+  EXPECT_EQ(h.stub_static(s), bc::kNoId);
+  // A stub for a captured static has no home ref but carries its field.
+  Ref st = h.alloc_stub(bc::kNull, 7);
+  EXPECT_EQ(h.stub_home(st), bc::kNull);
+  EXPECT_EQ(h.stub_static(st), 7);
   // Materialize in place: all holders of `s` now see the real cell.
   h.replace_stub(s, Cell(StrCell{"real"}));
   EXPECT_FALSE(h.is_stub(s));
@@ -60,6 +69,10 @@ TEST(Heap, ShallowSerializeStubsEmbeddedRefs) {
   ByteWriter w;
   src.serialize_shallow(outer, w);
   EXPECT_EQ(w.size(), src.shallow_size(outer));
+  // The unmapped overload is the identity mapper, byte for byte.
+  ByteWriter mapped;
+  src.serialize_shallow(outer, mapped, [](Ref r) { return r; });
+  EXPECT_EQ(mapped.bytes(), w.bytes());
 
   Heap dst;
   ByteReader r(w.bytes());
@@ -78,6 +91,71 @@ TEST(Heap, ShallowSerializeStubsEmbeddedRefs) {
   EXPECT_EQ(std::get<0>(remotes[0]), copy);
   EXPECT_EQ(std::get<1>(remotes[0]), 1u);
   EXPECT_EQ(std::get<2>(remotes[0]), inner);
+}
+
+TEST(Heap, ValueCodecRoundTripsEveryTag) {
+  Value void_v;
+  void_v.tag = Ty::Void;
+  const uint64_t nan_bits = 0x7ff8'0000'dead'beefull;
+  const Value vals[] = {Value::of_i64(-42), Value::of_i64(INT64_MIN),
+                        Value::of_f64(std::bit_cast<double>(nan_bits)), Value::of_f64(-0.0),
+                        Value::null(), Value::of_ref(0xfffffffeu), void_v};
+  ByteWriter w;
+  for (const Value& v : vals) write_value(w, v, std::identity{});
+  ByteReader r(w.bytes());
+  for (const Value& v : vals) {
+    Value got = read_value(r);
+    ASSERT_EQ(got.tag, v.tag);
+    switch (v.tag) {
+      case Ty::I64: EXPECT_EQ(got.i, v.i); break;
+      case Ty::F64:  // payload bits, NaN and signed zero included
+        EXPECT_EQ(std::bit_cast<uint64_t>(got.d), std::bit_cast<uint64_t>(v.d));
+        break;
+      case Ty::Ref: EXPECT_EQ(got.r, v.r); break;
+      case Ty::Void: break;
+    }
+  }
+  EXPECT_TRUE(r.done());
+  // Void is its tag alone; a ref travels through the mapper.
+  ByteWriter tag_only;
+  write_value(tag_only, void_v, std::identity{});
+  EXPECT_EQ(tag_only.size(), 1u);
+  ByteWriter mapped;
+  write_value(mapped, Value::of_ref(7), [](Ref x) { return x + 100; });
+  ByteReader mr(mapped.bytes());
+  EXPECT_EQ(read_value(mr).as_ref(), 107u);
+}
+
+TEST(Heap, ShallowSerializeMapsEveryRef) {
+  Heap src;
+  Ref a = src.alloc_str("a");
+  Ref b = src.alloc_str("b");
+  std::vector<Ty> slots{Ty::Ref, Ty::I64, Ty::Ref, Ty::Ref};
+  Ref obj = src.alloc_obj(9, slots);
+  src.obj(obj).fields[0] = Value::of_ref(a);
+  src.obj(obj).fields[1] = Value::of_i64(5);
+  src.obj(obj).fields[3] = Value::of_ref(b);
+  Ref arr = src.alloc_arr_r(3);
+  src.arr_r(arr).v = {b, bc::kNull, a};
+  // Every ref, null included, goes through the mapper in field order.
+  auto map = [](Ref r) { return r == bc::kNull ? Ref{1000} : r + 500; };
+  for (Ref holder : {obj, arr}) {
+    ByteWriter w;
+    src.serialize_shallow(holder, w, map);
+    Heap dst;
+    ByteReader r(w.bytes());
+    std::vector<std::pair<uint32_t, Ref>> remotes;
+    dst.deserialize_shallow(
+        r, [&](Ref, uint32_t slot, Ref home) { remotes.emplace_back(slot, home); });
+    EXPECT_TRUE(r.done());
+    std::vector<std::pair<uint32_t, Ref>> want;
+    if (holder == obj) {
+      want = {{0, a + 500}, {2, 1000}, {3, b + 500}};
+    } else {
+      want = {{0, b + 500}, {1, 1000}, {2, a + 500}};
+    }
+    EXPECT_EQ(remotes, want);
+  }
 }
 
 TEST(Heap, ShallowArrays) {

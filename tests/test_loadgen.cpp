@@ -281,6 +281,52 @@ TEST(LoadGenTest, TenantAccountingSumsToTotals) {
   EXPECT_GT(r.segments, 0);
 }
 
+// Statics belong to the node, so a segment restored later on a worker
+// overwrites the statics an earlier segment there still reads with stubs
+// of its own.  Those stubs must resolve for every segment on the node:
+// otherwise shape (a) dies on an NPE for a static cached in a local and
+// shape (b) on a write-back of an unresolvable stub.  Both replay on the
+// virtual scheduler and on the wall-clock engine.
+TEST(LoadGenTest, ForeignStaticStubsResolveOnBothEngines) {
+  struct Shape {
+    const char* name;
+    sod::cluster::PolicyKind policy;
+    int segments_per_round;
+    int max_rounds;
+    double gap_ms;
+    int sessions;
+  };
+  const Shape shapes[] = {
+      {"a", sod::cluster::PolicyKind::Learned, 3, 4, 5, 10},
+      {"b", sod::cluster::PolicyKind::LeastLoaded, 6, 8, 25, 20},
+  };
+  for (const Shape& sh : shapes) {
+    TraceConfig cfg;
+    cfg.sessions = sh.sessions;
+    cfg.tenants = 4;
+    cfg.apps = 4;
+    cfg.seed = 1;
+    cfg.arrival = ArrivalKind::Poisson;
+    cfg.mean_gap = VDur::millis(sh.gap_ms);
+    cfg.max_rounds = sh.max_rounds;
+    Trace tr = sod::cluster::make_trace(cfg);
+    for (bool wallclock : {false, true}) {
+      LoadGenOptions opts;
+      opts.policy = sh.policy;
+      opts.segments_per_round = sh.segments_per_round;
+      opts.wallclock = wallclock;
+      opts.threads = wallclock ? 3 : 0;
+      opts.dilation = 0;
+      opts.home_dilation = 0;
+      auto r = sod::cluster::run_loadgen(tr, opts);
+      std::string where = std::string(sh.name) + (wallclock ? "/engine" : "/virtual");
+      EXPECT_EQ(r.completed, sh.sessions) << where;
+      EXPECT_TRUE(r.all_ok) << where;
+      EXPECT_TRUE(r.exactly_once) << where;
+    }
+  }
+}
+
 // --------------------------------------------------- tenant isolation
 // The cross-tenant leakage property: in a shared replay, every tenant's
 // per-session results are bit-identical to replaying that tenant's

@@ -211,7 +211,7 @@ struct LoadGenResult {
   /// failure-free replay (one per gate section / service window).
   uint64_t lock_acq = 0;
   /// Contended acquisitions / total + worst wait / deepest queue — real
-  /// wall-side interleaving, never gated on by the bench differ.
+  /// wall-side interleaving, different on every run.
   uint64_t wall_contended = 0;
   uint64_t lock_wait_ns = 0;
   uint64_t lock_max_wait_ns = 0;

@@ -90,8 +90,7 @@ class HomeShardMap {
 /// Per-stripe lock telemetry (wall-clock engine).  `acquisitions` is
 /// deterministic for a failure-free replay (one per gate section / service
 /// window); the wait-side counters depend on real interleaving and are
-/// surfaced under wall_* / *_ns column names so the bench differ never
-/// gates on them.
+/// surfaced under wall_* / *_ns column names.
 struct ShardContention {
   uint64_t acquisitions = 0;  ///< stripe lock acquisitions
   uint64_t contended = 0;     ///< acquisitions that found the stripe held

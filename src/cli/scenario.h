@@ -61,9 +61,9 @@ struct ScenarioOptions {
   /// Implied by --threads N.
   bool wallclock = false;
   /// Home shard count for cluster scenarios (1..64; 0 = scenario default
-  /// of 1).  Splits home-side state behind per-shard stripe locks in the
-  /// wall-clock engine; virtual-time results are bit-identical at any
-  /// value.
+  /// of 1): the number of stripe locks the wall-clock engine serializes
+  /// home-side service windows on; virtual-time results are bit-identical
+  /// at any value.
   int home_shards = 0;
   /// Session count for trace-driven load scenarios (0 = scenario default).
   int sessions = 0;

@@ -4,50 +4,23 @@
 
 namespace sod::cluster {
 
-void CheckpointStore::configure(const mig::HomeShardMap* map) {
-  map_ = map;
-  parts_.assign(map != nullptr ? static_cast<size_t>(map->shards()) : 1, {});
-  total_recorded_ = 0;
-  total_bytes_ = 0;
-}
-
-CheckpointStore::Part& CheckpointStore::part(int round, int segment) {
-  size_t shard =
-      map_ != nullptr ? static_cast<size_t>(map_->shard_of_segment(round, segment)) : 0;
-  return parts_[shard];
-}
-
-const CheckpointStore::Part& CheckpointStore::part(int round, int segment) const {
-  size_t shard =
-      map_ != nullptr ? static_cast<size_t>(map_->shard_of_segment(round, segment)) : 0;
-  return parts_[shard];
-}
-
 void CheckpointStore::record(int round, int segment, mig::SegmentCheckpoint ckpt, int attempt,
                              VDur taken_at) {
-  Part& p = part(round, segment);
   auto key = std::pair(round, segment);
-  auto it = p.find(key);
-  int seq = it == p.end() ? 1 : it->second.seq + 1;
+  auto it = entries_.find(key);
+  int seq = it == entries_.end() ? 1 : it->second.seq + 1;
   total_bytes_ += ckpt.state_bytes + ckpt.heap_bytes;
   ++total_recorded_;
-  p[key] = Entry{std::move(ckpt), attempt, seq, taken_at};
+  entries_[key] = Entry{std::move(ckpt), attempt, seq, taken_at};
 }
 
 const CheckpointStore::Entry* CheckpointStore::latest(int round, int segment) const {
-  const Part& p = part(round, segment);
-  auto it = p.find(std::pair(round, segment));
-  return it == p.end() ? nullptr : &it->second;
+  auto it = entries_.find(std::pair(round, segment));
+  return it == entries_.end() ? nullptr : &it->second;
 }
 
 void CheckpointStore::drop(int round, int segment) {
-  part(round, segment).erase(std::pair(round, segment));
-}
-
-int CheckpointStore::live() const {
-  int n = 0;
-  for (const Part& p : parts_) n += static_cast<int>(p.size());
-  return n;
+  entries_.erase(std::pair(round, segment));
 }
 
 void AttemptTracker::observe(uint16_t cls, VDur ref_span) {

@@ -22,19 +22,14 @@
 #include <cstdint>
 #include <map>
 #include <unordered_map>
-#include <vector>
 
-#include "sod/homegate.h"
 #include "sod/migrate.h"
 
 namespace sod::cluster {
 
-/// Home-side store of the newest checkpoint per (round, segment),
-/// partitioned by the segment's home shard.  Every operation is keyed by
-/// (round, segment) and touches exactly one partition, so the store's
-/// observable behaviour is identical at any shard count; the partitioning
-/// exists so the wall-clock engine's checkpoint flushes on different
-/// shards contend on different stripes.
+/// Home-side store of the newest checkpoint per (round, segment).  It is
+/// home state: every access runs on the home thread, under the wall-clock
+/// engine's ordered home lock, so the store itself needs no lock.
 class CheckpointStore {
  public:
   struct Entry {
@@ -43,11 +38,6 @@ class CheckpointStore {
     int seq = 0;       ///< per-segment checkpoint counter (1-based)
     VDur taken_at{};   ///< home clock when the checkpoint landed
   };
-
-  /// Points the store at the cluster's shard map and lays out one
-  /// partition per shard; existing entries are discarded.  nullptr resets
-  /// to a single partition (the unsharded layout).
-  void configure(const mig::HomeShardMap* map);
 
   /// Records `ckpt` as the newest checkpoint of (round, segment),
   /// replacing any older one.
@@ -64,22 +54,11 @@ class CheckpointStore {
   int total_recorded() const { return total_recorded_; }
   /// Wire bytes shipped home for checkpoints (state + heap deltas).
   size_t total_bytes() const { return total_bytes_; }
-  /// Entries currently held, over all partitions.
-  int live() const;
-  /// Partition count (== home shard count).
-  int partitions() const { return static_cast<int>(parts_.size()); }
-  /// Entries currently held by one partition.
-  int partition_live(int shard) const {
-    return static_cast<int>(parts_[static_cast<size_t>(shard)].size());
-  }
+  /// Entries currently held.
+  int live() const { return static_cast<int>(entries_.size()); }
 
  private:
-  using Part = std::map<std::pair<int, int>, Entry>;
-  Part& part(int round, int segment);
-  const Part& part(int round, int segment) const;
-
-  const mig::HomeShardMap* map_ = nullptr;
-  std::vector<Part> parts_{1};
+  std::map<std::pair<int, int>, Entry> entries_;
   int total_recorded_ = 0;
   size_t total_bytes_ = 0;
 };

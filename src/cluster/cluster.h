@@ -60,12 +60,11 @@ class Cluster {
   const analysis::ProgramFacts& facts() const { return admission_.facts; }
   const bc::Program& program() const { return *prog_; }
 
-  /// Fixes the home shard count (1..64) for this cluster.  Must be set
-  /// before a Scheduler or WallClockEngine is constructed over the cluster:
-  /// both copy/point at the map at construction, and the partitioned home
-  /// tables (object table, ref-forwarding table, checkpoint store) are laid
-  /// out from it.  Defaults to 1 — the unsharded layout, bit-identical to
-  /// the pre-sharding engine.
+  /// Fixes the home shard count (1..64) for this cluster: the number of
+  /// stripe mutexes a WallClockEngine uses to serialize home-side wall-time
+  /// service windows.  Must be set before the engine is constructed over
+  /// the cluster, which copies the map.  The virtual-time Scheduler never
+  /// reads it.  Defaults to 1 — a single home mutex.
   void set_home_shards(int shards) { shard_map_ = mig::HomeShardMap(shards); }
   const mig::HomeShardMap& shard_map() const { return shard_map_; }
   int home_shards() const { return shard_map_.shards(); }

@@ -224,8 +224,8 @@ LoadGenResult run_loadgen(const Trace& trace, const LoadGenOptions& opts) {
     c.add_uniform_workers(4);
   else
     for (const auto& w : opts.workers) c.add_worker(w);
-  // Shard the home-side tables before any engine copies the map: the
-  // scheduler's and engine's partition layouts are fixed at construction.
+  // Set the stripe count before the wall-clock engine copies the map at
+  // construction.
   if (opts.home_shards > 0) c.set_home_shards(opts.home_shards);
   res.home_shards = c.home_shards();
   auto policy = make_policy(opts.policy);

@@ -134,10 +134,6 @@ Scheduler::Scheduler(Cluster& c, PlacementPolicy& policy, DispatchOptions opt)
       policy_(&policy),
       opt_(opt),
       tracker_(AttemptTracker::Config{}) {
-  // Partition the home-side tables by the cluster's shard map (fixed at
-  // construction; set_home_shards must run before the scheduler is built).
-  forwards_.configure(&c.shard_map());
-  store_.configure(&c.shard_map());
   // Admission verdict is part of the event stream: a program that failed
   // the cluster's static analysis is announced up front, and run() refuses
   // to ship any of its class images.
@@ -289,7 +285,6 @@ std::unique_ptr<mig::Segment> Scheduler::ship(size_t i, int w, const mig::Captur
 
   auto seg = std::make_unique<mig::Segment>(dst);
   seg->objman().set_home_gate(home_gate());
-  seg->objman().set_shard_map(&c_->shard_map());
   seg->objman().bind_home(&home, home_tid_, t.spec.depth_hi, c_->link(w));
   seg->restore(state);
   pl.restored_at = dst.node().clock.now();
@@ -453,8 +448,8 @@ void Scheduler::prepare(size_t i, const std::function<void()>& then) {
                   "cross-worker ref result missing from the forwarding table");
         bc::Ref stub = dst.vm().heap().alloc_stub(up.home_result.r);
         v_in = bc::Value::of_ref(stub);
-        forwards_.record(RefForward{round_, static_cast<int>(i) - 1, up.pl.worker,
-                                    pl.worker, up.home_result.r});
+        forwards_.push_back(RefForward{round_, static_cast<int>(i) - 1, up.pl.worker, pl.worker,
+                                       up.home_result.r});
         ++out_->ref_forwards;
       }
     }

@@ -52,7 +52,6 @@
 
 #include "cluster/checkpoint.h"
 #include "cluster/cluster.h"
-#include "cluster/homeshard.h"
 
 namespace sod::cluster {
 
@@ -122,6 +121,19 @@ struct DispatchOptions {
   /// compares equal and ships zero bytes — so this is purely a hot-path
   /// win; exposed so benches can ablate it.
   bool statics_skip = true;
+};
+
+/// One home-mediated ref forward: segment `segment`'s result, produced on
+/// `src_worker`, delivered to `dst_worker` as a handle for home ref
+/// `home_ref`.
+struct RefForward {
+  int round;
+  int segment;
+  int src_worker;
+  int dst_worker;
+  bc::Ref home_ref;
+
+  bool operator==(const RefForward&) const = default;
 };
 
 /// Counters for the statics-refresh hot path (one instance per engine):
@@ -297,12 +309,8 @@ class Scheduler {
   /// Straggler detector driving speculative re-dispatch.
   const AttemptTracker& tracker() const { return tracker_; }
 
-  /// All home-mediated ref forwards so far, in append order (the
-  /// RefForwardTable reassembles its home-shard partitions by sequence
-  /// number, so this view is identical at any shard count).
-  std::vector<RefForward> ref_forwards() const { return forwards_.ordered(); }
-  /// The sharded forwarding table itself (partition layout introspection).
-  const RefForwardTable& forward_table() const { return forwards_; }
+  /// All home-mediated ref forwards so far, in append order.
+  const std::vector<RefForward>& ref_forwards() const { return forwards_; }
 
  protected:
   // Executor hooks, called on the control path at fixed points.  The
@@ -378,7 +386,7 @@ class Scheduler {
   std::unique_ptr<Autoscaler> autoscaler_;
   std::vector<FailurePlan> plans_;
   std::vector<Event> log_;
-  RefForwardTable forwards_;
+  std::vector<RefForward> forwards_;
   CheckpointStore store_;
   AttemptTracker tracker_;
   StaticsRefreshStats statics_stats_;

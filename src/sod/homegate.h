@@ -4,10 +4,12 @@
 // A HomeShardMap assigns every home-side key (object ref, class id,
 // (round, segment) pair) to one of N shards with a stable hash fixed at
 // program attach, so the assignment never depends on arrival order, thread
-// interleaving, or platform hash seeds.  The partitioned structures — the
-// ObjectManager home-object table, the Scheduler's ref-forwarding table,
-// the CheckpointStore — route every keyed operation through it; N = 1
-// reproduces the unsharded layout exactly.
+// interleaving, or platform hash seeds.  A shard is a lock, not a data
+// layout: the wall-clock engine keeps one stripe mutex per shard and
+// serializes each key's wall-time service windows on its stripe.  The
+// tables those keys index stay single containers: the ordered lock (home
+// state) or the segment's one lane (a segment's home-object table)
+// already serializes every access to them.
 //
 // A HomeGate is the wall-clock engine's two-level lock protocol, seen from
 // the sod layer (ObjectManager faults, the on-demand class fetch hook)
@@ -77,8 +79,6 @@ class HomeShardMap {
            ((static_cast<uint32_t>(round) << 12) ^ static_cast<uint32_t>(segment));
   }
 
-  int shard_of_ref(uint32_t home_ref) const { return shard_of(key_ref(home_ref)); }
-  int shard_of_class(uint16_t cls) const { return shard_of(key_class(cls)); }
   int shard_of_segment(int round, int segment) const {
     return shard_of(key_segment(round, segment));
   }

@@ -324,7 +324,7 @@ class WriteBackBuilder {
     // those bytes — and only the delta is charged to the wire.
     // home_entries() is sorted by home ref — the canonical record order —
     // so the wire layout (and the home-side creation ids the applier
-    // allocates in record order) is identical at any home-shard count.
+    // allocates in record order) never depends on hash-map iteration.
     for (const auto& [home_ref, local_ref] : seg_.objman().home_entries()) {
       if (deltas_ == nullptr) {
         // Plain write-back: everything ships, straight into the message.

@@ -53,32 +53,22 @@ void ObjectManager::bind_home(SodNode* home, int home_tid, int seg_len, sim::Lin
   home_tid_ = home_tid;
   seg_len_ = seg_len;
   link_ = link;
-  for (auto& part : home_parts_) part.clear();
+  home_map_.clear();
   local_map_.clear();
   side_.clear();
   local_stub_origin_.clear();
   enter_state_.clear();
 }
 
-void ObjectManager::set_shard_map(const HomeShardMap* map) {
-  shard_map_ = map;
-  home_parts_.assign(map != nullptr ? static_cast<size_t>(map->shards()) : 1, {});
-  local_map_.clear();
-}
-
 std::vector<std::pair<Ref, Ref>> ObjectManager::home_entries() const {
-  std::vector<std::pair<Ref, Ref>> out;
-  out.reserve(local_map_.size());
-  for (const auto& part : home_parts_)
-    for (const auto& [home_ref, local_ref] : part) out.emplace_back(home_ref, local_ref);
+  std::vector<std::pair<Ref, Ref>> out(home_map_.begin(), home_map_.end());
   std::sort(out.begin(), out.end());
   return out;
 }
 
 Ref ObjectManager::local_of_home(Ref home_ref) const {
-  const auto& part = home_part(home_ref);
-  auto it = part.find(home_ref);
-  return it == part.end() ? bc::kNull : it->second;
+  auto it = home_map_.find(home_ref);
+  return it == home_map_.end() ? bc::kNull : it->second;
 }
 
 void ObjectManager::register_local_stub(Ref stub, int frame_idx, uint16_t slot) {
@@ -174,7 +164,7 @@ Ref ObjectManager::fetch(Ref home_ref) {
           side_[side_key(holder, slot)] = home_embedded;
         });
     SOD_CHECK(local != bc::kNull, "worker heap exhausted during object fetch");
-    home_part(home_id)[home_id] = local;
+    home_map_[home_id] = local;
     local_map_[local] = home_id;
     if (i == 0) first = local;
     else ++stats_.prefetched;

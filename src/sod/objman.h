@@ -23,11 +23,11 @@
 // for objects on different home shards overlap their service windows while
 // the virtual-clock accounting stays on the gate's ordered path.
 //
-// The home-object table (home ref -> local ref) is partitioned by the
-// HomeShardMap when one is installed: keyed lookups route to the key's
-// shard, and the canonical iteration order for write-backs is
-// home_entries() — sorted by home ref — so the wire record order (and with
-// it the home-side creation ids) is identical at any shard count.
+// The home-object table (home ref -> local ref) belongs to one segment and
+// is touched by one lane at a time, so it is a single unlocked map.  The
+// canonical iteration order for write-backs is home_entries() — sorted by
+// home ref — so the wire record order (and with it the home-side creation
+// ids) does not depend on hash-map iteration order.
 #pragma once
 
 #include <optional>
@@ -68,17 +68,12 @@ class ObjectManager {
   /// single-threaded behaviour of the virtual-time scheduler.
   void set_home_gate(HomeGate* gate) { home_gate_ = gate; }
 
-  /// Partition the home-object table by `map` (borrowed; must outlive the
-  /// manager or be reset).  nullptr = single partition.  Set before
-  /// bind_home — rebinding clears the partitions.
-  void set_shard_map(const HomeShardMap* map);
-
   const FaultStats& stats() const { return stats_; }
   void reset_stats() { stats_ = {}; }
 
   /// Everything fetched so far as (home ref, local ref), sorted by home
-  /// ref — the canonical write-back iteration order, independent of the
-  /// shard count and of hash-map iteration order.
+  /// ref — the canonical write-back iteration order, independent of
+  /// hash-map iteration order.
   std::vector<std::pair<Ref, Ref>> home_entries() const;
   /// Local ref of a fetched home object (kNull if never fetched).
   Ref local_of_home(Ref home_ref) const;
@@ -88,7 +83,7 @@ class ObjectManager {
   /// home id, so later checkpoints and the final write-back treat the
   /// object as an update of that home object instead of re-creating it.
   void adopt_mapping(Ref home_ref, Ref local_ref) {
-    home_part(home_ref)[home_ref] = local_ref;
+    home_map_[home_ref] = local_ref;
     local_map_[local_ref] = home_ref;
   }
 
@@ -127,25 +122,15 @@ class ObjectManager {
   void bring_elem(svm::VM& vm, Ref base, int64_t idx);
   void enter(svm::VM& vm, int64_t uid);
 
-  /// The home-table partition holding `home_ref`.
-  std::unordered_map<Ref, Ref>& home_part(Ref home_ref) {
-    return home_parts_[shard_map_ != nullptr ? shard_map_->shard_of_ref(home_ref) : 0];
-  }
-  const std::unordered_map<Ref, Ref>& home_part(Ref home_ref) const {
-    return home_parts_[shard_map_ != nullptr ? shard_map_->shard_of_ref(home_ref) : 0];
-  }
-
   SodNode* worker_ = nullptr;
   SodNode* home_ = nullptr;
   HomeGate* home_gate_ = nullptr;
-  const HomeShardMap* shard_map_ = nullptr;
   int home_tid_ = -1;
   int seg_len_ = 0;
   sim::Link link_{};
   int prefetch_depth_ = 0;
 
-  /// home -> local, partitioned by shard_map_ (one partition without one).
-  std::vector<std::unordered_map<Ref, Ref>> home_parts_{1};
+  std::unordered_map<Ref, Ref> home_map_;   // home -> local
   std::unordered_map<Ref, Ref> local_map_;  // local -> home
   std::unordered_map<uint64_t, Ref> side_;  // (holder, slot) -> home ref
   std::unordered_map<Ref, std::pair<int, uint16_t>> local_stub_origin_;  // stub -> (frame, slot)

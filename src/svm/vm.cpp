@@ -409,13 +409,18 @@ vm_top:
 
   VM_LABEL(LOOKUPSWITCH) : {
     int64_t key = pop().i;
-    bc::SwitchInfo si = bc::decode_switch(m->code, pc);
-    uint32_t tgt = si.default_target;
-    for (auto& [k, t] : si.pairs)
-      if (k == key) {
-        tgt = t;
-        break;
-      }
+    uint32_t tgt = 0;
+    {
+      // A computed-goto jump runs no destructors: the decoded table must
+      // go out of scope before VM_JUMP.
+      bc::SwitchInfo si = bc::decode_switch(m->code, pc);
+      tgt = si.default_target;
+      for (auto& [k, t] : si.pairs)
+        if (k == key) {
+          tgt = t;
+          break;
+        }
+    }
     VM_JUMP(tgt);
   }
 

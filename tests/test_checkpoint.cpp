@@ -529,93 +529,5 @@ TEST(Scheduler, RecoveryIsBitIdenticalOnAllTableIApps) {
   }
 }
 
-/// The partitioned store routes every keyed operation to exactly one
-/// partition, so record/latest/drop behave identically at any shard count
-/// while live entries genuinely spread across partitions.
-TEST(CheckpointStore, PartitionedStoreMatchesUnshardedBehaviour) {
-  mig::HomeShardMap four(4);
-  CheckpointStore flat, sharded;
-  sharded.configure(&four);
-  mig::SegmentCheckpoint ck;
-  ck.state_bytes = 64;
-  for (int round = 0; round < 3; ++round)
-    for (int seg = 0; seg < 3; ++seg) {
-      flat.record(round, seg, ck, /*attempt=*/1, VDur::millis(round));
-      sharded.record(round, seg, ck, /*attempt=*/1, VDur::millis(round));
-    }
-  EXPECT_EQ(sharded.partitions(), 4);
-  EXPECT_EQ(flat.live(), sharded.live());
-  EXPECT_EQ(flat.total_recorded(), sharded.total_recorded());
-  int spread = 0, live_sum = 0;
-  for (int s = 0; s < sharded.partitions(); ++s) {
-    if (sharded.partition_live(s) > 0) ++spread;
-    live_sum += sharded.partition_live(s);
-  }
-  EXPECT_GT(spread, 1);
-  EXPECT_EQ(live_sum, sharded.live());
-  for (int round = 0; round < 3; ++round)
-    for (int seg = 0; seg < 3; ++seg) {
-      ASSERT_NE(sharded.latest(round, seg), nullptr);
-      EXPECT_EQ(sharded.latest(round, seg)->seq, flat.latest(round, seg)->seq);
-    }
-  flat.drop(1, 1);
-  sharded.drop(1, 1);
-  EXPECT_EQ(sharded.latest(1, 1), nullptr);
-  EXPECT_EQ(flat.live(), sharded.live());
-}
-
-/// Checkpoint-resume after a worker loss must be unaffected by home
-/// sharding: the loss/resume replay at 1, 2, and 4 shards produces the
-/// same result, the same resume/redispatch counts, and the same event log.
-TEST(Scheduler, ResumeAfterLossIsBitIdenticalAcrossHomeShards) {
-  using EventRow = std::tuple<int, int64_t, int, int, int, int>;
-  struct Obs {
-    int64_t result = 0;
-    int resumed = 0;
-    int redispatched = 0;
-    int checkpoints = 0;
-    bool exactly_once = false;
-    std::vector<EventRow> events;
-    bool operator==(const Obs& o) const {
-      return result == o.result && resumed == o.resumed &&
-             redispatched == o.redispatched && checkpoints == o.checkpoints &&
-             exactly_once == o.exactly_once && events == o.events;
-    }
-  };
-  auto run_at = [](int shards) {
-    auto p = prepped_fib();
-    uint16_t fib = p.find_method("Main.fib");
-    Cluster c(p);
-    c.add_uniform_workers(3);
-    c.set_home_shards(shards);
-    auto pol = make_policy(PolicyKind::RoundRobin);
-    DispatchOptions opt;
-    opt.checkpoint_every = kEvery;
-    Scheduler s(c, *pol, opt);
-    s.fail_after_checkpoints(2);
-    int tid = c.home().vm().spawn(fib, std::vector<Value>{Value::of_i64(24)});
-    EXPECT_TRUE(mig::pause_at_depth(c.home(), tid, fib, 3 + 4));
-    auto out = s.run(tid, split_top_frames(3));
-    c.home().ti().set_debug_enabled(false);
-    EXPECT_EQ(c.home().run_guest(tid).reason, svm::StopReason::Done);
-    Obs obs;
-    obs.result = c.home().vm().thread(tid).result.as_i64();
-    obs.resumed = out.resumed;
-    obs.redispatched = out.redispatched;
-    obs.checkpoints = out.checkpoints;
-    obs.exactly_once = s.exactly_once();
-    for (const Event& e : s.log())
-      obs.events.emplace_back(static_cast<int>(e.kind), e.at.ns, e.seq, e.round, e.segment,
-                              e.worker);
-    return obs;
-  };
-  Obs ref = run_at(1);
-  EXPECT_EQ(ref.result, sod::testing::fib_ref(24));
-  EXPECT_EQ(ref.resumed, 1);
-  EXPECT_TRUE(ref.exactly_once);
-  for (int shards : {2, 4})
-    EXPECT_EQ(run_at(shards), ref) << "home shards = " << shards;
-}
-
 }  // namespace
 }  // namespace sod::cluster

@@ -650,95 +650,5 @@ TEST(Scheduler, CustomPolicyFailoverLogsEveryAttempt) {
   EXPECT_EQ(count(EventKind::WorkerLost), 1);
 }
 
-/// Home sharding must never change what the scheduler does: the ref-chain
-/// workload (cross-worker handle forwarding + lazy body faults) replayed
-/// at 1, 2, and 4 home shards yields bit-identical placements, forwards,
-/// and final heap state.
-TEST(Scheduler, CrossShardRefChainMatchesUnshardedRun) {
-  struct Obs {
-    std::vector<RefForward> forwards;
-    std::vector<int64_t> completed_ns;
-    int faults = 0;
-    int64_t val = 0;
-    bool operator==(const Obs& o) const {
-      return forwards.size() == o.forwards.size() && completed_ns == o.completed_ns &&
-             faults == o.faults && val == o.val;
-    }
-  };
-  auto run_at = [](int shards) {
-    auto p = sod::testing::node_chain_program();
-    prep::preprocess_program(p);
-    uint16_t mk = p.find_method("M.mk");
-    Cluster c(p);
-    c.add_uniform_workers(2);
-    c.set_home_shards(shards);
-    int tid = c.home().vm().spawn(mk, std::vector<Value>{Value::of_i64(6)});
-    EXPECT_TRUE(mig::pause_at_depth(c.home(), tid, mk, 4));
-    auto pol = make_policy(PolicyKind::RoundRobin);
-    Scheduler s(c, *pol);
-    auto out = s.run(tid, split_top_frames(2));
-    c.home().ti().set_debug_enabled(false);
-    Obs obs;
-    obs.forwards = s.ref_forwards();
-    for (const auto& pl : out.placements) obs.completed_ns.push_back(pl.completed_at.ns);
-    obs.faults = out.faults;
-    EXPECT_EQ(c.home().run_guest(tid).reason, svm::StopReason::Done);
-    Value r = c.home().vm().thread(tid).result;
-    EXPECT_EQ(r.tag, Ty::Ref);
-    uint16_t val_slot = p.field(p.find_field("Node.val")).slot;
-    obs.val = c.home().vm().heap().obj(r.r).fields[val_slot].as_i64();
-    return obs;
-  };
-  Obs ref = run_at(1);
-  EXPECT_EQ(ref.forwards.size(), 1u);
-  EXPECT_EQ(ref.val, 1 + 6 * 7 / 2);
-  for (int shards : {2, 4}) {
-    Obs sharded = run_at(shards);
-    EXPECT_EQ(sharded, ref) << "home shards = " << shards;
-    ASSERT_EQ(sharded.forwards.size(), ref.forwards.size());
-    EXPECT_EQ(sharded.forwards[0].home_ref, ref.forwards[0].home_ref);
-    EXPECT_EQ(sharded.forwards[0].dst_worker, ref.forwards[0].dst_worker);
-  }
-}
-
-/// The partitioned forward table reassembles its append-order view from
-/// per-record sequence numbers, so `ordered()` is identical at any shard
-/// count even when records land in different partitions.
-TEST(RefForwardTable, OrderedViewIsShardCountInvariant) {
-  auto fill = [](RefForwardTable& t) {
-    for (int i = 0; i < 12; ++i)
-      t.record(RefForward{i / 3, i % 3, i % 2, (i + 1) % 2,
-                          static_cast<bc::Ref>(100 + i)});
-  };
-  mig::HomeShardMap one(1), four(4);
-  RefForwardTable a, b;
-  a.configure(&one);
-  b.configure(&four);
-  fill(a);
-  fill(b);
-  ASSERT_EQ(a.total(), 12u);
-  ASSERT_EQ(b.total(), 12u);
-  EXPECT_EQ(a.partitions(), 1);
-  EXPECT_EQ(b.partitions(), 4);
-  auto va = a.ordered();
-  auto vb = b.ordered();
-  ASSERT_EQ(va.size(), vb.size());
-  for (size_t i = 0; i < va.size(); ++i) {
-    EXPECT_EQ(va[i].home_ref, vb[i].home_ref);
-    EXPECT_EQ(va[i].round, vb[i].round);
-    EXPECT_EQ(va[i].segment, vb[i].segment);
-  }
-  // The sharded table genuinely spread the records: no partition holds
-  // them all (12 keyed records over 4 stripes).
-  int nonempty = 0;
-  size_t spread_total = 0;
-  for (int s = 0; s < b.partitions(); ++s) {
-    if (b.partition_size(s) > 0) ++nonempty;
-    spread_total += b.partition_size(s);
-  }
-  EXPECT_GT(nonempty, 1);
-  EXPECT_EQ(spread_total, 12u);
-}
-
 }  // namespace
 }  // namespace sod::cluster

@@ -16,6 +16,7 @@
 #include <set>
 #include <thread>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "apps/apps.h"
@@ -258,7 +259,8 @@ std::vector<WorkerSpec> straggler_topology() {
 TEST(WallClock, PostLossReplayMatchesTheVirtualScheduler) {
   // Two mid-round worker losses: both engines re-dispatch through the
   // policy on the home thread, so every session latency and every event
-  // instant downstream of a loss is the Scheduler's, on real lanes too.
+  // instant downstream of a loss is the Scheduler's, on real lanes too,
+  // behind one home stripe or four.
   TraceConfig cfg;
   cfg.sessions = 60;
   cfg.tenants = 2;
@@ -281,15 +283,20 @@ TEST(WallClock, PostLossReplayMatchesTheVirtualScheduler) {
   opts.wallclock = true;
   opts.threads = 3;
   opts.dilation = 0.25;
-  LoadGenResult wall = run_loadgen(tr, opts);
-  EXPECT_TRUE(wall.all_ok);
-  EXPECT_TRUE(wall.exactly_once);
-  EXPECT_EQ(wall.results, virt.results);
-  EXPECT_EQ(wall.session_ms, virt.session_ms);
-  // The digest covers every event's virtual instant, SegmentCompleted
-  // included.
-  EXPECT_EQ(wall.log_digest, virt.log_digest);
-  EXPECT_EQ(wall.redispatched, virt.redispatched);
+  for (int shards : {1, 4}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    opts.home_shards = shards;
+    LoadGenResult wall = run_loadgen(tr, opts);
+    EXPECT_EQ(wall.home_shards, shards);
+    EXPECT_TRUE(wall.all_ok);
+    EXPECT_TRUE(wall.exactly_once);
+    EXPECT_EQ(wall.results, virt.results);
+    EXPECT_EQ(wall.session_ms, virt.session_ms);
+    // The digest covers every event's virtual instant, SegmentCompleted
+    // included.
+    EXPECT_EQ(wall.log_digest, virt.log_digest);
+    EXPECT_EQ(wall.redispatched, virt.redispatched);
+  }
 }
 
 TEST(WallClock, CheckpointsAndSpeculativeRacesRunOnLanes) {
@@ -298,13 +305,14 @@ TEST(WallClock, CheckpointsAndSpeculativeRacesRunOnLanes) {
   // lane.  A worker loss at a checkpoint resumes the killed attempt from
   // that checkpoint elsewhere.  The wall engine must take the same
   // checkpoints, launch and cancel the same attempts, and read the same
-  // virtual instants.
-  auto run = [](int threads) {
+  // virtual instants at every thread and home stripe count.
+  auto run = [](int threads, int shards) {
     auto p = sod::testing::fib_program();
     prep::preprocess_program(p);
     uint16_t fib = p.find_method("Main.fib");
     Cluster c(p);
     for (const WorkerSpec& ws : straggler_topology()) c.add_worker(ws);
+    c.set_home_shards(shards);
     auto pol = make_policy(PolicyKind::LeastLoaded);
     DispatchOptions dopt;
     dopt.checkpoint_every = 20000;
@@ -319,7 +327,7 @@ TEST(WallClock, CheckpointsAndSpeculativeRacesRunOnLanes) {
     }
     return finish(c, *s, tid);
   };
-  AppOutcome ref = run(-1);
+  AppOutcome ref = run(-1, 1);
   ASSERT_TRUE(ref.done);
   EXPECT_EQ(ref.result, sod::testing::fib_ref(26));
   ASSERT_TRUE(ref.exactly_once);
@@ -327,10 +335,11 @@ TEST(WallClock, CheckpointsAndSpeculativeRacesRunOnLanes) {
   ASSERT_GT(ref.speculations, 0);
   ASSERT_GT(ref.cancellations, 0);
   ASSERT_GT(ref.resumes, 0);
-  for (int threads : {1, 3}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    AppOutcome got = run(threads);
+  for (auto [threads, shards] : {std::pair(1, 1), std::pair(3, 1), std::pair(3, 4)}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads) + " shards=" + std::to_string(shards));
+    AppOutcome got = run(threads, shards);
     ASSERT_TRUE(got.done);
+    EXPECT_EQ(got.shard_stats.size(), static_cast<size_t>(shards));
     EXPECT_TRUE(got.exactly_once);
     EXPECT_EQ(got.result, ref.result);
     EXPECT_EQ(got.events, ref.events);
@@ -345,13 +354,13 @@ TEST(WallClock, CrossWorkerRefForwardsMatchTheVirtualScheduler) {
   // mk(6) split over two round-robin workers chains a ref result: the
   // upper segment's Node goes home with its write-back and the lower lane
   // receives a handle whose body it faults in lazily through the gate.
-  using Forward = std::tuple<int, int, int, int, bc::Ref>;
-  auto run = [](int threads) {
+  auto run = [](int threads, int shards) {
     auto p = sod::testing::node_chain_program();
     prep::preprocess_program(p);
     uint16_t mk = p.find_method("M.mk");
     Cluster c(p);
     c.add_uniform_workers(2);
+    c.set_home_shards(shards);
     auto pol = make_policy(PolicyKind::RoundRobin);
     auto s = make_engine(c, *pol, threads);
     int tid = c.home().vm().spawn(mk, std::vector<Value>{Value::of_i64(6)});
@@ -363,16 +372,13 @@ TEST(WallClock, CrossWorkerRefForwardsMatchTheVirtualScheduler) {
     Value r = c.home().vm().thread(tid).result;
     uint16_t val_slot = p.field(p.find_field("Node.val")).slot;
     EXPECT_EQ(c.home().vm().heap().obj(r.r).fields[val_slot].as_i64(), 1 + 6 * 7 / 2);
-    std::vector<Forward> fw;
-    for (const RefForward& f : s->ref_forwards())
-      fw.emplace_back(f.round, f.segment, f.src_worker, f.dst_worker, f.home_ref);
-    return fw;
+    return s->ref_forwards();
   };
-  std::vector<Forward> ref = run(-1);
+  std::vector<RefForward> ref = run(-1, 1);
   ASSERT_EQ(ref.size(), 1u);
-  for (int threads : {1, 2}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    EXPECT_EQ(run(threads), ref);
+  for (auto [threads, shards] : {std::pair(1, 1), std::pair(2, 1), std::pair(2, 4)}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads) + " shards=" + std::to_string(shards));
+    EXPECT_EQ(run(threads, shards), ref);
   }
 }
 

@@ -18,6 +18,7 @@ class Verifier {
       : p_(p), m_(m), enforce_msp_(enforce_msp) {}
 
   StackMap run() {
+    check_params();
     scan_boundaries();
     check_static_targets();
     dataflow();
@@ -38,10 +39,29 @@ class Verifier {
     uint32_t pc = 0;
     while (pc < m_.code.size()) {
       if (m_.code[pc] >= static_cast<uint8_t>(Op::kOpCount_)) fail("bad opcode", pc);
+      // instr_size reads LOOKUPSWITCH's npairs; a header cut short is a
+      // rejection here, not an abort there.
+      if (static_cast<Op>(m_.code[pc]) == Op::LOOKUPSWITCH && pc + 3 > m_.code.size())
+        fail("truncated lookupswitch header", pc);
       map_.boundaries.push_back(pc);
       pc += instr_size(m_.code, pc);
     }
     if (pc != m_.code.size()) fail("instruction overruns code end");
+  }
+
+  /// The VM binds parameter i to local slot i at pc 0, typed by params[i].
+  void check_params() {
+    if (m_.params.size() > m_.num_locals)
+      fail(std::to_string(m_.params.size()) + " parameters do not fit " +
+               std::to_string(m_.num_locals) + " locals",
+           0);
+    for (uint16_t i = 0; i < m_.params.size(); ++i) {
+      Ty t = local_type(i, 0);
+      if (t != m_.params[i])
+        fail("parameter " + std::to_string(i) + " is " + ty_name(m_.params[i]) +
+                 " but local slot " + std::to_string(i) + " is " + ty_name(t),
+             0);
+    }
   }
 
   bool boundary(uint32_t pc) const {

@@ -73,6 +73,49 @@ bc::Program msp_nonempty_program() {
   return p;
 }
 
+/// Code that ends inside a LOOKUPSWITCH header: the opcode and one of the
+/// two npairs bytes survive.
+bc::Program truncated_switch_program() {
+  ProgramBuilder pb;
+  auto& c = pb.cls("Switch");
+  auto& f = c.method("run", {}, Ty::I64);
+  Label out = f.label();
+  f.stmt().iconst(0).lookupswitch(out, {});
+  f.bind(out);
+  f.stmt().iconst(1).iret();
+  bc::Program p = pb.build();
+  bc::Method& m = p.method_mut(p.find_method("Switch.run"));
+  m.code.resize(9 + 2);  // ICONST is 9 bytes; the switch starts at pc 9
+  m.stmt_starts = {0};
+  return p;
+}
+
+/// Two i64 parameters but no local slots and no variable table: the VM
+/// would bind the arguments past the end of the frame's locals.
+bc::Program params_overflow_program() {
+  ProgramBuilder pb;
+  auto& c = pb.cls("Args");
+  auto& f = c.method("run", {{"a", Ty::I64}, {"b", Ty::I64}}, Ty::I64);
+  f.stmt().iconst(0).iret();
+  bc::Program p = pb.build();
+  bc::Method& m = p.method_mut(p.find_method("Args.run"));
+  m.num_locals = 0;
+  m.var_table.clear();
+  return p;
+}
+
+/// Parameter 1 is declared i64 but its variable-table slot says f64.
+bc::Program param_type_program() {
+  ProgramBuilder pb;
+  auto& c = pb.cls("Typed");
+  auto& f = c.method("run", {{"a", Ty::I64}, {"b", Ty::I64}}, Ty::I64);
+  f.stmt().iconst(0).iret();
+  bc::Program p = pb.build();
+  bc::Method& m = p.method_mut(p.find_method("Typed.run"));
+  m.var_table[1].type = Ty::F64;
+  return p;
+}
+
 /// INVOKE of a declared method that never got code (an undefined stub).
 bc::Program undefined_callee_program() {
   ProgramBuilder pb;
@@ -135,6 +178,12 @@ TEST(Admission, MalformedProgramsRejectedWithPointedDiagnostics) {
        "Under.run"},
       {"non-empty stack at MSP", msp_nonempty_program, {}, "MSP invariant", "Msp",
        "Msp.run"},
+      {"truncated lookupswitch", truncated_switch_program, {}, "truncated lookupswitch",
+       "Switch", "Switch.run"},
+      {"parameters overflow locals", params_overflow_program, {},
+       "2 parameters do not fit 0 locals", "Args", "Args.run"},
+      {"parameter type differs from local", param_type_program, {},
+       "parameter 1 is i64 but local slot 1 is f64", "Typed", "Typed.run"},
       {"undefined callee", undefined_callee_program, {},
        "call to undefined method 'Call.stub'", "Call", "Call.run"},
       {"statics write in declared-pure class", impure_program, {"Pure"},

@@ -3,6 +3,9 @@
 // checked for semantic transparency on never-migrated runs.
 #include <gtest/gtest.h>
 
+#include <span>
+
+#include "apps/apps.h"
 #include "bytecode/verifier.h"
 #include "prep/prep.h"
 #include "sod/objman.h"
@@ -303,6 +306,105 @@ TEST(Prep, ArraysThroughFullPipeline) {
   LocalRt rt(p);
   // sum i^2 for i in 0..9 = 285
   EXPECT_DOUBLE_EQ(rt.call("M.norm", {Value::of_i64(10)}).as_f64(), 285.0);
+}
+
+// ------------------------------------------------- the six preprocessed programs
+
+struct NamedProgram {
+  const char* name;
+  bc::Program (*build)();
+};
+
+/// The four Table I apps, docsearch and photoshare.
+const NamedProgram kPrograms[] = {
+    {"fib", [] { return apps::fib_app().build(); }},
+    {"nqueens", [] { return apps::nqueens_app().build(); }},
+    {"fft", [] { return apps::fft_app().build(); }},
+    {"tsp", [] { return apps::tsp_app().build(); }},
+    {"docsearch", apps::build_docsearch},
+    {"photoshare", apps::build_photoshare},
+};
+
+uint64_t fnv1a(std::span<const uint8_t> bytes) {
+  uint64_t h = 1469598103934665603ull;
+  for (uint8_t b : bytes) {
+    h ^= b;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+TEST(Images, PreprocessedProgramDigestsArePinned) {
+  // FNV-1a of Program::serialize() after preprocessing.  The Fig. 5 golden
+  // pins only image sizes; this pins every byte every pass writes.
+  PrepOptions checks;
+  checks.miss = MissDetection::StatusChecking;
+  PrepOptions none;
+  none.miss = MissDetection::None;
+  PrepOptions offload;
+  offload.offload_handlers = true;
+  const PrepOptions variants[] = {PrepOptions{}, checks, none, offload};
+  const char* const variant_names[] = {"default", "checks", "none", "offload"};
+  // Rows follow kPrograms; columns follow variants.
+  const uint64_t expected[6][4] = {
+      {0xe354c7edee2aa06full, 0xd3360e822ba45bf0ull,  // fib
+       0xe354c7edee2aa06full, 0xe354c7edee2aa06full},
+      {0x9af0f95696850806ull, 0xd8fdf9b8a87ca97full,  // nqueens
+       0x9af0f95696850806ull, 0x9af0f95696850806ull},
+      {0x1995f7b0b004cb66ull, 0x2a25221db144ff80ull,  // fft
+       0xe43a149b20fa40a9ull, 0xa69aa8df5e53be94ull},
+      {0x4289d50b101e742cull, 0x6a871e2f0bbbb6b1ull,  // tsp
+       0x0e267954d9396de9ull, 0x8dddebfd32a30229ull},
+      {0x26c984edeed12ca8ull, 0x8cb6fa90bf4435e3ull,  // docsearch
+       0xca11fc28c701c542ull, 0xa79ec8b891028c25ull},
+      {0xa8d1458493812decull, 0x5d5a8d2682c59d7aull,  // photoshare
+       0x59c1d5d296719ff9ull, 0xd7177a39bf82a120ull},
+  };
+  for (size_t i = 0; i < std::size(kPrograms); ++i) {
+    for (size_t v = 0; v < std::size(variants); ++v) {
+      bc::Program p = kPrograms[i].build();
+      prep::preprocess_program(p, variants[v]);
+      uint64_t got = fnv1a(p.serialize());
+      EXPECT_EQ(got, expected[i][v])
+          << kPrograms[i].name << " / " << variant_names[v] << ": 0x" << std::hex << got;
+    }
+  }
+}
+
+TEST(Images, CorruptMethodsAreRejectedNeverAborted) {
+  // Every truncation and every single-byte overwrite of every preprocessed
+  // method: verify_method must return or throw sod::Error, never abort.
+  const uint8_t kBytes[] = {0, 1, 2, 0x30, 0x3F, 0x44, 0x45, 0x7F, 0xFF};
+  size_t calls = 0, accepted = 0;
+  for (const NamedProgram& np : kPrograms) {
+    bc::Program p = np.build();
+    prep::preprocess_program(p);
+    for (bc::Method& m : p.methods) {
+      const std::vector<uint8_t> code = m.code;
+      auto verdict = [&] {
+        ++calls;
+        try {
+          bc::verify_method(p, m);
+          ++accepted;
+        } catch (const Error&) {
+        }
+      };
+      for (size_t n = 0; n < code.size(); ++n) {
+        m.code.assign(code.begin(), code.begin() + static_cast<long>(n));
+        verdict();
+      }
+      for (size_t at = 0; at < code.size(); ++at) {
+        for (uint8_t b : kBytes) {
+          m.code = code;
+          m.code[at] = b;
+          verdict();
+        }
+      }
+      m.code = code;
+    }
+  }
+  EXPECT_EQ(calls, 71640u);
+  EXPECT_EQ(accepted, 34516u);
 }
 
 }  // namespace

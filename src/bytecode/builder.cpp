@@ -1,5 +1,6 @@
 #include "bytecode/builder.h"
 
+#include <bit>
 #include <cstring>
 
 #include "bytecode/verifier.h"
@@ -40,85 +41,61 @@ MethodBuilder& MethodBuilder::stmt() {
   return *this;
 }
 
-MethodBuilder& MethodBuilder::op0(Op o) {
-  code_.push_back(static_cast<uint8_t>(o));
-  return *this;
-}
-
-MethodBuilder& MethodBuilder::op_u16(Op o, uint16_t v) {
-  code_.push_back(static_cast<uint8_t>(o));
-  code_.push_back(static_cast<uint8_t>(v & 0xFF));
-  code_.push_back(static_cast<uint8_t>(v >> 8));
+MethodBuilder& MethodBuilder::op(Op o, int64_t operand) {
+  emit(code_, o, operand);
   return *this;
 }
 
 MethodBuilder& MethodBuilder::branch(Op o, Label l) {
-  code_.push_back(static_cast<uint8_t>(o));
-  fixups_.push_back(Fixup{code_.size(), l.id});
-  code_.insert(code_.end(), 4, 0);
+  fixups_.push_back(Fixup{emit(code_, o), l.id});
   return *this;
 }
 
 MethodBuilder& MethodBuilder::named_u16(Op o, std::string_view qname, bool is_field) {
-  code_.push_back(static_cast<uint8_t>(o));
   pb_->name_fixups_.push_back(
-      ProgramBuilder::NameFix{id_, code_.size(), std::string(qname), is_field});
-  code_.insert(code_.end(), 2, 0);
+      ProgramBuilder::NameFix{id_, emit(code_, o), std::string(qname), is_field});
   return *this;
 }
 
-MethodBuilder& MethodBuilder::iconst(int64_t v) {
-  code_.push_back(static_cast<uint8_t>(Op::ICONST));
-  uint8_t b[8];
-  std::memcpy(b, &v, 8);
-  code_.insert(code_.end(), b, b + 8);
-  return *this;
-}
+MethodBuilder& MethodBuilder::iconst(int64_t v) { return op(Op::ICONST, v); }
+MethodBuilder& MethodBuilder::dconst(double v) { return op(Op::DCONST, std::bit_cast<int64_t>(v)); }
 
-MethodBuilder& MethodBuilder::dconst(double v) {
-  code_.push_back(static_cast<uint8_t>(Op::DCONST));
-  uint8_t b[8];
-  std::memcpy(b, &v, 8);
-  code_.insert(code_.end(), b, b + 8);
-  return *this;
-}
-
-MethodBuilder& MethodBuilder::aconst_null() { return op0(Op::ACONST_NULL); }
+MethodBuilder& MethodBuilder::aconst_null() { return op(Op::ACONST_NULL); }
 
 MethodBuilder& MethodBuilder::ldc_str(std::string_view s) {
-  return op_u16(Op::LDC_STR, pb_->prog_.intern_string(s));
+  return op(Op::LDC_STR, pb_->prog_.intern_string(s));
 }
 
-MethodBuilder& MethodBuilder::iload(uint16_t s) { return op_u16(Op::ILOAD, s); }
-MethodBuilder& MethodBuilder::dload(uint16_t s) { return op_u16(Op::DLOAD, s); }
-MethodBuilder& MethodBuilder::aload(uint16_t s) { return op_u16(Op::ALOAD, s); }
-MethodBuilder& MethodBuilder::istore(uint16_t s) { return op_u16(Op::ISTORE, s); }
-MethodBuilder& MethodBuilder::dstore(uint16_t s) { return op_u16(Op::DSTORE, s); }
-MethodBuilder& MethodBuilder::astore(uint16_t s) { return op_u16(Op::ASTORE, s); }
+MethodBuilder& MethodBuilder::iload(uint16_t s) { return op(Op::ILOAD, s); }
+MethodBuilder& MethodBuilder::dload(uint16_t s) { return op(Op::DLOAD, s); }
+MethodBuilder& MethodBuilder::aload(uint16_t s) { return op(Op::ALOAD, s); }
+MethodBuilder& MethodBuilder::istore(uint16_t s) { return op(Op::ISTORE, s); }
+MethodBuilder& MethodBuilder::dstore(uint16_t s) { return op(Op::DSTORE, s); }
+MethodBuilder& MethodBuilder::astore(uint16_t s) { return op(Op::ASTORE, s); }
 
-MethodBuilder& MethodBuilder::pop() { return op0(Op::POP); }
-MethodBuilder& MethodBuilder::dup() { return op0(Op::DUP); }
-MethodBuilder& MethodBuilder::swap() { return op0(Op::SWAP); }
+MethodBuilder& MethodBuilder::pop() { return op(Op::POP); }
+MethodBuilder& MethodBuilder::dup() { return op(Op::DUP); }
+MethodBuilder& MethodBuilder::swap() { return op(Op::SWAP); }
 
-MethodBuilder& MethodBuilder::iadd() { return op0(Op::IADD); }
-MethodBuilder& MethodBuilder::isub() { return op0(Op::ISUB); }
-MethodBuilder& MethodBuilder::imul() { return op0(Op::IMUL); }
-MethodBuilder& MethodBuilder::idiv() { return op0(Op::IDIV); }
-MethodBuilder& MethodBuilder::irem() { return op0(Op::IREM); }
-MethodBuilder& MethodBuilder::ineg() { return op0(Op::INEG); }
-MethodBuilder& MethodBuilder::ishl() { return op0(Op::ISHL); }
-MethodBuilder& MethodBuilder::ishr() { return op0(Op::ISHR); }
-MethodBuilder& MethodBuilder::iand() { return op0(Op::IAND); }
-MethodBuilder& MethodBuilder::ior() { return op0(Op::IOR); }
-MethodBuilder& MethodBuilder::ixor() { return op0(Op::IXOR); }
-MethodBuilder& MethodBuilder::dadd() { return op0(Op::DADD); }
-MethodBuilder& MethodBuilder::dsub() { return op0(Op::DSUB); }
-MethodBuilder& MethodBuilder::dmul() { return op0(Op::DMUL); }
-MethodBuilder& MethodBuilder::ddiv() { return op0(Op::DDIV); }
-MethodBuilder& MethodBuilder::dneg() { return op0(Op::DNEG); }
-MethodBuilder& MethodBuilder::i2d() { return op0(Op::I2D); }
-MethodBuilder& MethodBuilder::d2i() { return op0(Op::D2I); }
-MethodBuilder& MethodBuilder::dcmp() { return op0(Op::DCMP); }
+MethodBuilder& MethodBuilder::iadd() { return op(Op::IADD); }
+MethodBuilder& MethodBuilder::isub() { return op(Op::ISUB); }
+MethodBuilder& MethodBuilder::imul() { return op(Op::IMUL); }
+MethodBuilder& MethodBuilder::idiv() { return op(Op::IDIV); }
+MethodBuilder& MethodBuilder::irem() { return op(Op::IREM); }
+MethodBuilder& MethodBuilder::ineg() { return op(Op::INEG); }
+MethodBuilder& MethodBuilder::ishl() { return op(Op::ISHL); }
+MethodBuilder& MethodBuilder::ishr() { return op(Op::ISHR); }
+MethodBuilder& MethodBuilder::iand() { return op(Op::IAND); }
+MethodBuilder& MethodBuilder::ior() { return op(Op::IOR); }
+MethodBuilder& MethodBuilder::ixor() { return op(Op::IXOR); }
+MethodBuilder& MethodBuilder::dadd() { return op(Op::DADD); }
+MethodBuilder& MethodBuilder::dsub() { return op(Op::DSUB); }
+MethodBuilder& MethodBuilder::dmul() { return op(Op::DMUL); }
+MethodBuilder& MethodBuilder::ddiv() { return op(Op::DDIV); }
+MethodBuilder& MethodBuilder::dneg() { return op(Op::DNEG); }
+MethodBuilder& MethodBuilder::i2d() { return op(Op::I2D); }
+MethodBuilder& MethodBuilder::d2i() { return op(Op::D2I); }
+MethodBuilder& MethodBuilder::dcmp() { return op(Op::DCMP); }
 
 MethodBuilder& MethodBuilder::go(Label l) { return branch(Op::GOTO, l); }
 MethodBuilder& MethodBuilder::ifeq(Label l) { return branch(Op::IFEQ, l); }
@@ -138,19 +115,11 @@ MethodBuilder& MethodBuilder::ifnonnull(Label l) { return branch(Op::IFNONNULL, 
 
 MethodBuilder& MethodBuilder::lookupswitch(Label dflt,
                                            const std::vector<std::pair<int64_t, Label>>& pairs) {
-  code_.push_back(static_cast<uint8_t>(Op::LOOKUPSWITCH));
-  uint16_t n = static_cast<uint16_t>(pairs.size());
-  code_.push_back(static_cast<uint8_t>(n & 0xFF));
-  code_.push_back(static_cast<uint8_t>(n >> 8));
-  fixups_.push_back(Fixup{code_.size(), dflt.id});
-  code_.insert(code_.end(), 4, 0);
-  for (const auto& [key, lbl] : pairs) {
-    uint8_t b[8];
-    std::memcpy(b, &key, 8);
-    code_.insert(code_.end(), b, b + 8);
-    fixups_.push_back(Fixup{code_.size(), lbl.id});
-    code_.insert(code_.end(), 4, 0);
-  }
+  std::vector<std::pair<int64_t, uint32_t>> keys;
+  for (const auto& [key, lbl] : pairs) keys.emplace_back(key, 0);
+  std::vector<size_t> at = emit_switch(code_, 0, keys);
+  fixups_.push_back(Fixup{at[0], dflt.id});
+  for (size_t k = 0; k < pairs.size(); ++k) fixups_.push_back(Fixup{at[k + 1], pairs[k].second.id});
   return *this;
 }
 
@@ -162,36 +131,34 @@ MethodBuilder& MethodBuilder::putstatic(std::string_view q) { return named_u16(O
 MethodBuilder& MethodBuilder::new_(std::string_view class_name) {
   uint16_t cid = pb_->prog_.find_class(class_name);
   SOD_CHECK(cid != kNoId, "unknown class: " + std::string(class_name));
-  return op_u16(Op::NEW, cid);
+  return op(Op::NEW, cid);
 }
 
 MethodBuilder& MethodBuilder::newarray(Ty elem) {
-  code_.push_back(static_cast<uint8_t>(Op::NEWARRAY));
-  code_.push_back(static_cast<uint8_t>(elem));
-  return *this;
+  return op(Op::NEWARRAY, static_cast<uint8_t>(elem));
 }
 
-MethodBuilder& MethodBuilder::iaload() { return op0(Op::IALOAD); }
-MethodBuilder& MethodBuilder::iastore() { return op0(Op::IASTORE); }
-MethodBuilder& MethodBuilder::daload() { return op0(Op::DALOAD); }
-MethodBuilder& MethodBuilder::dastore() { return op0(Op::DASTORE); }
-MethodBuilder& MethodBuilder::aaload() { return op0(Op::AALOAD); }
-MethodBuilder& MethodBuilder::aastore() { return op0(Op::AASTORE); }
-MethodBuilder& MethodBuilder::arraylen() { return op0(Op::ARRAYLEN); }
+MethodBuilder& MethodBuilder::iaload() { return op(Op::IALOAD); }
+MethodBuilder& MethodBuilder::iastore() { return op(Op::IASTORE); }
+MethodBuilder& MethodBuilder::daload() { return op(Op::DALOAD); }
+MethodBuilder& MethodBuilder::dastore() { return op(Op::DASTORE); }
+MethodBuilder& MethodBuilder::aaload() { return op(Op::AALOAD); }
+MethodBuilder& MethodBuilder::aastore() { return op(Op::AASTORE); }
+MethodBuilder& MethodBuilder::arraylen() { return op(Op::ARRAYLEN); }
 
 MethodBuilder& MethodBuilder::invoke(std::string_view q) { return named_u16(Op::INVOKE, q, false); }
 
 MethodBuilder& MethodBuilder::invokenative(std::string_view name) {
   uint16_t nid = pb_->prog_.find_native(name);
   SOD_CHECK(nid != kNoId, "unknown native: " + std::string(name));
-  return op_u16(Op::INVOKENATIVE, nid);
+  return op(Op::INVOKENATIVE, nid);
 }
 
-MethodBuilder& MethodBuilder::ret() { return op0(Op::RETURN); }
-MethodBuilder& MethodBuilder::iret() { return op0(Op::IRETURN); }
-MethodBuilder& MethodBuilder::dret() { return op0(Op::DRETURN); }
-MethodBuilder& MethodBuilder::aret() { return op0(Op::ARETURN); }
-MethodBuilder& MethodBuilder::throw_() { return op0(Op::THROW); }
+MethodBuilder& MethodBuilder::ret() { return op(Op::RETURN); }
+MethodBuilder& MethodBuilder::iret() { return op(Op::IRETURN); }
+MethodBuilder& MethodBuilder::dret() { return op(Op::DRETURN); }
+MethodBuilder& MethodBuilder::aret() { return op(Op::ARETURN); }
+MethodBuilder& MethodBuilder::throw_() { return op(Op::THROW); }
 
 MethodBuilder& MethodBuilder::ex_entry(uint32_t from, uint32_t to, Label handler,
                                        uint16_t ex_class) {

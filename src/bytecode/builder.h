@@ -151,8 +151,7 @@ class MethodBuilder {
   friend class ProgramBuilder;
   MethodBuilder(ProgramBuilder* pb, uint16_t id);
 
-  MethodBuilder& op0(Op o);
-  MethodBuilder& op_u16(Op o, uint16_t v);
+  MethodBuilder& op(Op o, int64_t operand = 0);
   MethodBuilder& branch(Op o, Label l);
   MethodBuilder& named_u16(Op o, std::string_view qname, bool is_field);
   void finish();  // move code into Program

@@ -1,92 +1,114 @@
 #include "bytecode/ops.h"
 
 #include <cstring>
+#include <initializer_list>
 
 namespace sod::bc {
 
 namespace {
 
+enum : unsigned { kBranch = 1, kTerm = 2, kEffect = 4 };
+
+constexpr OpInfo row(const char* name, OperKind operands, std::initializer_list<Ty> pops = {},
+                     Ty push = Ty::Void, unsigned flags = 0,
+                     StackKind stack = StackKind::Fixed) {
+  OpInfo o{name, operands, stack};
+  for (Ty t : pops) o.pops[o.npops++] = t;
+  o.push = push;
+  o.branch = (flags & kBranch) != 0;
+  o.terminator = (flags & kTerm) != 0;
+  o.effect = (flags & kEffect) != 0;
+  return o;
+}
+
+constexpr OpInfo declared(const char* name, unsigned flags = 0) {
+  return row(name, OperKind::U16, {}, Ty::Void, flags, StackKind::Declared);
+}
+
+constexpr Ty I = Ty::I64, D = Ty::F64, A = Ty::Ref, V = Ty::Void;
+using enum OperKind;
+
 constexpr OpInfo kTable[] = {
-    {"nop", OperKind::None},
+    row("nop", None),
 
-    {"iconst", OperKind::I64},
-    {"dconst", OperKind::F64},
-    {"aconst_null", OperKind::None},
-    {"ldc_str", OperKind::U16},
+    row("iconst", I64, {}, I),
+    row("dconst", F64, {}, D),
+    row("aconst_null", None, {}, A),
+    row("ldc_str", U16, {}, A),
 
-    {"iload", OperKind::U16},
-    {"dload", OperKind::U16},
-    {"aload", OperKind::U16},
-    {"istore", OperKind::U16},
-    {"dstore", OperKind::U16},
-    {"astore", OperKind::U16},
+    row("iload", U16, {}, I),
+    row("dload", U16, {}, D),
+    row("aload", U16, {}, A),
+    row("istore", U16, {I}),
+    row("dstore", U16, {D}),
+    row("astore", U16, {A}),
 
-    {"pop", OperKind::None},
-    {"dup", OperKind::None},
-    {"swap", OperKind::None},
+    row("pop", None, {V}),
+    row("dup", None, {}, V, 0, StackKind::Dup),
+    row("swap", None, {}, V, 0, StackKind::Swap),
 
-    {"iadd", OperKind::None},
-    {"isub", OperKind::None},
-    {"imul", OperKind::None},
-    {"idiv", OperKind::None},
-    {"irem", OperKind::None},
-    {"ineg", OperKind::None},
-    {"ishl", OperKind::None},
-    {"ishr", OperKind::None},
-    {"iand", OperKind::None},
-    {"ior", OperKind::None},
-    {"ixor", OperKind::None},
+    row("iadd", None, {I, I}, I),
+    row("isub", None, {I, I}, I),
+    row("imul", None, {I, I}, I),
+    row("idiv", None, {I, I}, I),
+    row("irem", None, {I, I}, I),
+    row("ineg", None, {I}, I),
+    row("ishl", None, {I, I}, I),
+    row("ishr", None, {I, I}, I),
+    row("iand", None, {I, I}, I),
+    row("ior", None, {I, I}, I),
+    row("ixor", None, {I, I}, I),
 
-    {"dadd", OperKind::None},
-    {"dsub", OperKind::None},
-    {"dmul", OperKind::None},
-    {"ddiv", OperKind::None},
-    {"dneg", OperKind::None},
+    row("dadd", None, {D, D}, D),
+    row("dsub", None, {D, D}, D),
+    row("dmul", None, {D, D}, D),
+    row("ddiv", None, {D, D}, D),
+    row("dneg", None, {D}, D),
 
-    {"i2d", OperKind::None},
-    {"d2i", OperKind::None},
-    {"dcmp", OperKind::None},
+    row("i2d", None, {I}, D),
+    row("d2i", None, {D}, I),
+    row("dcmp", None, {D, D}, I),
 
-    {"goto", OperKind::Target},
-    {"ifeq", OperKind::Target},
-    {"ifne", OperKind::Target},
-    {"iflt", OperKind::Target},
-    {"ifle", OperKind::Target},
-    {"ifgt", OperKind::Target},
-    {"ifge", OperKind::Target},
-    {"if_icmpeq", OperKind::Target},
-    {"if_icmpne", OperKind::Target},
-    {"if_icmplt", OperKind::Target},
-    {"if_icmple", OperKind::Target},
-    {"if_icmpgt", OperKind::Target},
-    {"if_icmpge", OperKind::Target},
-    {"ifnull", OperKind::Target},
-    {"ifnonnull", OperKind::Target},
-    {"lookupswitch", OperKind::Switch},
+    row("goto", Target, {}, V, kBranch | kTerm),
+    row("ifeq", Target, {I}, V, kBranch),
+    row("ifne", Target, {I}, V, kBranch),
+    row("iflt", Target, {I}, V, kBranch),
+    row("ifle", Target, {I}, V, kBranch),
+    row("ifgt", Target, {I}, V, kBranch),
+    row("ifge", Target, {I}, V, kBranch),
+    row("if_icmpeq", Target, {I, I}, V, kBranch),
+    row("if_icmpne", Target, {I, I}, V, kBranch),
+    row("if_icmplt", Target, {I, I}, V, kBranch),
+    row("if_icmple", Target, {I, I}, V, kBranch),
+    row("if_icmpgt", Target, {I, I}, V, kBranch),
+    row("if_icmpge", Target, {I, I}, V, kBranch),
+    row("ifnull", Target, {A}, V, kBranch),
+    row("ifnonnull", Target, {A}, V, kBranch),
+    row("lookupswitch", Switch, {I}, V, kTerm),
 
-    {"getfield", OperKind::U16},
-    {"putfield", OperKind::U16},
-    {"getstatic", OperKind::U16},
-    {"putstatic", OperKind::U16},
+    declared("getfield"),
+    declared("putfield"),
+    declared("getstatic"),
+    declared("putstatic"),
 
-    {"new", OperKind::U16},
-    {"newarray", OperKind::U8},
-    {"iaload", OperKind::None},
-    {"iastore", OperKind::None},
-    {"daload", OperKind::None},
-    {"dastore", OperKind::None},
-    {"aaload", OperKind::None},
-    {"aastore", OperKind::None},
-    {"arraylen", OperKind::None},
+    row("new", U16, {}, A, kEffect),
+    row("newarray", U8, {I}, A, kEffect),
+    row("iaload", None, {A, I}, I),
+    row("iastore", None, {A, I, I}),
+    row("daload", None, {A, I}, D),
+    row("dastore", None, {A, I, D}),
+    row("aaload", None, {A, I}, A),
+    row("aastore", None, {A, I, A}),
+    row("arraylen", None, {A}, I),
 
-    {"invoke", OperKind::U16},
-    {"invokenative", OperKind::U16},
-    {"return", OperKind::None},
-    {"ireturn", OperKind::None},
-    {"dreturn", OperKind::None},
-    {"areturn", OperKind::None},
+    declared("invoke", kEffect),
+    declared("invokenative", kEffect),
+    row("return", None, {}, V, kTerm),
+    row("ireturn", None, {I}, V, kTerm),
+    row("dreturn", None, {D}, V, kTerm),
+    row("areturn", None, {A}, V, kTerm),
 
-    {"throw", OperKind::None},
+    row("throw", None, {A}, V, kTerm),
 };
 
 static_assert(sizeof(kTable) / sizeof(kTable[0]) == kNumOps, "op table out of sync");
@@ -119,38 +141,24 @@ uint32_t instr_size(std::span<const uint8_t> code, uint32_t pc) {
   SOD_UNREACHABLE("bad operand kind");
 }
 
-bool is_terminator(Op op) {
-  switch (op) {
-    case Op::GOTO:
-    case Op::LOOKUPSWITCH:
-    case Op::RETURN:
-    case Op::IRETURN:
-    case Op::DRETURN:
-    case Op::ARETURN:
-    case Op::THROW: return true;
-    default: return false;
+Op load_op(Ty t) {
+  switch (t) {
+    case Ty::I64: return Op::ILOAD;
+    case Ty::F64: return Op::DLOAD;
+    case Ty::Ref: return Op::ALOAD;
+    case Ty::Void: break;
   }
+  SOD_UNREACHABLE("load_op(void)");
 }
 
-bool is_branch(Op op) {
-  switch (op) {
-    case Op::GOTO:
-    case Op::IFEQ:
-    case Op::IFNE:
-    case Op::IFLT:
-    case Op::IFLE:
-    case Op::IFGT:
-    case Op::IFGE:
-    case Op::IF_ICMPEQ:
-    case Op::IF_ICMPNE:
-    case Op::IF_ICMPLT:
-    case Op::IF_ICMPLE:
-    case Op::IF_ICMPGT:
-    case Op::IF_ICMPGE:
-    case Op::IFNULL:
-    case Op::IFNONNULL: return true;
-    default: return false;
+Op store_op(Ty t) {
+  switch (t) {
+    case Ty::I64: return Op::ISTORE;
+    case Ty::F64: return Op::DSTORE;
+    case Ty::Ref: return Op::ASTORE;
+    case Ty::Void: break;
   }
+  SOD_UNREACHABLE("store_op(void)");
 }
 
 }  // namespace sod::bc

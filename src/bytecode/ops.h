@@ -5,11 +5,17 @@
 //   LOOKUPSWITCH  u16 npairs, u32 default_target, npairs x (i64 key, u32 target)
 // Branch targets are absolute bytecode indices (the preprocessor remaps
 // them when it rewrites code).
+//
+// The op table (op_info) is the one description of each opcode: its
+// operand layout, its stack signature and its control flags.  The
+// verifier, the flattener and the fault scanner read stack signatures
+// through bc::stack_effect; decode and bc::emit read operand layouts.
 #pragma once
 
 #include <cstdint>
 #include <span>
 
+#include "bytecode/types.h"
 #include "support/panic.h"
 
 namespace sod::bc {
@@ -123,9 +129,26 @@ enum class OperKind : uint8_t {
   Switch,  // variable: u16 npairs, u32 default, pairs
 };
 
+/// Where an instruction's stack types come from.
+enum class StackKind : uint8_t {
+  Fixed,     ///< the row's pops and push
+  Declared,  ///< GET/PUTFIELD, GET/PUTSTATIC, INVOKE, INVOKENATIVE: the
+             ///< field, callee or native the operand names
+  Dup,       ///< pushes a copy of the top value
+  Swap,      ///< exchanges the top two values
+};
+
 struct OpInfo {
   const char* name;
   OperKind operands;
+  StackKind stack = StackKind::Fixed;
+  /// Fixed: popped types, bottom of the stack first (Void = any value).
+  Ty pops[3] = {};
+  uint8_t npops = 0;
+  Ty push = Ty::Void;       ///< Fixed: pushed type (Void = nothing)
+  bool branch = false;      ///< has a single Target operand
+  bool terminator = false;  ///< never falls through
+  bool effect = false;      ///< allocates or calls: a rewrite never re-executes it
 };
 
 const OpInfo& op_info(Op op);
@@ -134,9 +157,13 @@ const OpInfo& op_info(Op op);
 uint32_t instr_size(std::span<const uint8_t> code, uint32_t pc);
 
 /// True if `op` unconditionally leaves the instruction (no fallthrough).
-bool is_terminator(Op op);
+inline bool is_terminator(Op op) { return op_info(op).terminator; }
 
 /// True for conditional/unconditional branches with a single Target operand.
-bool is_branch(Op op);
+inline bool is_branch(Op op) { return op_info(op).branch; }
+
+/// The load (ILOAD/DLOAD/ALOAD) and store opcode for a local of type `t`.
+Op load_op(Ty t);
+Op store_op(Ty t);
 
 }  // namespace sod::bc

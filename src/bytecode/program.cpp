@@ -64,6 +64,72 @@ SwitchInfo decode_switch(std::span<const uint8_t> code, uint32_t pc) {
   return si;
 }
 
+namespace {
+
+/// Appends the low `width` bytes of `v`, little endian; returns their offset.
+size_t put_le(std::vector<uint8_t>& code, uint64_t v, size_t width) {
+  size_t at = code.size();
+  for (size_t i = 0; i < width; ++i) code.push_back(static_cast<uint8_t>(v >> (8 * i)));
+  return at;
+}
+
+// Backing storage for the pops of declared-type instructions, indexed by Ty.
+constexpr Ty kOne[] = {Ty::Void, Ty::I64, Ty::F64, Ty::Ref};
+constexpr Ty kRefThen[][2] = {
+    {Ty::Ref, Ty::Void}, {Ty::Ref, Ty::I64}, {Ty::Ref, Ty::F64}, {Ty::Ref, Ty::Ref}};
+
+}  // namespace
+
+size_t emit(std::vector<uint8_t>& code, Op op, int64_t operand) {
+  code.push_back(static_cast<uint8_t>(op));
+  size_t width = 0;
+  switch (op_info(op).operands) {
+    case OperKind::None: break;
+    case OperKind::U8: width = 1; break;
+    case OperKind::U16: width = 2; break;
+    case OperKind::Target: width = 4; break;
+    case OperKind::I64:
+    case OperKind::F64: width = 8; break;
+    case OperKind::Switch: SOD_UNREACHABLE("lookupswitch goes through emit_switch");
+  }
+  return put_le(code, static_cast<uint64_t>(operand), width);
+}
+
+std::vector<size_t> emit_switch(std::vector<uint8_t>& code, uint32_t default_target,
+                                std::span<const std::pair<int64_t, uint32_t>> pairs) {
+  code.push_back(static_cast<uint8_t>(Op::LOOKUPSWITCH));
+  put_le(code, pairs.size(), 2);
+  std::vector<size_t> targets{put_le(code, default_target, 4)};
+  for (const auto& [key, target] : pairs) {
+    put_le(code, static_cast<uint64_t>(key), 8);
+    targets.push_back(put_le(code, target, 4));
+  }
+  return targets;
+}
+
+StackEffect stack_effect(const Program& p, const Instr& in) {
+  const OpInfo& info = op_info(in.op);
+  if (info.stack != StackKind::Declared) return {std::span(info.pops, info.npops), info.push};
+  if (in.op == Op::INVOKE) {
+    const Method& callee = p.method(static_cast<uint16_t>(in.arg));
+    return {callee.params, callee.ret};
+  }
+  if (in.op == Op::INVOKENATIVE) {
+    SOD_CHECK(in.arg < p.natives.size(), "bad native id");
+    return {p.natives[in.arg].params, p.natives[in.arg].ret};
+  }
+  Ty t = p.field(static_cast<uint16_t>(in.arg)).type;
+  auto ti = static_cast<size_t>(t);
+  SOD_CHECK(ti < std::size(kOne), "bad field type");
+  switch (in.op) {
+    case Op::GETFIELD: return {std::span(&kOne[static_cast<size_t>(Ty::Ref)], 1), t};
+    case Op::PUTFIELD: return {kRefThen[ti], Ty::Void};
+    case Op::GETSTATIC: return {{}, t};
+    case Op::PUTSTATIC: return {std::span(&kOne[ti], 1), Ty::Void};
+    default: SOD_UNREACHABLE("declared-type op without a declaration");
+  }
+}
+
 const Class& Program::cls(uint16_t id) const {
   SOD_CHECK(id < classes.size(), "bad class id");
   return classes[id];

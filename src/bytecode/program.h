@@ -121,6 +121,29 @@ struct SwitchInfo {
 Instr decode(std::span<const uint8_t> code, uint32_t pc);
 SwitchInfo decode_switch(std::span<const uint8_t> code, uint32_t pc);
 
+/// The one encoder: appends `op` and its operand (immediate, local slot,
+/// id, element type or branch target; a DCONST passes its f64 bit
+/// pattern) and returns the operand's offset, where a fixup patches.
+size_t emit(std::vector<uint8_t>& code, Op op, int64_t operand = 0);
+/// Appends a LOOKUPSWITCH and returns the offsets of its targets: the
+/// default first, then one per pair.
+std::vector<size_t> emit_switch(std::vector<uint8_t>& code, uint32_t default_target,
+                                std::span<const std::pair<int64_t, uint32_t>> pairs);
+
+class Program;
+
+/// What one instruction pops and pushes.
+struct StackEffect {
+  std::span<const Ty> pops;  ///< bottom of the stack first; Void = any value
+  Ty push = Ty::Void;        ///< Void = nothing
+};
+
+/// Stack signature of `in` (a Dup or Swap reorders, and reports nothing).
+/// Declared kinds read the field, callee or native the operand names,
+/// which must exist.  Allocates nothing: the pops view the op table, a
+/// static type list or the callee's parameter list.
+StackEffect stack_effect(const Program& p, const Instr& in);
+
 class Program {
  public:
   std::vector<Class> classes;

@@ -21,6 +21,9 @@ enum class Ty : uint8_t {
   Ref = 3,
 };
 
+/// True for the three value kinds: not Void, not an out-of-range byte.
+inline bool is_value_type(Ty t) { return t == Ty::I64 || t == Ty::F64 || t == Ty::Ref; }
+
 inline const char* ty_name(Ty t) {
   switch (t) {
     case Ty::Void: return "void";

@@ -115,16 +115,12 @@ class Verifier {
     if (*slot != st) fail("inconsistent stack at merge", pc);
   }
 
-  Ty pop(TypeStack& st, uint32_t pc) {
-    if (st.empty()) fail("pop from empty stack", pc);
-    Ty t = st.back();
-    st.pop_back();
-    return t;
-  }
-
+  /// Pops one value of type `want` (Void = any value).
   void pop_t(TypeStack& st, Ty want, uint32_t pc) {
-    Ty got = pop(st, pc);
-    if (got != want)
+    if (st.empty()) fail("pop from empty stack", pc);
+    Ty got = st.back();
+    st.pop_back();
+    if (want != Ty::Void && got != want)
       fail(std::string("expected ") + ty_name(want) + " got " + ty_name(got), pc);
   }
 
@@ -159,234 +155,89 @@ class Verifier {
     merge(pc, st);
   }
 
+  /// One instruction: check what its operand names, apply its stack
+  /// effect, then flow to its successors.
   void step(uint32_t pc, TypeStack st) {
     Instr in = decode(m_.code, pc);
-    uint32_t next = pc + in.size;
-    switch (in.op) {
-      case Op::NOP: break;
-
-      case Op::ICONST: st.push_back(Ty::I64); break;
-      case Op::DCONST: st.push_back(Ty::F64); break;
-      case Op::ACONST_NULL: st.push_back(Ty::Ref); break;
-      case Op::LDC_STR:
-        if (in.arg >= p_.strings.size()) fail("bad string index", pc);
-        st.push_back(Ty::Ref);
-        break;
-
-      case Op::ILOAD:
-        if (local_type(static_cast<uint16_t>(in.arg), pc) != Ty::I64) fail("iload of non-i64", pc);
-        st.push_back(Ty::I64);
-        break;
-      case Op::DLOAD:
-        if (local_type(static_cast<uint16_t>(in.arg), pc) != Ty::F64) fail("dload of non-f64", pc);
-        st.push_back(Ty::F64);
-        break;
-      case Op::ALOAD:
-        if (local_type(static_cast<uint16_t>(in.arg), pc) != Ty::Ref) fail("aload of non-ref", pc);
-        st.push_back(Ty::Ref);
-        break;
-      case Op::ISTORE:
-        pop_t(st, Ty::I64, pc);
-        if (local_type(static_cast<uint16_t>(in.arg), pc) != Ty::I64) fail("istore to non-i64", pc);
-        break;
-      case Op::DSTORE:
-        pop_t(st, Ty::F64, pc);
-        if (local_type(static_cast<uint16_t>(in.arg), pc) != Ty::F64) fail("dstore to non-f64", pc);
-        break;
-      case Op::ASTORE:
-        pop_t(st, Ty::Ref, pc);
-        if (local_type(static_cast<uint16_t>(in.arg), pc) != Ty::Ref) fail("astore to non-ref", pc);
-        break;
-
-      case Op::POP: pop(st, pc); break;
-      case Op::DUP: {
+    const OpInfo& info = op_info(in.op);
+    check_operand(in, info, pc);
+    switch (info.stack) {
+      case StackKind::Dup:
         if (st.empty()) fail("dup on empty stack", pc);
         st.push_back(st.back());
         break;
-      }
-      case Op::SWAP: {
+      case StackKind::Swap:
         if (st.size() < 2) fail("swap needs two values", pc);
         std::swap(st[st.size() - 1], st[st.size() - 2]);
         break;
-      }
-
-      case Op::IADD: case Op::ISUB: case Op::IMUL: case Op::IDIV: case Op::IREM:
-      case Op::ISHL: case Op::ISHR: case Op::IAND: case Op::IOR: case Op::IXOR:
-        pop_t(st, Ty::I64, pc);
-        pop_t(st, Ty::I64, pc);
-        st.push_back(Ty::I64);
-        break;
-      case Op::INEG:
-        pop_t(st, Ty::I64, pc);
-        st.push_back(Ty::I64);
-        break;
-      case Op::DADD: case Op::DSUB: case Op::DMUL: case Op::DDIV:
-        pop_t(st, Ty::F64, pc);
-        pop_t(st, Ty::F64, pc);
-        st.push_back(Ty::F64);
-        break;
-      case Op::DNEG:
-        pop_t(st, Ty::F64, pc);
-        st.push_back(Ty::F64);
-        break;
-      case Op::I2D:
-        pop_t(st, Ty::I64, pc);
-        st.push_back(Ty::F64);
-        break;
-      case Op::D2I:
-        pop_t(st, Ty::F64, pc);
-        st.push_back(Ty::I64);
-        break;
-      case Op::DCMP:
-        pop_t(st, Ty::F64, pc);
-        pop_t(st, Ty::F64, pc);
-        st.push_back(Ty::I64);
-        break;
-
-      case Op::GOTO:
-        flow_to(in.arg, st);
-        return;
-      case Op::IFEQ: case Op::IFNE: case Op::IFLT: case Op::IFLE: case Op::IFGT: case Op::IFGE:
-        pop_t(st, Ty::I64, pc);
-        flow_to(in.arg, st);
-        break;
-      case Op::IF_ICMPEQ: case Op::IF_ICMPNE: case Op::IF_ICMPLT:
-      case Op::IF_ICMPLE: case Op::IF_ICMPGT: case Op::IF_ICMPGE:
-        pop_t(st, Ty::I64, pc);
-        pop_t(st, Ty::I64, pc);
-        flow_to(in.arg, st);
-        break;
-      case Op::IFNULL: case Op::IFNONNULL:
-        pop_t(st, Ty::Ref, pc);
-        flow_to(in.arg, st);
-        break;
-      case Op::LOOKUPSWITCH: {
-        pop_t(st, Ty::I64, pc);
-        SwitchInfo si = decode_switch(m_.code, pc);
-        flow_to(si.default_target, st);
-        for (auto& [k, t] : si.pairs) flow_to(t, st);
-        return;
-      }
-
-      case Op::GETFIELD: {
-        const Field& f = field_at(in.arg, pc, /*want_static=*/false);
-        pop_t(st, Ty::Ref, pc);
-        st.push_back(f.type);
+      case StackKind::Fixed:
+      case StackKind::Declared: {
+        StackEffect fx = stack_effect(p_, in);
+        for (size_t i = fx.pops.size(); i-- > 0;) pop_t(st, fx.pops[i], pc);
+        if (fx.push != Ty::Void) st.push_back(fx.push);
         break;
       }
-      case Op::PUTFIELD: {
-        const Field& f = field_at(in.arg, pc, false);
-        pop_t(st, f.type, pc);
-        pop_t(st, Ty::Ref, pc);
-        break;
-      }
-      case Op::GETSTATIC: {
-        const Field& f = field_at(in.arg, pc, true);
-        st.push_back(f.type);
-        break;
-      }
-      case Op::PUTSTATIC: {
-        const Field& f = field_at(in.arg, pc, true);
-        pop_t(st, f.type, pc);
-        break;
-      }
-
-      case Op::NEW:
-        if (in.arg >= p_.classes.size()) fail("bad class id", pc);
-        st.push_back(Ty::Ref);
-        break;
-      case Op::NEWARRAY: {
-        Ty et = static_cast<Ty>(in.arg);
-        if (et != Ty::I64 && et != Ty::F64 && et != Ty::Ref) fail("bad array elem type", pc);
-        pop_t(st, Ty::I64, pc);
-        st.push_back(Ty::Ref);
-        break;
-      }
-      case Op::IALOAD:
-        pop_t(st, Ty::I64, pc);
-        pop_t(st, Ty::Ref, pc);
-        st.push_back(Ty::I64);
-        break;
-      case Op::IASTORE:
-        pop_t(st, Ty::I64, pc);
-        pop_t(st, Ty::I64, pc);
-        pop_t(st, Ty::Ref, pc);
-        break;
-      case Op::DALOAD:
-        pop_t(st, Ty::I64, pc);
-        pop_t(st, Ty::Ref, pc);
-        st.push_back(Ty::F64);
-        break;
-      case Op::DASTORE:
-        pop_t(st, Ty::F64, pc);
-        pop_t(st, Ty::I64, pc);
-        pop_t(st, Ty::Ref, pc);
-        break;
-      case Op::AALOAD:
-        pop_t(st, Ty::I64, pc);
-        pop_t(st, Ty::Ref, pc);
-        st.push_back(Ty::Ref);
-        break;
-      case Op::AASTORE:
-        pop_t(st, Ty::Ref, pc);
-        pop_t(st, Ty::I64, pc);
-        pop_t(st, Ty::Ref, pc);
-        break;
-      case Op::ARRAYLEN:
-        pop_t(st, Ty::Ref, pc);
-        st.push_back(Ty::I64);
-        break;
-
-      case Op::INVOKE: {
-        if (in.arg >= p_.methods.size()) fail("bad method id", pc);
-        const Method& callee = p_.method(in.arg);
-        max_transient_ = std::max<uint16_t>(
-            max_transient_, static_cast<uint16_t>(callee.params.size()));
-        for (auto it = callee.params.rbegin(); it != callee.params.rend(); ++it)
-          pop_t(st, *it, pc);
-        if (callee.ret != Ty::Void) st.push_back(callee.ret);
-        break;
-      }
-      case Op::INVOKENATIVE: {
-        if (in.arg >= p_.natives.size()) fail("bad native id", pc);
-        const NativeDecl& n = p_.natives[in.arg];
-        max_transient_ =
-            std::max<uint16_t>(max_transient_, static_cast<uint16_t>(n.params.size()));
-        for (auto it = n.params.rbegin(); it != n.params.rend(); ++it) pop_t(st, *it, pc);
-        if (n.ret != Ty::Void) st.push_back(n.ret);
-        break;
-      }
-
-      case Op::RETURN:
-        if (m_.ret != Ty::Void) fail("return in non-void method", pc);
-        return;
-      case Op::IRETURN:
-        if (m_.ret != Ty::I64) fail("ireturn type mismatch", pc);
-        pop_t(st, Ty::I64, pc);
-        return;
-      case Op::DRETURN:
-        if (m_.ret != Ty::F64) fail("dreturn type mismatch", pc);
-        pop_t(st, Ty::F64, pc);
-        return;
-      case Op::ARETURN:
-        if (m_.ret != Ty::Ref) fail("areturn type mismatch", pc);
-        pop_t(st, Ty::Ref, pc);
-        return;
-
-      case Op::THROW:
-        pop_t(st, Ty::Ref, pc);
-        return;
-
-      case Op::kOpCount_: fail("bad opcode", pc);
     }
-    flow_to(next, st);
+    if (info.branch) flow_to(in.arg, st);
+    if (in.op == Op::LOOKUPSWITCH) {
+      SwitchInfo si = decode_switch(m_.code, pc);
+      flow_to(si.default_target, st);
+      for (auto& [k, t] : si.pairs) flow_to(t, st);
+    }
+    if (!info.terminator) flow_to(pc + in.size, st);
   }
 
-  const Field& field_at(uint32_t id, uint32_t pc, bool want_static) {
+  /// Checks the local, pool entry, declaration or element type an operand
+  /// names, and that a return matches the method's type, so that
+  /// stack_effect can read it.
+  void check_operand(const Instr& in, const OpInfo& info, uint32_t pc) {
+    switch (in.op) {
+      case Op::LDC_STR:
+        if (in.arg >= p_.strings.size()) fail("bad string index", pc);
+        break;
+      case Op::ILOAD: case Op::DLOAD: case Op::ALOAD:
+        if (local_type(static_cast<uint16_t>(in.arg), pc) != info.push)
+          fail(std::string(info.name) + " of non-" + ty_name(info.push), pc);
+        break;
+      case Op::ISTORE: case Op::DSTORE: case Op::ASTORE:
+        if (local_type(static_cast<uint16_t>(in.arg), pc) != info.pops[0])
+          fail(std::string(info.name) + " to non-" + ty_name(info.pops[0]), pc);
+        break;
+      case Op::GETFIELD: case Op::PUTFIELD: field_at(in.arg, pc, false); break;
+      case Op::GETSTATIC: case Op::PUTSTATIC: field_at(in.arg, pc, true); break;
+      case Op::NEW:
+        if (in.arg >= p_.classes.size()) fail("bad class id", pc);
+        break;
+      case Op::NEWARRAY:
+        if (!is_value_type(static_cast<Ty>(in.arg))) fail("bad array elem type", pc);
+        break;
+      case Op::INVOKE:
+        if (in.arg >= p_.methods.size()) fail("bad method id", pc);
+        check_args(p_.method(static_cast<uint16_t>(in.arg)).params, pc);
+        break;
+      case Op::INVOKENATIVE:
+        if (in.arg >= p_.natives.size()) fail("bad native id", pc);
+        check_args(p_.natives[in.arg].params, pc);
+        break;
+      case Op::RETURN: case Op::IRETURN: case Op::DRETURN: case Op::ARETURN:
+        if (m_.ret != (info.npops ? info.pops[0] : Ty::Void))
+          fail(std::string(info.name) + " type mismatch", pc);
+        break;
+      default: break;
+    }
+  }
+
+  void check_args(std::span<const Ty> params, uint32_t pc) {
+    if (!std::all_of(params.begin(), params.end(), is_value_type))
+      fail("callee parameter of no value type", pc);
+    max_transient_ = std::max<uint16_t>(max_transient_, static_cast<uint16_t>(params.size()));
+  }
+
+  void field_at(uint32_t id, uint32_t pc, bool want_static) {
     if (id >= p_.fields.size()) fail("bad field id", pc);
     const Field& f = p_.field(static_cast<uint16_t>(id));
     if (f.is_static != want_static) fail("static/instance field mismatch: " + f.name, pc);
-    return f;
+    if (!is_value_type(f.type)) fail("field of no value type: " + f.name, pc);
   }
 
   void check_stmt_starts() {

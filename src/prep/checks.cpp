@@ -97,17 +97,18 @@ class ChecksPass {
 
   /// aload k  (helper fragment)
   static std::vector<uint8_t> load_local(uint16_t slot) {
-    return {static_cast<uint8_t>(Op::ALOAD), static_cast<uint8_t>(slot & 0xFF),
-            static_cast<uint8_t>(slot >> 8)};
+    std::vector<uint8_t> frag;
+    bc::emit(frag, Op::ALOAD, slot);
+    return frag;
   }
 
   void emit_probe(const std::vector<uint8_t>& base) {
     int ok = em_.new_label();
     emit_frag(base);
-    em_.op_u16(Op::INVOKENATIVE, native_id("objman.status_probe"));
+    em_.op(Op::INVOKENATIVE, native_id("objman.status_probe"));
     em_.branch_label(Op::IFNE, ok);
     emit_frag(base);
-    em_.op_u16(Op::INVOKENATIVE, native_id("objman.bring_probe"));
+    em_.op(Op::INVOKENATIVE, native_id("objman.bring_probe"));
     em_.bind(ok);
     ++stats_.checks_inserted;
   }
@@ -122,12 +123,12 @@ class ChecksPass {
             break;
           }
           int ok = em_.new_label();
-          em_.op_u16(Op::ALOAD, c.slot);
-          em_.op_u16(Op::GETFIELD, fid);
+          em_.op(Op::ALOAD, c.slot);
+          em_.op(Op::GETFIELD, fid);
           em_.branch_label(Op::IFNE, ok);
-          em_.op_u16(Op::ALOAD, c.slot);
-          em_.iconst(fid);
-          em_.op_u16(Op::INVOKENATIVE, native_id("objman.bring_checked"));
+          em_.op(Op::ALOAD, c.slot);
+          em_.op(Op::ICONST, fid);
+          em_.op(Op::INVOKENATIVE, native_id("objman.bring_checked"));
           em_.bind(ok);
           ++stats_.checks_inserted;
           break;
@@ -137,10 +138,10 @@ class ChecksPass {
           uint16_t sfid = sstatus_fid(p_, f.owner);
           if (sfid == bc::kNoId) break;
           int ok = em_.new_label();
-          em_.op_u16(Op::GETSTATIC, sfid);
+          em_.op(Op::GETSTATIC, sfid);
           em_.branch_label(Op::IFNE, ok);
-          em_.iconst(c.field);
-          em_.op_u16(Op::INVOKENATIVE, native_id("objman.bring_class_checked"));
+          em_.op(Op::ICONST, c.field);
+          em_.op(Op::INVOKENATIVE, native_id("objman.bring_class_checked"));
           em_.bind(ok);
           ++stats_.checks_inserted;
           break;
@@ -159,8 +160,8 @@ class ChecksPass {
     uint16_t fid = status_fid(p_, cls);
     if (fid == bc::kNoId) return;
     em_.op(Op::DUP);
-    em_.iconst(1);
-    em_.op_u16(Op::PUTFIELD, fid);
+    em_.op(Op::ICONST, 1);
+    em_.op(Op::PUTFIELD, fid);
     ++stats_.news_rewritten;
   }
 

@@ -30,50 +30,22 @@ void Emitter::bind(int label) {
   label_pc_[label] = here();
 }
 
-void Emitter::op(Op o) { code_.push_back(static_cast<uint8_t>(o)); }
-
-void Emitter::op_u16(Op o, uint16_t v) {
-  op(o);
-  code_.push_back(static_cast<uint8_t>(v & 0xFF));
-  code_.push_back(static_cast<uint8_t>(v >> 8));
-}
-
-void Emitter::iconst(int64_t v) {
-  op(Op::ICONST);
-  uint8_t b[8];
-  std::memcpy(b, &v, 8);
-  code_.insert(code_.end(), b, b + 8);
-}
-
-void Emitter::put_u32_placeholder() { code_.insert(code_.end(), 4, 0); }
+void Emitter::op(Op o, int64_t operand) { bc::emit(code_, o, operand); }
 
 void Emitter::branch_old(Op o, uint32_t old_target) {
-  op(o);
-  old_fixups_.push_back(OldFix{code_.size(), old_target});
-  put_u32_placeholder();
+  old_fixups_.push_back(OldFix{bc::emit(code_, o), old_target});
 }
 
 void Emitter::branch_label(Op o, int label) {
-  op(o);
-  label_fixups_.push_back(LabelFix{code_.size(), label});
-  put_u32_placeholder();
+  label_fixups_.push_back(LabelFix{bc::emit(code_, o), label});
 }
 
 void Emitter::lookupswitch_old(const std::vector<std::pair<int64_t, uint32_t>>& pairs,
                                uint32_t default_old) {
-  op(Op::LOOKUPSWITCH);
-  uint16_t n = static_cast<uint16_t>(pairs.size());
-  code_.push_back(static_cast<uint8_t>(n & 0xFF));
-  code_.push_back(static_cast<uint8_t>(n >> 8));
-  old_fixups_.push_back(OldFix{code_.size(), default_old});
-  put_u32_placeholder();
-  for (const auto& [key, old_tgt] : pairs) {
-    uint8_t b[8];
-    std::memcpy(b, &key, 8);
-    code_.insert(code_.end(), b, b + 8);
-    old_fixups_.push_back(OldFix{code_.size(), old_tgt});
-    put_u32_placeholder();
-  }
+  std::vector<size_t> at = bc::emit_switch(code_, default_old, pairs);
+  old_fixups_.push_back(OldFix{at[0], default_old});
+  for (size_t k = 0; k < pairs.size(); ++k)
+    old_fixups_.push_back(OldFix{at[k + 1], pairs[k].second});
 }
 
 void Emitter::copy_instr(const bc::Method& m, uint32_t pc) {

@@ -30,16 +30,14 @@ class Emitter {
   void bind(int label);
 
   // --- emission ---
-  void op(bc::Op o);
-  void op_u16(bc::Op o, uint16_t v);
-  void iconst(int64_t v);
+  /// Any instruction but LOOKUPSWITCH, with its operand (see bc::emit).
+  void op(bc::Op o, int64_t operand = 0);
   /// Branch to an original pc (remapped at finish()).
   void branch_old(bc::Op o, uint32_t old_target);
   /// Branch to an injected label.
   void branch_label(bc::Op o, int label);
-  /// LOOKUPSWITCH whose keys and targets are original pcs (for restoration
-  /// handlers the key *is* the original-table pc and the target its
-  /// remapped location; pass remap_keys=false to keep keys as given).
+  /// LOOKUPSWITCH whose targets are original pcs (remapped at finish());
+  /// keys are emitted as given.
   void lookupswitch_old(const std::vector<std::pair<int64_t, uint32_t>>& pairs,
                         uint32_t default_old);
 
@@ -63,8 +61,6 @@ class Emitter {
     size_t at;
     int label;
   };
-  void put_u32_placeholder();
-
   std::vector<uint8_t> code_;
   std::unordered_map<uint32_t, uint32_t> old_map_;
   std::vector<OldFix> old_fixups_;

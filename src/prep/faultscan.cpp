@@ -14,20 +14,20 @@ using bc::Ty;
 
 namespace {
 
-struct Prov {
-  Repair::Kind kind = Repair::Kind::Probe;  // Probe doubles as "opaque"
-  bool opaque = true;
-  uint16_t slot = 0;
-  uint16_t field = 0;
-  std::vector<uint8_t> base_frag;  // code that pushes this value (pure)
-  std::vector<uint8_t> idx_frag;
-};
+/// A base that cannot be repaired, only probed by re-running `base_frag`
+/// (when non-empty).
+Repair probe(std::vector<uint8_t> base_frag = {}) {
+  Repair r;
+  r.kind = Repair::Kind::Probe;
+  r.base_frag = std::move(base_frag);
+  return r;
+}
 
 struct Node {
   std::vector<uint8_t> frag;  // pure re-emittable code for this value ("" if not)
-  bool reemit = true;
-  Ty type = Ty::I64;
-  Prov prov;  // meaningful only for Ty::Ref
+  /// How a Ref value can be re-obtained; Probe when it cannot (a call
+  /// result, a fresh allocation, ...).
+  Repair prov = probe();
 };
 
 class Scanner {
@@ -48,359 +48,137 @@ class Scanner {
   }
 
  private:
-  void add_repair(StmtScan& ss, Repair r) {
-    auto& list = ss.repairs;
+  static void add_unique(std::vector<Repair>& list, const Repair& r) {
     if (std::none_of(list.begin(), list.end(), [&](const Repair& x) { return x.same_as(r); }))
-      list.push_back(std::move(r));
-  }
-  void add_check(StmtScan& ss, Repair r) {
-    auto& list = ss.checks;
-    if (std::none_of(list.begin(), list.end(), [&](const Repair& x) { return x.same_as(r); }))
-      list.push_back(std::move(r));
+      list.push_back(r);
   }
 
   /// Record that `base` is dereferenced; owner_cls names the class implied
   /// by the dereferencing instruction when known.
   void record_deref(StmtScan& ss, const Node& base, uint16_t owner_cls) {
-    const Prov& pv = base.prov;
-    switch (pv.kind) {
-      case Repair::Kind::Local: {
-        Repair r;
-        r.kind = Repair::Kind::Local;
-        r.slot = pv.slot;
-        r.owner_cls = owner_cls;
-        add_repair(ss, r);
-        add_check(ss, r);
-        break;
+    Repair::Kind kind = base.prov.kind;
+    if (kind != Repair::Kind::Probe) {
+      Repair r = base.prov;
+      r.owner_cls = owner_cls;
+      add_unique(ss.repairs, r);
+      // Check mode tests a local or static directly ...
+      if (kind == Repair::Kind::Local || kind == Repair::Kind::Static) {
+        add_unique(ss.checks, r);
+        return;
       }
-      case Repair::Kind::Static: {
-        Repair r;
-        r.kind = Repair::Kind::Static;
-        r.field = pv.field;
-        r.owner_cls = owner_cls;
-        add_repair(ss, r);
-        add_check(ss, r);
-        break;
-      }
-      case Repair::Kind::Field: {
-        Repair r;
-        r.kind = Repair::Kind::Field;
-        r.field = pv.field;
-        r.base_frag = pv.base_frag;
-        r.owner_cls = owner_cls;
-        add_repair(ss, r);
-        if (!base.frag.empty()) {
-          Repair c;
-          c.kind = Repair::Kind::Probe;
-          c.base_frag = base.frag;
-          c.owner_cls = owner_cls;
-          add_check(ss, c);
-        }
-        break;
-      }
-      case Repair::Kind::Elem: {
-        Repair r;
-        r.kind = Repair::Kind::Elem;
-        r.base_frag = pv.base_frag;
-        r.idx_frag = pv.idx_frag;
-        add_repair(ss, r);
-        if (!base.frag.empty()) {
-          Repair c;
-          c.kind = Repair::Kind::Probe;
-          c.base_frag = base.frag;
-          add_check(ss, c);
-        }
-        break;
-      }
-      case Repair::Kind::Probe: {
-        // Opaque base (call result, freshly allocated, ...): nothing to
-        // repair on fault; check mode can still probe it if re-emittable.
-        if (!base.frag.empty()) {
-          Repair c;
-          c.kind = Repair::Kind::Probe;
-          c.base_frag = base.frag;
-          c.owner_cls = owner_cls;
-          add_check(ss, c);
-        }
-        break;
-      }
+    }
+    // ... and otherwise probes the base itself when it is re-emittable.
+    if (!base.frag.empty()) {
+      Repair c = probe(base.frag);
+      c.owner_cls = owner_cls;
+      add_unique(ss.checks, c);
     }
   }
 
   void scan_one(StmtScan& ss) {
     std::vector<Node> st;
-    uint32_t pc = ss.start;
     // A handler's leading POP/ASTORE sits before the first statement, so a
     // statement never starts with a value on the stack.
-    while (pc < ss.end) {
+    for (uint32_t pc = ss.start; pc < ss.end;) {
       Instr in = bc::decode(m_.code, pc);
-      uint32_t next = pc + in.size;
-
-      auto raw = [&]() {
-        return std::vector<uint8_t>(m_.code.begin() + pc, m_.code.begin() + next);
-      };
-      auto pop1 = [&]() {
-        SOD_CHECK(!st.empty(), "scan underflow in " + m_.name);
-        Node n = std::move(st.back());
-        st.pop_back();
-        return n;
-      };
-
+      const bc::OpInfo& info = bc::op_info(in.op);
+      if (info.stack == bc::StackKind::Dup) {
+        SOD_CHECK(!st.empty(), "scan dup underflow");
+        st.push_back(st.back());
+      } else if (info.stack == bc::StackKind::Swap) {
+        SOD_CHECK(st.size() >= 2, "scan swap underflow");
+        std::swap(st[st.size() - 1], st[st.size() - 2]);
+      } else {
+        step(ss, st, in, info);
+      }
       // A statement's extent may be followed by an exception handler's
       // entry (pop/astore of the exception) before the next statement
       // start; control never falls through a terminator into it, so stop.
-      bool term = bc::is_terminator(in.op);
-
-      switch (in.op) {
-        case Op::ICONST: case Op::DCONST: {
-          Node n;
-          n.frag = raw();
-          n.type = in.op == Op::ICONST ? Ty::I64 : Ty::F64;
-          st.push_back(std::move(n));
-          break;
-        }
-        case Op::ACONST_NULL: case Op::LDC_STR: {
-          Node n;
-          n.frag = raw();
-          n.type = Ty::Ref;
-          st.push_back(std::move(n));
-          break;
-        }
-        case Op::ILOAD: case Op::DLOAD: case Op::ALOAD: {
-          Node n;
-          n.frag = raw();
-          n.type = in.op == Op::ILOAD ? Ty::I64 : (in.op == Op::DLOAD ? Ty::F64 : Ty::Ref);
-          if (in.op == Op::ALOAD) {
-            n.prov.kind = Repair::Kind::Local;
-            n.prov.opaque = false;
-            n.prov.slot = static_cast<uint16_t>(in.arg);
-          }
-          st.push_back(std::move(n));
-          break;
-        }
-        case Op::GETSTATIC: {
-          const bc::Field& f = p_.field(static_cast<uint16_t>(in.arg));
-          Node n;
-          n.frag = raw();
-          n.type = f.type;
-          if (f.type == Ty::Ref) {
-            n.prov.kind = Repair::Kind::Static;
-            n.prov.opaque = false;
-            n.prov.field = f.id;
-          }
-          st.push_back(std::move(n));
-          break;
-        }
-        case Op::GETFIELD: {
-          const bc::Field& f = p_.field(static_cast<uint16_t>(in.arg));
-          Node base = pop1();
-          record_deref(ss, base, f.owner);
-          Node n;
-          n.type = f.type;
-          if (!base.frag.empty()) {
-            n.frag = base.frag;
-            n.frag.insert(n.frag.end(), m_.code.begin() + pc, m_.code.begin() + next);
-          } else {
-            n.reemit = false;
-          }
-          if (f.type == Ty::Ref && !base.prov.opaque && !base.frag.empty()) {
-            n.prov.kind = Repair::Kind::Field;
-            n.prov.opaque = false;
-            n.prov.field = f.id;
-            n.prov.base_frag = base.frag;
-          }
-          st.push_back(std::move(n));
-          break;
-        }
-        case Op::IALOAD: case Op::DALOAD: case Op::AALOAD: {
-          Node idx = pop1();
-          Node base = pop1();
-          record_deref(ss, base, bc::kNoId);
-          Node n;
-          n.type = in.op == Op::IALOAD ? Ty::I64 : (in.op == Op::DALOAD ? Ty::F64 : Ty::Ref);
-          if (!base.frag.empty() && !idx.frag.empty()) {
-            n.frag = base.frag;
-            n.frag.insert(n.frag.end(), idx.frag.begin(), idx.frag.end());
-            n.frag.insert(n.frag.end(), m_.code.begin() + pc, m_.code.begin() + next);
-          } else {
-            n.reemit = false;
-          }
-          if (in.op == Op::AALOAD && !base.prov.opaque && !base.frag.empty() &&
-              !idx.frag.empty()) {
-            n.prov.kind = Repair::Kind::Elem;
-            n.prov.opaque = false;
-            n.prov.base_frag = base.frag;
-            n.prov.idx_frag = idx.frag;
-          }
-          st.push_back(std::move(n));
-          break;
-        }
-        case Op::ARRAYLEN: {
-          Node base = pop1();
-          record_deref(ss, base, bc::kNoId);
-          Node n;
-          n.type = Ty::I64;
-          if (!base.frag.empty()) {
-            n.frag = base.frag;
-            n.frag.insert(n.frag.end(), m_.code.begin() + pc, m_.code.begin() + next);
-          } else {
-            n.reemit = false;
-          }
-          st.push_back(std::move(n));
-          break;
-        }
-
-        case Op::PUTFIELD: {
-          const bc::Field& f = p_.field(static_cast<uint16_t>(in.arg));
-          Node val = pop1();
-          Node base = pop1();
-          (void)val;
-          record_deref(ss, base, f.owner);
-          break;
-        }
-        case Op::PUTSTATIC: {
-          const bc::Field& f = p_.field(static_cast<uint16_t>(in.arg));
-          pop1();
-          // No fault possible, but check mode validates the class replica.
-          Repair c;
-          c.kind = Repair::Kind::Static;
-          c.field = f.id;
-          c.owner_cls = f.owner;
-          add_check(ss, c);
-          break;
-        }
-        case Op::IASTORE: case Op::DASTORE: case Op::AASTORE: {
-          Node val = pop1();
-          Node idx = pop1();
-          Node base = pop1();
-          (void)val;
-          (void)idx;
-          record_deref(ss, base, bc::kNoId);
-          break;
-        }
-
-        case Op::INVOKE: {
-          const Method& callee = p_.method(static_cast<uint16_t>(in.arg));
-          for (size_t k = 0; k < callee.params.size(); ++k) pop1();
-          if (callee.ret != Ty::Void) {
-            Node n;
-            n.type = callee.ret;
-            n.reemit = false;  // never re-execute a call for a check
-            st.push_back(std::move(n));
-          }
-          break;
-        }
-        case Op::INVOKENATIVE: {
-          const bc::NativeDecl& nd = p_.natives[in.arg];
-          std::vector<Node> args(nd.params.size());
-          for (size_t k = nd.params.size(); k-- > 0;) args[k] = pop1();
-          // Natives may fault on any null ref argument (e.g. str.find).
-          for (size_t k = 0; k < args.size(); ++k)
-            if (nd.params[k] == Ty::Ref) record_deref(ss, args[k], bc::kNoId);
-          if (nd.ret != Ty::Void) {
-            Node n;
-            n.type = nd.ret;
-            n.reemit = false;
-            st.push_back(std::move(n));
-          }
-          break;
-        }
-
-        case Op::THROW: {
-          Node ex = pop1();
-          record_deref(ss, ex, bc::kNoId);
-          break;
-        }
-
-        case Op::NEW: {
-          Node n;
-          n.type = Ty::Ref;
-          n.reemit = false;  // allocation must not be re-executed
-          st.push_back(std::move(n));
-          break;
-        }
-        case Op::NEWARRAY: {
-          pop1();
-          Node n;
-          n.type = Ty::Ref;
-          n.reemit = false;
-          st.push_back(std::move(n));
-          break;
-        }
-
-        case Op::DUP: {
-          SOD_CHECK(!st.empty(), "scan dup underflow");
-          st.push_back(st.back());
-          break;
-        }
-        case Op::SWAP: {
-          SOD_CHECK(st.size() >= 2, "scan swap underflow");
-          std::swap(st[st.size() - 1], st[st.size() - 2]);
-          break;
-        }
-        case Op::POP: {
-          pop1();
-          break;
-        }
-
-        // Pure unary/binary combiners.
-        case Op::INEG: case Op::DNEG: case Op::I2D: case Op::D2I: {
-          Node a = pop1();
-          Node n;
-          n.type = (in.op == Op::I2D) ? Ty::F64 : (in.op == Op::D2I ? Ty::I64 : a.type);
-          if (!a.frag.empty()) {
-            n.frag = a.frag;
-            n.frag.insert(n.frag.end(), m_.code.begin() + pc, m_.code.begin() + next);
-          } else {
-            n.reemit = false;
-          }
-          st.push_back(std::move(n));
-          break;
-        }
-        case Op::IADD: case Op::ISUB: case Op::IMUL: case Op::IDIV: case Op::IREM:
-        case Op::ISHL: case Op::ISHR: case Op::IAND: case Op::IOR: case Op::IXOR:
-        case Op::DADD: case Op::DSUB: case Op::DMUL: case Op::DDIV: case Op::DCMP: {
-          Node b = pop1();
-          Node a = pop1();
-          Node n;
-          bool isd = in.op == Op::DADD || in.op == Op::DSUB || in.op == Op::DMUL ||
-                     in.op == Op::DDIV;
-          n.type = in.op == Op::DCMP ? Ty::I64 : (isd ? Ty::F64 : Ty::I64);
-          if (!a.frag.empty() && !b.frag.empty()) {
-            n.frag = a.frag;
-            n.frag.insert(n.frag.end(), b.frag.begin(), b.frag.end());
-            n.frag.insert(n.frag.end(), m_.code.begin() + pc, m_.code.begin() + next);
-          } else {
-            n.reemit = false;
-          }
-          st.push_back(std::move(n));
-          break;
-        }
-
-        // Statement terminals that close the scan window.
-        case Op::ISTORE: case Op::DSTORE: case Op::ASTORE: {
-          pop1();
-          break;
-        }
-        case Op::IFEQ: case Op::IFNE: case Op::IFLT: case Op::IFLE: case Op::IFGT:
-        case Op::IFGE: case Op::IFNULL: case Op::IFNONNULL: case Op::LOOKUPSWITCH:
-        case Op::IRETURN: case Op::DRETURN: case Op::ARETURN: {
-          pop1();
-          break;
-        }
-        case Op::IF_ICMPEQ: case Op::IF_ICMPNE: case Op::IF_ICMPLT:
-        case Op::IF_ICMPLE: case Op::IF_ICMPGT: case Op::IF_ICMPGE: {
-          pop1();
-          pop1();
-          break;
-        }
-        case Op::GOTO: case Op::RETURN: case Op::NOP: break;
-
-        case Op::kOpCount_: SOD_UNREACHABLE("bad op in scan");
-      }
-      if (term) break;
-      pc = next;
+      if (info.terminator) break;
+      pc += in.size;
     }
+  }
+
+  /// Pops the operands of `in`, records the base it dereferences, and
+  /// pushes its result: re-emittable when every operand is and `in` has no
+  /// effect.
+  void step(StmtScan& ss, std::vector<Node>& st, const Instr& in, const bc::OpInfo& info) {
+    bc::StackEffect fx = bc::stack_effect(p_, in);
+    SOD_CHECK(st.size() >= fx.pops.size(), "scan underflow in " + m_.name);
+    const size_t base = st.size() - fx.pops.size();  // the bottom operand
+
+    switch (in.op) {
+      case Op::GETFIELD: case Op::PUTFIELD:
+        record_deref(ss, st[base], p_.field(static_cast<uint16_t>(in.arg)).owner);
+        break;
+      case Op::IALOAD: case Op::DALOAD: case Op::AALOAD: case Op::IASTORE:
+      case Op::DASTORE: case Op::AASTORE: case Op::ARRAYLEN: case Op::THROW:
+        record_deref(ss, st[base], bc::kNoId);
+        break;
+      case Op::INVOKENATIVE:
+        // Natives may fault on any null ref argument (e.g. str.find).
+        for (size_t k = 0; k < fx.pops.size(); ++k)
+          if (fx.pops[k] == Ty::Ref) record_deref(ss, st[base + k], bc::kNoId);
+        break;
+      case Op::PUTSTATIC: {
+        // No fault possible, but check mode validates the class replica.
+        const bc::Field& f = p_.field(static_cast<uint16_t>(in.arg));
+        Repair c;
+        c.kind = Repair::Kind::Static;
+        c.field = f.id;
+        c.owner_cls = f.owner;
+        add_unique(ss.checks, c);
+        break;
+      }
+      default: break;
+    }
+
+    Node n;
+    if (fx.push != Ty::Void) {
+      bool reemit = !info.effect;
+      for (size_t j = base; j < st.size(); ++j) reemit = reemit && !st[j].frag.empty();
+      if (reemit) {
+        for (size_t j = base; j < st.size(); ++j)
+          n.frag.insert(n.frag.end(), st[j].frag.begin(), st[j].frag.end());
+        n.frag.insert(n.frag.end(), m_.code.begin() + in.pc, m_.code.begin() + in.pc + in.size);
+      }
+      if (fx.push == Ty::Ref) n.prov = provenance(in, st, base, reemit);
+    }
+    st.resize(base);
+    if (fx.push != Ty::Void) st.push_back(std::move(n));
+  }
+
+  /// How the Ref that `in` pushes can be re-obtained, from its operands
+  /// st[base..].
+  static Repair provenance(const Instr& in, const std::vector<Node>& st, size_t base,
+                           bool reemit) {
+    Repair pv = probe();
+    switch (in.op) {
+      case Op::ALOAD:
+        pv.kind = Repair::Kind::Local;
+        pv.slot = static_cast<uint16_t>(in.arg);
+        break;
+      case Op::GETSTATIC:
+        pv.kind = Repair::Kind::Static;
+        pv.field = static_cast<uint16_t>(in.arg);
+        break;
+      case Op::GETFIELD:
+        if (st[base].prov.kind != Repair::Kind::Probe && reemit) {
+          pv.kind = Repair::Kind::Field;
+          pv.field = static_cast<uint16_t>(in.arg);
+          pv.base_frag = st[base].frag;
+        }
+        break;
+      case Op::AALOAD:
+        if (st[base].prov.kind != Repair::Kind::Probe && reemit) {
+          pv.kind = Repair::Kind::Elem;
+          pv.base_frag = st[base].frag;
+          pv.idx_frag = st[base + 1].frag;
+        }
+        break;
+      default: break;
+    }
+    return pv;
   }
 
   const Program& p_;

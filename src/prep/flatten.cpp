@@ -17,82 +17,6 @@ using bc::Ty;
 
 namespace {
 
-/// How many values an instruction pops / pushes (calls handled separately).
-int op_pops(const Program& p, const Instr& in) {
-  switch (in.op) {
-    case Op::NOP: case Op::ICONST: case Op::DCONST: case Op::ACONST_NULL:
-    case Op::LDC_STR: case Op::ILOAD: case Op::DLOAD: case Op::ALOAD:
-    case Op::GETSTATIC: case Op::NEW: case Op::GOTO: case Op::RETURN:
-      return 0;
-    case Op::ISTORE: case Op::DSTORE: case Op::ASTORE: case Op::POP:
-    case Op::INEG: case Op::DNEG: case Op::I2D: case Op::D2I:
-    case Op::NEWARRAY: case Op::ARRAYLEN: case Op::GETFIELD: case Op::PUTSTATIC:
-    case Op::IFEQ: case Op::IFNE: case Op::IFLT: case Op::IFLE: case Op::IFGT:
-    case Op::IFGE: case Op::IFNULL: case Op::IFNONNULL: case Op::LOOKUPSWITCH:
-    case Op::IRETURN: case Op::DRETURN: case Op::ARETURN: case Op::THROW:
-      return 1;
-    case Op::DUP:
-      return 1;  // conceptually peeks; handled specially
-    case Op::SWAP:
-      return 2;  // handled specially
-    case Op::IADD: case Op::ISUB: case Op::IMUL: case Op::IDIV: case Op::IREM:
-    case Op::ISHL: case Op::ISHR: case Op::IAND: case Op::IOR: case Op::IXOR:
-    case Op::DADD: case Op::DSUB: case Op::DMUL: case Op::DDIV: case Op::DCMP:
-    case Op::PUTFIELD: case Op::IALOAD: case Op::DALOAD: case Op::AALOAD:
-    case Op::IF_ICMPEQ: case Op::IF_ICMPNE: case Op::IF_ICMPLT:
-    case Op::IF_ICMPLE: case Op::IF_ICMPGT: case Op::IF_ICMPGE:
-      return 2;
-    case Op::IASTORE: case Op::DASTORE: case Op::AASTORE:
-      return 3;
-    case Op::INVOKE:
-      return static_cast<int>(p.method(static_cast<uint16_t>(in.arg)).params.size());
-    case Op::INVOKENATIVE:
-      return static_cast<int>(p.natives[in.arg].params.size());
-    case Op::kOpCount_: break;
-  }
-  SOD_UNREACHABLE("op_pops");
-}
-
-Ty result_type(const Program& p, const Method& m, const Instr& in,
-               const std::vector<Ty>& popped) {
-  switch (in.op) {
-    case Op::ICONST: return Ty::I64;
-    case Op::DCONST: return Ty::F64;
-    case Op::ACONST_NULL: case Op::LDC_STR: return Ty::Ref;
-    case Op::ILOAD: case Op::DLOAD: case Op::ALOAD: {
-      for (const auto& v : m.var_table)
-        if (v.slot == in.arg) return v.type;
-      SOD_UNREACHABLE("load of undeclared local");
-    }
-    case Op::GETSTATIC: case Op::GETFIELD:
-      return p.field(static_cast<uint16_t>(in.arg)).type;
-    case Op::NEW: case Op::NEWARRAY: case Op::AALOAD: return Ty::Ref;
-    case Op::IALOAD: case Op::ARRAYLEN: case Op::DCMP: case Op::D2I: return Ty::I64;
-    case Op::DALOAD: case Op::I2D: return Ty::F64;
-    case Op::INEG: case Op::DNEG: case Op::DUP: return popped.empty() ? Ty::I64 : popped[0];
-    case Op::IADD: case Op::ISUB: case Op::IMUL: case Op::IDIV: case Op::IREM:
-    case Op::ISHL: case Op::ISHR: case Op::IAND: case Op::IOR: case Op::IXOR:
-      return Ty::I64;
-    case Op::DADD: case Op::DSUB: case Op::DMUL: case Op::DDIV: return Ty::F64;
-    case Op::INVOKE: return p.method(static_cast<uint16_t>(in.arg)).ret;
-    case Op::INVOKENATIVE: return p.natives[in.arg].ret;
-    default: SOD_UNREACHABLE("result_type of non-producing op");
-  }
-}
-
-bool is_terminal_consumer(Op op) {
-  switch (op) {
-    case Op::ISTORE: case Op::DSTORE: case Op::ASTORE: case Op::POP:
-    case Op::PUTSTATIC: case Op::PUTFIELD: case Op::IASTORE: case Op::DASTORE:
-    case Op::AASTORE: case Op::THROW: case Op::RETURN: case Op::IRETURN:
-    case Op::DRETURN: case Op::ARETURN: case Op::GOTO: case Op::NOP:
-    case Op::LOOKUPSWITCH:
-      return true;
-    default:
-      return bc::is_branch(op);
-  }
-}
-
 /// Ops whose result may be "kept" on the node stack when the very next
 /// instruction consumes it with nothing below (avoids a useless temp).
 bool keeps_call_result(Op next) {
@@ -188,35 +112,15 @@ class Flattener {
       new_stmts_.push_back(em_.here());
   }
 
-  static Op store_for(Ty t) {
-    switch (t) {
-      case Ty::I64: return Op::ISTORE;
-      case Ty::F64: return Op::DSTORE;
-      case Ty::Ref: return Op::ASTORE;
-      case Ty::Void: break;
-    }
-    SOD_UNREACHABLE("store_for(void)");
-  }
-  static Op load_for(Ty t) {
-    switch (t) {
-      case Ty::I64: return Op::ILOAD;
-      case Ty::F64: return Op::DLOAD;
-      case Ty::Ref: return Op::ALOAD;
-      case Ty::Void: break;
-    }
-    SOD_UNREACHABLE("load_for(void)");
-  }
-
   /// Extract `n` into its own statement "tmp = <frag>" and replace it with
   /// a load of the temp.
   void materialize(Node& n) {
     uint16_t tmp = new_temp(n.type);
     begin_stmt();
     em_.append_fragment(n.frag);
-    em_.op_u16(store_for(n.type), tmp);
+    em_.op(bc::store_op(n.type), tmp);
     n.frag.clear();
-    uint8_t lo = static_cast<uint8_t>(tmp & 0xFF), hi = static_cast<uint8_t>(tmp >> 8);
-    n.frag = {static_cast<uint8_t>(load_for(n.type)), lo, hi};
+    bc::emit(n.frag, bc::load_op(n.type), tmp);
     n.pure = true;
   }
 
@@ -251,120 +155,73 @@ class Flattener {
     while (pc < e) {
       Instr in = bc::decode(orig_code_, pc);
       uint32_t next_pc = pc + in.size;
+      const bc::OpInfo& info = bc::op_info(in.op);
 
-      switch (in.op) {
-        // ---- pure producers ----
-        case Op::ICONST: case Op::DCONST: case Op::ACONST_NULL: case Op::LDC_STR:
-        case Op::ILOAD: case Op::DLOAD: case Op::ALOAD: case Op::GETSTATIC: {
-          Node n;
-          n.frag.assign(orig_code_.begin() + pc, orig_code_.begin() + next_pc);
-          n.type = result_type(p_, m_, in, {});
+      // ---- stack shuffles: only pure values may be duplicated or moved ----
+      if (info.stack == bc::StackKind::Dup) {
+        if (st.empty()) fail("dup on empty stack", pc);
+        if (!st.back().pure) materialize(st.back());
+        st.push_back(st.back());
+        pc = next_pc;
+        continue;
+      }
+      if (info.stack == bc::StackKind::Swap) {
+        if (st.size() < 2) fail("swap needs two nodes", pc);
+        if (!st[st.size() - 1].pure) materialize(st[st.size() - 1]);
+        if (!st[st.size() - 2].pure) materialize(st[st.size() - 2]);
+        std::swap(st[st.size() - 1], st[st.size() - 2]);
+        pc = next_pc;
+        continue;
+      }
+
+      bc::StackEffect fx = bc::stack_effect(p_, in);
+      if (st.size() < fx.pops.size()) fail("stack underflow in expression", pc);
+      const size_t base = st.size() - fx.pops.size();
+      bool call = in.op == Op::INVOKE || in.op == Op::INVOKENATIVE;
+
+      if (fx.push != Ty::Void || call) {
+        // ---- producers fold their operands into one node ----
+        Node n;
+        n.type = fx.push;
+        n.pure = !info.effect;
+        for (size_t j = base; j < st.size(); ++j) {
+          n.frag.insert(n.frag.end(), st[j].frag.begin(), st[j].frag.end());
+          n.pure = n.pure && st[j].pure;
+        }
+        n.frag.insert(n.frag.end(), orig_code_.begin() + pc, orig_code_.begin() + next_pc);
+        st.resize(base);
+        if (!call) {
           st.push_back(std::move(n));
-          break;
-        }
-        case Op::NEW: {
-          Node n;
-          n.frag.assign(orig_code_.begin() + pc, orig_code_.begin() + next_pc);
-          n.type = Ty::Ref;
-          n.pure = false;
-          st.push_back(std::move(n));
-          break;
-        }
-
-        // ---- combiners ----
-        case Op::INEG: case Op::DNEG: case Op::I2D: case Op::D2I:
-        case Op::NEWARRAY: case Op::ARRAYLEN: case Op::GETFIELD:
-        case Op::IADD: case Op::ISUB: case Op::IMUL: case Op::IDIV: case Op::IREM:
-        case Op::ISHL: case Op::ISHR: case Op::IAND: case Op::IOR: case Op::IXOR:
-        case Op::DADD: case Op::DSUB: case Op::DMUL: case Op::DDIV: case Op::DCMP:
-        case Op::IALOAD: case Op::DALOAD: case Op::AALOAD: {
-          int k = op_pops(p_, in);
-          if (static_cast<int>(st.size()) < k) fail("stack underflow in expression", pc);
-          Node n;
-          std::vector<Ty> popped;
-          for (int j = static_cast<int>(st.size()) - k; j < static_cast<int>(st.size()); ++j) {
-            n.frag.insert(n.frag.end(), st[j].frag.begin(), st[j].frag.end());
-            n.pure = n.pure && st[j].pure;
-            popped.push_back(st[j].type);
-          }
-          n.frag.insert(n.frag.end(), orig_code_.begin() + pc, orig_code_.begin() + next_pc);
-          if (in.op == Op::NEWARRAY) n.pure = false;
-          n.type = result_type(p_, m_, in, popped);
-          st.resize(st.size() - static_cast<size_t>(k));
-          st.push_back(std::move(n));
-          break;
-        }
-
-        // ---- stack shuffles ----
-        case Op::DUP: {
-          if (st.empty()) fail("dup on empty stack", pc);
-          if (!st.back().pure) materialize(st.back());
-          st.push_back(st.back());
-          break;
-        }
-        case Op::SWAP: {
-          if (st.size() < 2) fail("swap needs two nodes", pc);
-          if (!st[st.size() - 1].pure) materialize(st[st.size() - 1]);
-          if (!st[st.size() - 2].pure) materialize(st[st.size() - 2]);
-          std::swap(st[st.size() - 1], st[st.size() - 2]);
-          break;
-        }
-
-        // ---- calls ----
-        case Op::INVOKE: case Op::INVOKENATIVE: {
-          int k = op_pops(p_, in);
-          if (static_cast<int>(st.size()) < k) fail("call arg underflow", pc);
-          Node call;
-          call.pure = false;
-          for (int j = static_cast<int>(st.size()) - k; j < static_cast<int>(st.size()); ++j)
-            call.frag.insert(call.frag.end(), st[j].frag.begin(), st[j].frag.end());
-          call.frag.insert(call.frag.end(), orig_code_.begin() + pc, orig_code_.begin() + next_pc);
-          st.resize(st.size() - static_cast<size_t>(k));
-          Ty ret = in.op == Op::INVOKE ? p_.method(static_cast<uint16_t>(in.arg)).ret
-                                       : p_.natives[in.arg].ret;
-          if (ret == Ty::Void) {
-            if (!st.empty()) fail("void call with values on stack", pc);
-            begin_stmt();
-            em_.append_fragment(call.frag);
-          } else {
-            call.type = ret;
-            bool keep = st.empty() && next_pc < e &&
-                        keeps_call_result(static_cast<Op>(orig_code_[next_pc]));
-            if (keep) {
-              st.push_back(std::move(call));
-            } else {
-              ++stats_.calls_extracted;
-              st.push_back(std::move(call));
-              materialize(st.back());
-            }
-          }
-          break;
-        }
-
-        // ---- statement terminals ----
-        default: {
-          if (!is_terminal_consumer(in.op)) fail("unsupported op in flatten", pc);
-          int k = op_pops(p_, in);
-          if (in.op == Op::POP) {
-            if (st.empty()) fail("pop on empty node stack", pc);
-            if (st.back().pure && st.size() > 1) {
-              st.pop_back();  // dead pure value; dropping preserves semantics
-              break;
-            }
-            if (st.size() != 1) fail("pop of impure value with stack below", pc);
-            begin_stmt();
-            em_.append_fragment(st.back().frag);
-            em_.op(Op::POP);
-            st.clear();
-            break;
-          }
-          if (static_cast<int>(st.size()) != k) fail("statement terminal with extra operands", pc);
+        } else if (fx.push == Ty::Void) {
+          // ---- a void call is a statement of its own ----
+          if (!st.empty()) fail("void call with values on stack", pc);
           begin_stmt();
-          for (auto& n : st) em_.append_fragment(n.frag);
-          st.clear();
-          em_.copy_instr(m_, pc);
-          break;
+          em_.append_fragment(n.frag);
+        } else {
+          // ---- a call result is kept only for an immediate consumer ----
+          bool keep = st.empty() && next_pc < e &&
+                      keeps_call_result(static_cast<Op>(orig_code_[next_pc]));
+          if (!keep) ++stats_.calls_extracted;
+          st.push_back(std::move(n));
+          if (!keep) materialize(st.back());
         }
+      } else if (in.op == Op::POP) {
+        if (st.back().pure && st.size() > 1) {
+          st.pop_back();  // dead pure value; dropping preserves semantics
+        } else {
+          if (st.size() != 1) fail("pop of impure value with stack below", pc);
+          begin_stmt();
+          em_.append_fragment(st.back().frag);
+          em_.op(Op::POP);
+          st.clear();
+        }
+      } else {
+        // ---- statement terminals consume the whole node stack ----
+        if (base != 0) fail("statement terminal with extra operands", pc);
+        begin_stmt();
+        for (auto& n : st) em_.append_fragment(n.frag);
+        st.clear();
+        em_.copy_instr(m_, pc);
       }
       pc = next_pc;
     }

@@ -1,9 +1,6 @@
 #include "prep/inject.h"
 
-#include <cstring>
-
 #include "bytecode/verifier.h"
-#include "prep/emitter.h"
 #include "prep/faultscan.h"
 #include "support/panic.h"
 
@@ -41,23 +38,20 @@ void declare_prep_natives(Program& p) {
 
 namespace {
 
-void append_u16_op(std::vector<uint8_t>& code, Op op, uint16_t v) {
-  code.push_back(static_cast<uint8_t>(op));
-  code.push_back(static_cast<uint8_t>(v & 0xFF));
-  code.push_back(static_cast<uint8_t>(v >> 8));
-}
-
-void append_iconst(std::vector<uint8_t>& code, int64_t v) {
-  code.push_back(static_cast<uint8_t>(Op::ICONST));
-  uint8_t b[8];
-  std::memcpy(b, &v, 8);
-  code.insert(code.end(), b, b + 8);
-}
-
 void append_native(std::vector<uint8_t>& code, const Program& p, const char* name) {
   uint16_t id = p.find_native(name);
   SOD_CHECK(id != bc::kNoId, std::string("native not declared: ") + name);
-  append_u16_op(code, Op::INVOKENATIVE, id);
+  bc::emit(code, Op::INVOKENATIVE, id);
+}
+
+const char* restore_native(Ty t) {
+  switch (t) {
+    case Ty::I64: return "cs.read_i64";
+    case Ty::F64: return "cs.read_f64";
+    case Ty::Ref: return "cs.read_ref";
+    case Ty::Void: break;
+  }
+  SOD_UNREACHABLE("void local");
 }
 
 }  // namespace
@@ -69,44 +63,18 @@ void inject_restore_handler(Program& p, Method& m) {
 
   std::vector<uint8_t>& code = m.code;
   // pop the InvalidStateException object
-  code.push_back(static_cast<uint8_t>(Op::POP));
+  bc::emit(code, Op::POP);
   // restore every declared local from the CapturedState cursor
   for (const auto& v : m.var_table) {
-    append_iconst(code, v.slot);
-    switch (v.type) {
-      case Ty::I64:
-        append_native(code, p, "cs.read_i64");
-        append_u16_op(code, Op::ISTORE, v.slot);
-        break;
-      case Ty::F64:
-        append_native(code, p, "cs.read_f64");
-        append_u16_op(code, Op::DSTORE, v.slot);
-        break;
-      case Ty::Ref:
-        append_native(code, p, "cs.read_ref");
-        append_u16_op(code, Op::ASTORE, v.slot);
-        break;
-      case Ty::Void: SOD_UNREACHABLE("void local");
-    }
+    bc::emit(code, Op::ICONST, v.slot);
+    append_native(code, p, restore_native(v.type));
+    bc::emit(code, bc::store_op(v.type), v.slot);
   }
-  // jump to the saved pc
+  // jump to the saved pc: each MSP is both the key and the target
   append_native(code, p, "cs.read_pc");
-  code.push_back(static_cast<uint8_t>(Op::LOOKUPSWITCH));
-  uint16_t n = static_cast<uint16_t>(m.stmt_starts.size());
-  code.push_back(static_cast<uint8_t>(n & 0xFF));
-  code.push_back(static_cast<uint8_t>(n >> 8));
-  uint32_t dflt = m.stmt_starts.front();
-  uint8_t b4[4];
-  std::memcpy(b4, &dflt, 4);
-  code.insert(code.end(), b4, b4 + 4);
-  for (uint32_t s : m.stmt_starts) {
-    int64_t key = s;
-    uint8_t b8[8];
-    std::memcpy(b8, &key, 8);
-    code.insert(code.end(), b8, b8 + 8);
-    std::memcpy(b4, &s, 4);
-    code.insert(code.end(), b4, b4 + 4);
-  }
+  std::vector<std::pair<int64_t, uint32_t>> arms;
+  for (uint32_t s : m.stmt_starts) arms.emplace_back(s, s);
+  bc::emit_switch(code, m.stmt_starts.front(), arms);
 
   // The restoration entry must win over any guest handler: insert first.
   m.ex_table.insert(m.ex_table.begin(),
@@ -146,26 +114,26 @@ InjectStats inject_object_fault_handlers(Program& p, Method& m) {
     ++stats.fault_handlers;
 
     // pop the NullPointerException object
-    code.push_back(static_cast<uint8_t>(Op::POP));
+    bc::emit(code, Op::POP);
     // no-progress retry detection; rethrows as application NPE
     int64_t uid = (static_cast<int64_t>(m.id) << 32) | ss.start;
-    append_iconst(code, uid);
+    bc::emit(code, Op::ICONST, uid);
     append_native(code, p, "objman.enter");
     // repair every base the statement dereferences, in first-use order
     for (const Repair& r : ss.repairs) {
       ++stats.repair_calls;
       switch (r.kind) {
         case Repair::Kind::Local:
-          append_iconst(code, r.slot);
+          bc::emit(code, Op::ICONST, r.slot);
           append_native(code, p, "objman.bring_local");
           break;
         case Repair::Kind::Static:
-          append_iconst(code, r.field);
+          bc::emit(code, Op::ICONST, r.field);
           append_native(code, p, "objman.bring_static");
           break;
         case Repair::Kind::Field:
           code.insert(code.end(), r.base_frag.begin(), r.base_frag.end());
-          append_iconst(code, r.field);
+          bc::emit(code, Op::ICONST, r.field);
           append_native(code, p, "objman.bring_field");
           break;
         case Repair::Kind::Elem:
@@ -177,10 +145,7 @@ InjectStats inject_object_fault_handlers(Program& p, Method& m) {
       }
     }
     // retry the statement
-    code.push_back(static_cast<uint8_t>(Op::GOTO));
-    uint8_t b4[4];
-    std::memcpy(b4, &ss.start, 4);
-    code.insert(code.end(), b4, b4 + 4);
+    bc::emit(code, Op::GOTO, ss.start);
     uint32_t handler_end = static_cast<uint32_t>(code.size());
 
     new_entries.push_back(
@@ -236,13 +201,10 @@ int inject_offload_handlers(Program& p, Method& m) {
     if (!allocates) continue;
 
     uint32_t handler_pc = static_cast<uint32_t>(code.size());
-    code.push_back(static_cast<uint8_t>(Op::POP));  // the OOM object
-    append_iconst(code, (static_cast<int64_t>(m.id) << 32) | start);
+    bc::emit(code, Op::POP);  // the OOM object
+    bc::emit(code, Op::ICONST, (static_cast<int64_t>(m.id) << 32) | start);
     append_native(code, p, "offload.trap");
-    code.push_back(static_cast<uint8_t>(Op::GOTO));
-    uint8_t b4[4];
-    std::memcpy(b4, &start, 4);
-    code.insert(code.end(), b4, b4 + 4);
+    bc::emit(code, Op::GOTO, start);
 
     m.ex_table.push_back(bc::ExEntry{start, end, handler_pc, bc::builtin::kOutOfMemory});
     ++handlers;

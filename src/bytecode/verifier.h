@@ -7,6 +7,18 @@
 // the migration-safe-point invariant: each pc in Method::stmt_starts must
 // have an empty operand stack on every path reaching it.
 //
+// Each step has three parts: a check of what the operand names (local
+// type, pool index, field/method/native id, return type, NEWARRAY element
+// type), the pops and push of bc::stack_effect, and the successors the op
+// table's branch/terminator flags give.  Nothing here is per-opcode stack
+// knowledge; that lives in the op table alone.
+//
+// The method header is checked too: parameters must fit num_locals, with
+// each parameter slot's variable-table type equal to its declared type
+// (the VM binds them at pc 0).  Malformed code, including an instruction
+// cut short by the end of the code, is a thrown sod::Error, never an
+// abort, so the admission gate can turn it into a diagnostic.
+//
 // The resulting StackMap (operand-stack depth per pc) is also consumed by
 // the preprocessor when it flattens statements and plans handler
 // injection.

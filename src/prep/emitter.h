@@ -5,6 +5,8 @@
 //   - *old* pcs (positions in the original code) which are remapped once
 //     the pass records where each original boundary landed, or
 //   - fresh labels for newly injected control flow.
+// Instructions are encoded by bc::emit / bc::emit_switch; the Emitter only
+// records where their targets must be patched.
 #pragma once
 
 #include <cstdint>

@@ -12,6 +12,12 @@
 // NullPointerException handler (paper Section III.C); the status-check
 // pass turns them into inline "if (x.__status == 0) bringObj(x)" sequences
 // (paper Fig. 5 B1, the JavaSplit baseline).
+//
+// The scan is one generic step per instruction: pop the operands
+// bc::stack_effect names, record the base of the opcodes that dereference,
+// push one node.  A node is re-emittable (its code can run again to
+// recompute the value) only if every operand is and the opcode has no
+// effect in the op table: calls and allocations never re-run.
 #pragma once
 
 #include <cstdint>

@@ -15,6 +15,13 @@
 // Together these make it safe to (a) capture a frame at any MSP with an
 // empty operand stack, and (b) restore a *caller* frame by jumping to the
 // statement start containing its pending INVOKE and re-executing it.
+//
+// The pass reads each instruction's stack signature from the op table
+// (bc::stack_effect): an opcode that pushes folds its operands into one
+// expression node, pure unless some operand or the opcode itself has an
+// effect; a call becomes its own statement or temp; an opcode that pushes
+// nothing ends the statement.  Only the choice of which consumers may keep
+// a call result on the stack is the pass's own.
 #pragma once
 
 #include "bytecode/program.h"

@@ -3,7 +3,6 @@
 #include <cctype>
 #include <charconv>
 #include <map>
-#include <optional>
 #include <sstream>
 #include <vector>
 
@@ -76,32 +75,6 @@ std::vector<std::string> split(const std::string& raw, int line) {
     out.push_back(raw.substr(start, i - start));
   }
   return out;
-}
-
-/// The opcode whose op-table name is `mnemonic`.
-std::optional<Op> find_op(std::string_view mnemonic) {
-  for (int i = 0; i < kNumOps; ++i)
-    if (mnemonic == op_info(static_cast<Op>(i)).name) return static_cast<Op>(i);
-  return std::nullopt;
-}
-
-/// Emit `o`, whose u16 operand the source spells as a name: a quoted
-/// string, a class, a qualified field or method, a native or a local.
-void named_operand(MethodBuilder& f, Op o, const std::string& name, int line) {
-  switch (o) {
-    case Op::LDC_STR:
-      if (name.empty() || name[0] != '"') fail(line, "ldc_str needs a quoted string");
-      f.ldc_str(name.substr(1));
-      break;
-    case Op::GETFIELD: f.getfield(name); break;
-    case Op::PUTFIELD: f.putfield(name); break;
-    case Op::GETSTATIC: f.getstatic(name); break;
-    case Op::PUTSTATIC: f.putstatic(name); break;
-    case Op::NEW: f.new_(name); break;
-    case Op::INVOKE: f.invoke(name); break;
-    case Op::INVOKENATIVE: f.invokenative(name); break;
-    default: f.op(o, f.slot(name)); break;  // loads and stores
-  }
 }
 
 class Assembler {
@@ -269,29 +242,90 @@ class Assembler {
         continue;
       }
 
-      // --- instructions: the op table names them and lays out the operand ---
-      std::optional<Op> o = find_op(op);
-      if (!o) fail(t.line, "unknown mnemonic: " + op);
-      switch (op_info(*o).operands) {
-        case OperKind::None: f.op(*o); break;
-        case OperKind::I64: f.iconst(parse_i64(arg(1), t.line)); break;
-        case OperKind::F64: f.dconst(parse_f64(arg(1), t.line)); break;
-        case OperKind::U8: f.newarray(parse_ty(arg(1), t.line)); break;
-        case OperKind::U16: named_operand(f, *o, arg(1), t.line); break;
-        case OperKind::Target: f.branch(*o, label_of(arg(1))); break;
-        case OperKind::Switch: {
-          // lookupswitch Ldefault k1:L1 k2:L2 ...
-          std::vector<std::pair<int64_t, Label>> pairs;
-          for (size_t k = 2; k < t.words.size(); ++k) {
-            size_t colon = t.words[k].find(':');
-            if (colon == std::string::npos) fail(t.line, "switch arm must be key:Label");
-            pairs.emplace_back(parse_i64(t.words[k].substr(0, colon), t.line),
-                               label_of(t.words[k].substr(colon + 1)));
-          }
-          f.lookupswitch(label_of(arg(1)), pairs);
-          break;
-        }
+      // --- instructions ---
+      if (op == "iconst") f.iconst(parse_i64(arg(1), t.line));
+      else if (op == "dconst") f.dconst(parse_f64(arg(1), t.line));
+      else if (op == "aconst_null") f.aconst_null();
+      else if (op == "ldc_str") {
+        const std::string& s = arg(1);
+        if (s.empty() || s[0] != '"') fail(t.line, "ldc_str needs a quoted string");
+        f.ldc_str(s.substr(1));
       }
+      else if (op == "iload") f.iload(arg(1));
+      else if (op == "dload") f.dload(arg(1));
+      else if (op == "aload") f.aload(arg(1));
+      else if (op == "istore") f.istore(arg(1));
+      else if (op == "dstore") f.dstore(arg(1));
+      else if (op == "astore") f.astore(arg(1));
+      else if (op == "pop") f.pop();
+      else if (op == "dup") f.dup();
+      else if (op == "swap") f.swap();
+      else if (op == "iadd") f.iadd();
+      else if (op == "isub") f.isub();
+      else if (op == "imul") f.imul();
+      else if (op == "idiv") f.idiv();
+      else if (op == "irem") f.irem();
+      else if (op == "ineg") f.ineg();
+      else if (op == "ishl") f.ishl();
+      else if (op == "ishr") f.ishr();
+      else if (op == "iand") f.iand();
+      else if (op == "ior") f.ior();
+      else if (op == "ixor") f.ixor();
+      else if (op == "dadd") f.dadd();
+      else if (op == "dsub") f.dsub();
+      else if (op == "dmul") f.dmul();
+      else if (op == "ddiv") f.ddiv();
+      else if (op == "dneg") f.dneg();
+      else if (op == "i2d") f.i2d();
+      else if (op == "d2i") f.d2i();
+      else if (op == "dcmp") f.dcmp();
+      else if (op == "goto") f.go(label_of(arg(1)));
+      else if (op == "ifeq") f.ifeq(label_of(arg(1)));
+      else if (op == "ifne") f.ifne(label_of(arg(1)));
+      else if (op == "iflt") f.iflt(label_of(arg(1)));
+      else if (op == "ifle") f.ifle(label_of(arg(1)));
+      else if (op == "ifgt") f.ifgt(label_of(arg(1)));
+      else if (op == "ifge") f.ifge(label_of(arg(1)));
+      else if (op == "if_icmpeq") f.if_icmpeq(label_of(arg(1)));
+      else if (op == "if_icmpne") f.if_icmpne(label_of(arg(1)));
+      else if (op == "if_icmplt") f.if_icmplt(label_of(arg(1)));
+      else if (op == "if_icmple") f.if_icmple(label_of(arg(1)));
+      else if (op == "if_icmpgt") f.if_icmpgt(label_of(arg(1)));
+      else if (op == "if_icmpge") f.if_icmpge(label_of(arg(1)));
+      else if (op == "ifnull") f.ifnull(label_of(arg(1)));
+      else if (op == "ifnonnull") f.ifnonnull(label_of(arg(1)));
+      else if (op == "lookupswitch") {
+        // lookupswitch Ldefault k1:L1 k2:L2 ...
+        std::vector<std::pair<int64_t, Label>> pairs;
+        for (size_t k = 2; k < t.words.size(); ++k) {
+          size_t colon = t.words[k].find(':');
+          if (colon == std::string::npos) fail(t.line, "switch arm must be key:Label");
+          pairs.emplace_back(parse_i64(t.words[k].substr(0, colon), t.line),
+                             label_of(t.words[k].substr(colon + 1)));
+        }
+        f.lookupswitch(label_of(arg(1)), pairs);
+      }
+      else if (op == "getfield") f.getfield(arg(1));
+      else if (op == "putfield") f.putfield(arg(1));
+      else if (op == "getstatic") f.getstatic(arg(1));
+      else if (op == "putstatic") f.putstatic(arg(1));
+      else if (op == "new") f.new_(arg(1));
+      else if (op == "newarray") f.newarray(parse_ty(arg(1), t.line));
+      else if (op == "iaload") f.iaload();
+      else if (op == "iastore") f.iastore();
+      else if (op == "daload") f.daload();
+      else if (op == "dastore") f.dastore();
+      else if (op == "aaload") f.aaload();
+      else if (op == "aastore") f.aastore();
+      else if (op == "arraylen") f.arraylen();
+      else if (op == "invoke") f.invoke(arg(1));
+      else if (op == "invokenative") f.invokenative(arg(1));
+      else if (op == "return") f.ret();
+      else if (op == "ireturn") f.iret();
+      else if (op == "dreturn") f.dret();
+      else if (op == "areturn") f.aret();
+      else if (op == "throw") f.throw_();
+      else fail(t.line, "unknown mnemonic: " + op);
     }
     if (i >= lines_.size()) fail(hdr.line, "method missing 'end'");
 

@@ -51,12 +51,6 @@ class MethodBuilder {
   /// Mark the next instruction as a statement start (MSP candidate).
   MethodBuilder& stmt();
 
-  /// Any instruction by opcode, with its raw operand (see bc::emit); the
-  /// helpers below name each one and resolve names, labels and pools.
-  MethodBuilder& op(Op o, int64_t operand = 0);
-  /// A branch opcode to a label.
-  MethodBuilder& branch(Op o, Label l);
-
   // --- constants ---
   MethodBuilder& iconst(int64_t v);
   MethodBuilder& dconst(double v);
@@ -157,6 +151,8 @@ class MethodBuilder {
   friend class ProgramBuilder;
   MethodBuilder(ProgramBuilder* pb, uint16_t id);
 
+  MethodBuilder& op(Op o, int64_t operand = 0);
+  MethodBuilder& branch(Op o, Label l);
   MethodBuilder& named_u16(Op o, std::string_view qname, bool is_field);
   void finish();  // move code into Program
 

@@ -69,7 +69,8 @@ namespace {
 /// Appends the low `width` bytes of `v`, little endian; returns their offset.
 size_t put_le(std::vector<uint8_t>& code, uint64_t v, size_t width) {
   size_t at = code.size();
-  for (size_t i = 0; i < width; ++i) code.push_back(static_cast<uint8_t>(v >> (8 * i)));
+  code.resize(at + width);
+  for (size_t i = 0; i < width; ++i) code[at + i] = static_cast<uint8_t>(v >> (8 * i));
   return at;
 }
 

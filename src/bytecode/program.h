@@ -130,20 +130,6 @@ size_t emit(std::vector<uint8_t>& code, Op op, int64_t operand = 0);
 std::vector<size_t> emit_switch(std::vector<uint8_t>& code, uint32_t default_target,
                                 std::span<const std::pair<int64_t, uint32_t>> pairs);
 
-class Program;
-
-/// What one instruction pops and pushes.
-struct StackEffect {
-  std::span<const Ty> pops;  ///< bottom of the stack first; Void = any value
-  Ty push = Ty::Void;        ///< Void = nothing
-};
-
-/// Stack signature of `in` (a Dup or Swap reorders, and reports nothing).
-/// Declared kinds read the field, callee or native the operand names,
-/// which must exist.  Allocates nothing: the pops view the op table, a
-/// static type list or the callee's parameter list.
-StackEffect stack_effect(const Program& p, const Instr& in);
-
 class Program {
  public:
   std::vector<Class> classes;
@@ -178,5 +164,18 @@ class Program {
   std::vector<uint8_t> serialize() const;
   static Program deserialize(std::span<const uint8_t> bytes);
 };
+
+/// What one instruction pops and pushes.
+struct StackEffect {
+  std::span<const Ty> pops;  ///< bottom of the stack first; Void = any value
+  Ty push = Ty::Void;        ///< Void = nothing
+};
+
+/// Stack signature of `in` (a Dup or Swap reorders, and reports nothing).
+/// Declared kinds read the field, callee or native the operand names,
+/// which must exist.  Allocates nothing: the pops view the op table, a
+/// static type list or the callee's parameter list, so they stay valid
+/// while `p`'s declarations are unchanged.
+StackEffect stack_effect(const Program& p, const Instr& in);
 
 }  // namespace sod::bc

@@ -133,8 +133,7 @@ class Verifier {
     while (!work_.empty()) {
       uint32_t pc = work_.front();
       work_.pop_front();
-      TypeStack st = *states_[pc];
-      step(pc, st);
+      step(pc, *states_[pc]);  // step works on its own copy
     }
 
     uint16_t mx = 0;

@@ -135,14 +135,14 @@ class Scanner {
 
     Node n;
     if (fx.push != Ty::Void) {
-      bool reemit = !info.effect;
-      for (size_t j = base; j < st.size(); ++j) reemit = reemit && !st[j].frag.empty();
-      if (reemit) {
+      bool replayable = !info.effect;
+      for (size_t j = base; j < st.size(); ++j) replayable = replayable && !st[j].frag.empty();
+      if (replayable) {
         for (size_t j = base; j < st.size(); ++j)
           n.frag.insert(n.frag.end(), st[j].frag.begin(), st[j].frag.end());
         n.frag.insert(n.frag.end(), m_.code.begin() + in.pc, m_.code.begin() + in.pc + in.size);
       }
-      if (fx.push == Ty::Ref) n.prov = provenance(in, st, base, reemit);
+      if (fx.push == Ty::Ref) n.prov = provenance(in, st, base, replayable);
     }
     st.resize(base);
     if (fx.push != Ty::Void) st.push_back(std::move(n));
@@ -151,7 +151,7 @@ class Scanner {
   /// How the Ref that `in` pushes can be re-obtained, from its operands
   /// st[base..].
   static Repair provenance(const Instr& in, const std::vector<Node>& st, size_t base,
-                           bool reemit) {
+                           bool replayable) {
     Repair pv = probe();
     switch (in.op) {
       case Op::ALOAD:
@@ -163,14 +163,14 @@ class Scanner {
         pv.field = static_cast<uint16_t>(in.arg);
         break;
       case Op::GETFIELD:
-        if (st[base].prov.kind != Repair::Kind::Probe && reemit) {
+        if (st[base].prov.kind != Repair::Kind::Probe && replayable) {
           pv.kind = Repair::Kind::Field;
           pv.field = static_cast<uint16_t>(in.arg);
           pv.base_frag = st[base].frag;
         }
         break;
       case Op::AALOAD:
-        if (st[base].prov.kind != Repair::Kind::Probe && reemit) {
+        if (st[base].prov.kind != Repair::Kind::Probe && replayable) {
           pv.kind = Repair::Kind::Elem;
           pv.base_frag = st[base].frag;
           pv.idx_frag = st[base + 1].frag;

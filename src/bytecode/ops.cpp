@@ -12,7 +12,10 @@ enum : unsigned { kBranch = 1, kTerm = 2, kEffect = 4 };
 constexpr OpInfo row(const char* name, OperKind operands, std::initializer_list<Ty> pops = {},
                      Ty push = Ty::Void, unsigned flags = 0,
                      StackKind stack = StackKind::Fixed) {
-  OpInfo o{name, operands, stack};
+  OpInfo o{};
+  o.name = name;
+  o.operands = operands;
+  o.stack = stack;
   for (Ty t : pops) o.pops[o.npops++] = t;
   o.push = push;
   o.branch = (flags & kBranch) != 0;

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Unreached-code gate: lists first-party functions that some sod_core
-# object defines but that no linked binary (sodctl, test_*) keeps, one
-# demangled symbol per line, and exits 1 if there are any.  Meaningful
-# only on a build whose linker drops unreferenced functions:
+# object defines but that no linked binary (sodctl and the build's test_*
+# targets) keeps, one demangled symbol per line, and exits 1 if there are
+# any.  Meaningful only on a build whose linker drops unreferenced functions:
 #
 #   cmake -B build -S . -DCMAKE_BUILD_TYPE=Debug \
 #     -DCMAKE_CXX_FLAGS="-ffunction-sections -fdata-sections" \
@@ -11,12 +11,22 @@
 set -euo pipefail
 
 dir=${1:?usage: scripts/unreached.sh <build-dir>}
-shopt -s nullglob
-bins=("$dir"/sodctl "$dir"/test_*)
 if [[ ! -f $dir/libsod_core.a || ! -x $dir/sodctl ]]; then
   echo "unreached.sh: no libsod_core.a and sodctl in $dir; build it first" >&2
   exit 2
 fi
+
+# The test binaries are the build's current test_* targets, not a glob of
+# the dir: a stale binary of a deleted test must not keep its callees.
+targets=$(cmake --build "$dir" --target help)
+bins=("$dir"/sodctl)
+for t in $(sed -nE 's/^(\.\.\. )?(test_[A-Za-z0-9_]+)(:.*)?$/\2/p' <<<"$targets" | sort -u); do
+  if [[ ! -x $dir/$t ]]; then
+    echo "unreached.sh: target $t is not built in $dir; build it first" >&2
+    exit 2
+  fi
+  bins+=("$dir/$t")
+done
 
 # Defined text symbols (global/local/weak), demangled, in namespace sod.
 functions() {

@@ -74,8 +74,6 @@ MethodBuilder& MethodBuilder::dstore(uint16_t s) { return op(Op::DSTORE, s); }
 MethodBuilder& MethodBuilder::astore(uint16_t s) { return op(Op::ASTORE, s); }
 
 MethodBuilder& MethodBuilder::pop() { return op(Op::POP); }
-MethodBuilder& MethodBuilder::dup() { return op(Op::DUP); }
-MethodBuilder& MethodBuilder::swap() { return op(Op::SWAP); }
 
 MethodBuilder& MethodBuilder::iadd() { return op(Op::IADD); }
 MethodBuilder& MethodBuilder::isub() { return op(Op::ISUB); }
@@ -95,23 +93,16 @@ MethodBuilder& MethodBuilder::ddiv() { return op(Op::DDIV); }
 MethodBuilder& MethodBuilder::dneg() { return op(Op::DNEG); }
 MethodBuilder& MethodBuilder::i2d() { return op(Op::I2D); }
 MethodBuilder& MethodBuilder::d2i() { return op(Op::D2I); }
-MethodBuilder& MethodBuilder::dcmp() { return op(Op::DCMP); }
 
 MethodBuilder& MethodBuilder::go(Label l) { return branch(Op::GOTO, l); }
 MethodBuilder& MethodBuilder::ifeq(Label l) { return branch(Op::IFEQ, l); }
 MethodBuilder& MethodBuilder::ifne(Label l) { return branch(Op::IFNE, l); }
-MethodBuilder& MethodBuilder::iflt(Label l) { return branch(Op::IFLT, l); }
-MethodBuilder& MethodBuilder::ifle(Label l) { return branch(Op::IFLE, l); }
-MethodBuilder& MethodBuilder::ifgt(Label l) { return branch(Op::IFGT, l); }
-MethodBuilder& MethodBuilder::ifge(Label l) { return branch(Op::IFGE, l); }
 MethodBuilder& MethodBuilder::if_icmpeq(Label l) { return branch(Op::IF_ICMPEQ, l); }
-MethodBuilder& MethodBuilder::if_icmpne(Label l) { return branch(Op::IF_ICMPNE, l); }
 MethodBuilder& MethodBuilder::if_icmplt(Label l) { return branch(Op::IF_ICMPLT, l); }
 MethodBuilder& MethodBuilder::if_icmple(Label l) { return branch(Op::IF_ICMPLE, l); }
 MethodBuilder& MethodBuilder::if_icmpgt(Label l) { return branch(Op::IF_ICMPGT, l); }
 MethodBuilder& MethodBuilder::if_icmpge(Label l) { return branch(Op::IF_ICMPGE, l); }
 MethodBuilder& MethodBuilder::ifnull(Label l) { return branch(Op::IFNULL, l); }
-MethodBuilder& MethodBuilder::ifnonnull(Label l) { return branch(Op::IFNONNULL, l); }
 
 MethodBuilder& MethodBuilder::lookupswitch(Label dflt,
                                            const std::vector<std::pair<int64_t, Label>>& pairs) {

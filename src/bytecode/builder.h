@@ -73,8 +73,6 @@ class MethodBuilder {
 
   // --- stack ---
   MethodBuilder& pop();
-  MethodBuilder& dup();
-  MethodBuilder& swap();
 
   // --- arithmetic ---
   MethodBuilder& iadd();
@@ -95,24 +93,17 @@ class MethodBuilder {
   MethodBuilder& dneg();
   MethodBuilder& i2d();
   MethodBuilder& d2i();
-  MethodBuilder& dcmp();
 
   // --- control flow ---
   MethodBuilder& go(Label l);
   MethodBuilder& ifeq(Label l);
   MethodBuilder& ifne(Label l);
-  MethodBuilder& iflt(Label l);
-  MethodBuilder& ifle(Label l);
-  MethodBuilder& ifgt(Label l);
-  MethodBuilder& ifge(Label l);
   MethodBuilder& if_icmpeq(Label l);
-  MethodBuilder& if_icmpne(Label l);
   MethodBuilder& if_icmplt(Label l);
   MethodBuilder& if_icmple(Label l);
   MethodBuilder& if_icmpgt(Label l);
   MethodBuilder& if_icmpge(Label l);
   MethodBuilder& ifnull(Label l);
-  MethodBuilder& ifnonnull(Label l);
   MethodBuilder& lookupswitch(Label dflt, const std::vector<std::pair<int64_t, Label>>& pairs);
 
   // --- fields (qualified "Class.field") ---

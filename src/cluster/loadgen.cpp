@@ -15,6 +15,7 @@
 #include "cluster/wallclock.h"
 #include "prep/prep.h"
 #include "sod/migrate.h"
+#include "support/hash.h"
 #include "support/panic.h"
 #include "support/rng.h"
 
@@ -416,14 +417,13 @@ LoadGenResult run_loadgen(const Trace& trace, const LoadGenOptions& opts) {
     if (tn.completed > 0) tn.mean_wait_ms /= static_cast<double>(tn.completed);
   res.all_ok = all_ok && res.completed == res.sessions;
   res.exactly_once = sched.exactly_once();
-  // FNV-1a over every field of every event, in log order.
-  uint64_t digest = 14695981039346656037ULL;
+  // FNV-1a over every field of every event, in log order: each field's 8
+  // bytes in memory, little-endian as on the wire (support/bytes.h).
+  uint64_t digest = kFnv1aBasis;
   for (const Event& e : sched.log()) {
     const int64_t fields[] = {static_cast<int64_t>(e.kind), e.at.ns, e.round, e.segment, e.worker,
                               e.attempt};
-    for (int64_t v : fields)
-      for (int b = 0; b < 64; b += 8)
-        digest = (digest ^ ((static_cast<uint64_t>(v) >> b) & 0xffU)) * 1099511628211ULL;
+    digest = fnv1a({reinterpret_cast<const uint8_t*>(fields), sizeof fields}, digest);
   }
   res.log_digest = digest;
   res.redispatched = sched.redispatches();

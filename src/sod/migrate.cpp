@@ -3,6 +3,8 @@
 #include <deque>
 #include <unordered_set>
 
+#include "support/hash.h"
+
 namespace sod::mig {
 
 using bc::Method;
@@ -276,15 +278,6 @@ namespace {
 // Wire constants for the write-back message.
 enum : uint8_t { kWbUpdate = 1, kWbCreate = 2, kWbEnd = 0 };
 
-uint64_t fnv1a(std::span<const uint8_t> bytes) {
-  uint64_t h = 1469598103934665603ull;
-  for (uint8_t b : bytes) {
-    h ^= b;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 class WriteBackBuilder {
  public:
   /// With `deltas` set the builder is in checkpoint mode: an update whose
@@ -440,7 +433,8 @@ class WriteBackApplier {
   explicit WriteBackApplier(SodNode& home) : home_(home) {}
 
   Value apply(ByteReader& r) {
-    // Pass 1: read records, materialize creations, collect field patches.
+    // Pass 1: read records; updates and creations land with their
+    // embedded refs still wire ids.
     read_section(r);
     read_statics(r);
     Value result = svm::read_value(r);
@@ -463,88 +457,29 @@ class WriteBackApplier {
   }
 
  private:
-  struct Patch {
-    Ref holder;
-    uint32_t slot;
-    uint32_t wire_ref;
-  };
-
   void read_section(ByteReader& r) {
+    svm::Heap& heap = home_.vm().heap();
     while (true) {
       uint8_t tag = r.u8();
       if (tag == kWbEnd) break;
       uint32_t id = r.u32();
-      Ref target;
+      svm::Cell c = svm::read_cell(r);
+      Ref target = id;
       if (tag == kWbUpdate) {
-        target = id;
-        read_into(r, target, /*create=*/false);
+        if (std::holds_alternative<svm::StrCell>(c)) continue;  // strings are immutable
+        heap.overwrite(target, std::move(c));
       } else {
-        target = read_into(r, 0, /*create=*/true);
+        if (const auto* o = std::get_if<svm::ObjCell>(&c)) {
+          home_.vm().ensure_loaded(o->cls);
+          SOD_CHECK(o->fields.size() == home_.vm().inst_slot_types(o->cls).size(),
+                    "write-back field count mismatch");
+        }
+        target = heap.alloc(std::move(c));
+        SOD_CHECK(target != bc::kNull, "home heap exhausted in write-back");
         temp_map_[id] = target;
       }
+      touched_.push_back(target);
     }
-  }
-
-  Ref read_into(ByteReader& r, Ref target, bool create) {
-    svm::Heap& heap = home_.vm().heap();
-    uint8_t kind = r.u8();
-    switch (kind) {
-      case svm::kWireObj: {
-        uint16_t cls = r.u16();
-        uint16_t n = r.u16();
-        if (create) {
-          home_.vm().ensure_loaded(cls);
-          target = heap.alloc_obj(cls, home_.vm().inst_slot_types(cls));
-          SOD_CHECK(target != bc::kNull, "home heap exhausted in write-back");
-        }
-        auto& o = heap.obj(target);
-        SOD_CHECK(o.fields.size() == n, "write-back field count mismatch");
-        for (uint16_t i = 0; i < n; ++i) {
-          Value v = svm::read_value(r);
-          if (v.tag == bc::Ty::Ref) {
-            patches_.push_back(Patch{target, i, v.r});
-          } else {
-            o.fields[i] = v;
-          }
-        }
-        return target;
-      }
-      case svm::kWireArrI: {
-        uint32_t n = r.u32();
-        if (create) target = heap.alloc_arr_i(n);
-        auto& a = heap.arr_i(target);
-        SOD_CHECK(a.v.size() == n, "write-back i64 array size mismatch");
-        for (auto& x : a.v) x = r.i64();
-        return target;
-      }
-      case svm::kWireArrD: {
-        uint32_t n = r.u32();
-        if (create) target = heap.alloc_arr_d(n);
-        auto& a = heap.arr_d(target);
-        SOD_CHECK(a.v.size() == n, "write-back f64 array size mismatch");
-        for (auto& x : a.v) x = r.f64();
-        return target;
-      }
-      case svm::kWireArrR: {
-        uint32_t n = r.u32();
-        if (create) target = heap.alloc_arr_r(n);
-        auto& a = heap.arr_r(target);
-        SOD_CHECK(a.v.size() == n, "write-back ref array size mismatch");
-        for (uint32_t i = 0; i < n; ++i)
-          patches_.push_back(Patch{target, i | 0x40000000u, r.u32()});
-        return target;
-      }
-      case svm::kWireStr: {
-        std::string s = r.str();
-        if (create) {
-          target = heap.alloc_str(std::move(s));
-        } else {
-          // strings are immutable; nothing to update
-        }
-        return target;
-      }
-    }
-    SOD_UNREACHABLE("bad write-back cell kind");
   }
 
   void read_statics(ByteReader& r) {
@@ -559,14 +494,8 @@ class WriteBackApplier {
 
   void resolve_links() {
     svm::Heap& heap = home_.vm().heap();
-    for (const Patch& p : patches_) {
-      Ref v = resolve(p.wire_ref);
-      if (p.slot & 0x40000000u) {
-        heap.arr_r(p.holder).v[p.slot & ~0x40000000u] = v;
-      } else {
-        heap.obj(p.holder).fields[p.slot] = Value::of_ref(v);
-      }
-    }
+    for (Ref t : touched_)
+      svm::for_each_ref(heap.cell(t), [this](Ref& ref) { ref = resolve(ref); });
     // Statics: primitives update unconditionally; ref statics only when
     // the worker actually holds a resolvable object (a null at the worker
     // usually means "never fetched", not "cleared").
@@ -597,7 +526,7 @@ class WriteBackApplier {
 
   SodNode& home_;
   std::unordered_map<uint32_t, Ref> temp_map_;
-  std::vector<Patch> patches_;
+  std::vector<Ref> touched_;  ///< updated or created cells, refs still wire ids
   std::vector<StaticVal> static_vals_;
 };
 

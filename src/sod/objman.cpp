@@ -55,7 +55,6 @@ void ObjectManager::bind_home(SodNode* home, int home_tid, int seg_len, sim::Lin
   link_ = link;
   home_map_.clear();
   local_map_.clear();
-  side_.clear();
   local_stub_origin_.clear();
   enter_state_.clear();
 }
@@ -121,20 +120,11 @@ Ref ObjectManager::fetch(Ref home_ref) {
       Ref cur = batch[scan++];
       int d = depth_of[cur];
       if (d >= prefetch_depth_) continue;
-      const svm::Cell& c = hh.cell(cur);
-      auto visit = [&](Ref child) {
-        if (child == bc::kNull || depth_of.count(child) ||
-            local_of_home(child) != bc::kNull)
-          return;
+      svm::for_each_ref(hh.cell(cur), [&](Ref child) {
+        if (depth_of.count(child) || local_of_home(child) != bc::kNull) return;
         depth_of[child] = d + 1;
         batch.push_back(child);
-      };
-      if (const auto* o = std::get_if<svm::ObjCell>(&c)) {
-        for (const Value& v : o->fields)
-          if (v.tag == bc::Ty::Ref) visit(v.r);
-      } else if (const auto* ar = std::get_if<svm::ArrRCell>(&c)) {
-        for (Ref x : ar->v) visit(x);
-      }
+      });
     }
   }
 
@@ -159,10 +149,7 @@ Ref ObjectManager::fetch(Ref home_ref) {
   Ref first = bc::kNull;
   for (uint16_t i = 0; i < n; ++i) {
     Ref home_id = r.u32();
-    Ref local = worker_->vm().heap().deserialize_shallow(
-        r, [this](Ref holder, uint32_t slot, Ref home_embedded) {
-          side_[side_key(holder, slot)] = home_embedded;
-        });
+    Ref local = worker_->vm().heap().deserialize_shallow(r);
     SOD_CHECK(local != bc::kNull, "worker heap exhausted during object fetch");
     home_map_[home_id] = local;
     local_map_[local] = home_id;

@@ -5,11 +5,11 @@
 //   bring_local  -> home reads the suspended frame's local via the tool
 //                   interface (GetLocal) and serializes the object
 //   bring_static -> home reads the static field
-//   bring_field / bring_elem -> resolved through the side table built when
-//                   the holder was deserialized (embedded refs arrive
-//                   nulled, each recorded as (holder, slot) -> home ref)
+//   bring_field / bring_elem -> resolved through the stub the holder's
+//                   deserialization left in that field / element, which
+//                   carries the home ref
 // Fetches are shallow: one object per round trip, references inside it
-// null out and fault later — the paper's "heap-on-demand".
+// arrive as stubs and fault later — the paper's "heap-on-demand".
 //
 // objman.enter implements the paper's application-NPE passthrough: if a
 // statement retries without any repair making progress, the NPE is a real
@@ -112,10 +112,6 @@ class ObjectManager {
   }
 
  private:
-  static uint64_t side_key(Ref holder, uint32_t slot) {
-    return (static_cast<uint64_t>(holder) << 32) | slot;
-  }
-
   void bring_local(svm::VM& vm, int64_t slot);
   void bring_static(svm::VM& vm, int64_t field_id);
   void bring_field(svm::VM& vm, Ref base, int64_t field_id);
@@ -132,7 +128,6 @@ class ObjectManager {
 
   std::unordered_map<Ref, Ref> home_map_;   // home -> local
   std::unordered_map<Ref, Ref> local_map_;  // local -> home
-  std::unordered_map<uint64_t, Ref> side_;  // (holder, slot) -> home ref
   std::unordered_map<Ref, std::pair<int, uint16_t>> local_stub_origin_;  // stub -> (frame, slot)
 
   // no-progress retry detection (per worker thread); progress counts

@@ -17,6 +17,38 @@ Value read_value(ByteReader& r) {
   return v;
 }
 
+Cell read_cell(ByteReader& r) {
+  switch (r.u8()) {
+    case kWireObj: {
+      ObjCell o;
+      o.cls = r.u16();
+      o.fields.resize(r.u16());
+      for (Value& v : o.fields) v = read_value(r);
+      return o;
+    }
+    case kWireArrI: {
+      ArrICell a;
+      a.v.resize(r.u32());
+      for (auto& x : a.v) x = r.i64();
+      return a;
+    }
+    case kWireArrD: {
+      ArrDCell a;
+      a.v.resize(r.u32());
+      for (auto& x : a.v) x = r.f64();
+      return a;
+    }
+    case kWireArrR: {
+      ArrRCell a;
+      a.v.resize(r.u32());
+      for (auto& x : a.v) x = r.u32();
+      return a;
+    }
+    case kWireStr: return StrCell{r.str()};
+  }
+  SOD_UNREACHABLE("bad wire cell kind");
+}
+
 Ref Heap::push_cell(Cell c, size_t bytes) {
   if (limit_ != 0 && used_ + bytes > limit_) {
     oom_ = true;
@@ -80,6 +112,18 @@ Ref Heap::alloc_stub(Ref home_ref, uint16_t static_field) {
   return push_cell(Cell(StubCell{home_ref, static_field}), 8);
 }
 
+Ref Heap::alloc(Cell c) {
+  size_t b = cell_bytes(c);
+  return push_cell(std::move(c), b);
+}
+
+void Heap::overwrite(Ref r, Cell c) {
+  Cell& old = cell(r);
+  SOD_CHECK(old.index() == c.index() && cell_bytes(old) == cell_bytes(c),
+            "overwrite with a cell of another kind or size");
+  old = std::move(c);
+}
+
 void Heap::replace_stub(Ref stub, Cell materialized) {
   SOD_CHECK(is_stub(stub), "replace_stub on non-stub");
   used_ += cell_bytes(materialized);
@@ -123,83 +167,11 @@ size_t Heap::shallow_size(Ref r) const {
   return w.size();
 }
 
-Ref Heap::deserialize_shallow(ByteReader& r, const RemoteRefSink& remote_of, bool stubs) {
-  uint8_t kind = r.u8();
-  switch (kind) {
-    case kWireObj: {
-      uint16_t cls = r.u16();
-      uint16_t n = r.u16();
-      ObjCell o;
-      o.cls = cls;
-      o.fields.resize(n);
-      std::vector<std::pair<uint32_t, Ref>> remotes;
-      for (uint16_t i = 0; i < n; ++i) {
-        Value v = read_value(r);
-        if (v.tag == Ty::Ref) {
-          Ref home = v.r;
-          // Non-null remote refs become stubs (fetched on demand);
-          // genuine nulls stay null.
-          v = (home != bc::kNull && stubs) ? Value::of_ref(alloc_stub(home)) : Value::null();
-          if (home != bc::kNull) remotes.emplace_back(i, home);
-        }
-        o.fields[i] = v;
-      }
-      size_t b = 16 + o.fields.size() * 8;
-      Ref nr = push_cell(Cell(std::move(o)), b);
-      if (nr != bc::kNull && remote_of)
-        for (auto& [slot, home] : remotes) remote_of(nr, slot, home);
-      return nr;
-    }
-    case kWireArrI: {
-      uint32_t n = r.u32();
-      ArrICell a;
-      a.v.resize(n);
-      for (auto& x : a.v) x = r.i64();
-      return push_cell(Cell(std::move(a)), 16 + n * 8);
-    }
-    case kWireArrD: {
-      uint32_t n = r.u32();
-      ArrDCell a;
-      a.v.resize(n);
-      for (auto& x : a.v) x = r.f64();
-      return push_cell(Cell(std::move(a)), 16 + n * 8);
-    }
-    case kWireArrR: {
-      uint32_t n = r.u32();
-      ArrRCell a;
-      a.v.assign(n, bc::kNull);
-      std::vector<std::pair<uint32_t, Ref>> remotes;
-      for (uint32_t i = 0; i < n; ++i) {
-        Ref home = r.u32();
-        if (home != bc::kNull) {
-          remotes.emplace_back(i, home);
-          if (stubs) a.v[i] = alloc_stub(home);
-        }
-      }
-      size_t b = 16 + n * 4;
-      Ref nr = push_cell(Cell(std::move(a)), b);
-      if (nr != bc::kNull && remote_of)
-        for (auto& [idx, home] : remotes) remote_of(nr, idx, home);
-      return nr;
-    }
-    case kWireStr: {
-      return alloc_str(r.str());
-    }
-  }
-  SOD_UNREACHABLE("bad wire cell kind");
+Ref Heap::deserialize_shallow(ByteReader& r) {
+  Cell c = read_cell(r);
+  for_each_ref(c, [this](Ref& ref) { ref = alloc_stub(ref); });
+  return alloc(std::move(c));
 }
-
-namespace {
-void collect_refs(const Cell& c, std::vector<Ref>& out) {
-  if (const auto* o = std::get_if<ObjCell>(&c)) {
-    for (const Value& v : o->fields)
-      if (v.tag == Ty::Ref && v.r != bc::kNull) out.push_back(v.r);
-  } else if (const auto* ar = std::get_if<ArrRCell>(&c)) {
-    for (Ref x : ar->v)
-      if (x != bc::kNull) out.push_back(x);
-  }
-}
-}  // namespace
 
 void Heap::serialize_graph(std::span<const Ref> roots, ByteWriter& w) const {
   std::vector<Ref> order;
@@ -211,10 +183,9 @@ void Heap::serialize_graph(std::span<const Ref> roots, ByteWriter& w) const {
     Ref r = q.front();
     q.pop_front();
     order.push_back(r);
-    std::vector<Ref> kids;
-    collect_refs(cell(r), kids);
-    for (Ref k : kids)
+    for_each_ref(cell(r), [&](Ref k) {
       if (seen.insert(k).second) q.push_back(k);
+    });
   }
   w.u32(static_cast<uint32_t>(order.size()));
   for (Ref r : order) {
@@ -233,29 +204,19 @@ std::unordered_map<Ref, Ref> Heap::deserialize_graph(ByteReader& r) {
   uint32_t n = r.u32();
   std::unordered_map<Ref, Ref> map;
   map.reserve(n);
-  // Pass 1: materialize cells, remembering embedded home refs.
-  std::vector<std::tuple<Ref, uint32_t, Ref>> links;  // (local holder, slot, home)
+  // Cells land with their embedded refs still home ids, then get rewired.
   for (uint32_t i = 0; i < n; ++i) {
     Ref home = r.u32();
-    Ref local = deserialize_shallow(
-        r, [&](Ref holder, uint32_t slot, Ref h) { links.emplace_back(holder, slot, h); },
-        /*stubs=*/false);
+    Ref local = alloc(read_cell(r));
     SOD_CHECK(local != bc::kNull, "graph deserialize hit heap limit");
     map[home] = local;
   }
-  // Pass 2: rewire intra-graph references.
-  for (auto& [holder, slot, home] : links) {
-    auto it = map.find(home);
-    SOD_CHECK(it != map.end(), "dangling ref in graph image");
-    Cell& c = cell(holder);
-    if (auto* o = std::get_if<ObjCell>(&c)) {
-      o->fields[slot] = Value::of_ref(it->second);
-    } else if (auto* ar = std::get_if<ArrRCell>(&c)) {
-      ar->v[slot] = it->second;
-    } else {
-      SOD_UNREACHABLE("link into non-ref-bearing cell");
-    }
-  }
+  for (const auto& [home, local] : map)
+    for_each_ref(cell(local), [&](Ref& ref) {
+      auto it = map.find(ref);
+      SOD_CHECK(it != map.end(), "dangling ref in graph image");
+      ref = it->second;
+    });
   return map;
 }
 

@@ -9,7 +9,7 @@
 //
 // Serialization comes in two flavours mirroring the two migration schools:
 //   - serialize_shallow: one cell; embedded refs are encoded as *home ref
-//     ids* and materialize as nulls + side-table entries at the receiver
+//     ids* and materialize at the receiver as stubs carrying that home ref
 //     (SOD's on-demand object faulting).
 //   - serialize_graph: the full reachable closure (eager-copy process
 //     migration à la G-JavaMPI).
@@ -69,10 +69,12 @@ using Cell = std::variant<std::monostate, ObjCell, ArrICell, ArrDCell, ArrRCell,
 
 // The value and cell wire format.  Every module that ships heap state
 // (object fetches, write-backs, checkpoints, eager process migration)
-// encodes through write_value / Heap::serialize_shallow and decodes values
-// through read_value, so the format lives here and nowhere else.
-// (CapturedState has its own value codec: a captured ref travels there as
-// a 1-byte null/remote flag.)
+// encodes through write_value / Heap::serialize_shallow and decodes through
+// read_value / read_cell, so the format lives here and nowhere else:
+// read_cell is the one cell decoder.  CapturedState keeps its own value
+// codec, because a captured ref travels there as a 1-byte null/remote flag
+// where a cell's ref is a u32 wire id; sharing one codec would make it
+// branch on its caller.
 
 /// Wire tags for cell kinds.
 enum : uint8_t { kWireObj = 1, kWireArrI, kWireArrD, kWireArrR, kWireStr };
@@ -91,6 +93,23 @@ void write_value(ByteWriter& w, const Value& v, MapRef&& map_ref) {
 }
 /// Inverse of write_value; a ref comes back as its raw wire id.
 Value read_value(ByteReader& r);
+/// Inverse of Heap::serialize_shallow; embedded refs come back as raw
+/// wire ids.
+Cell read_cell(ByteReader& r);
+
+/// Calls f(ref) on each non-null ref an object's fields or a ref array's
+/// elements hold, in field / element order.  On a mutable cell f gets a
+/// `Ref&` and may rewrite the ref in place.
+template <class C, class F>
+void for_each_ref(C& c, F&& f) {
+  if (auto* o = std::get_if<ObjCell>(&c)) {
+    for (auto& v : o->fields)
+      if (v.tag == Ty::Ref && v.r != bc::kNull) f(v.r);
+  } else if (auto* a = std::get_if<ArrRCell>(&c)) {
+    for (auto& x : a->v)
+      if (x != bc::kNull) f(x);
+  }
+}
 
 class Heap {
  public:
@@ -104,6 +123,10 @@ class Heap {
   Ref alloc_arr_r(size_t n);
   Ref alloc_str(std::string s);
   Ref alloc_stub(Ref home_ref, uint16_t static_field = bc::kNoId);
+  /// Allocate a decoded cell as is, charged by its size.
+  Ref alloc(Cell c);
+  /// Replace cell `r` with `c`, which must have the same kind and size.
+  void overwrite(Ref r, Cell c);
 
   bool is_stub(Ref r) const { return std::holds_alternative<StubCell>(cell(r)); }
   Ref stub_home(Ref r) const { return std::get<StubCell>(cell(r)).home_ref; }
@@ -142,13 +165,10 @@ class Heap {
   void serialize_shallow(Ref r, ByteWriter& w) const { serialize_shallow(r, w, std::identity{}); }
   /// Byte size of the shallow wire form.
   size_t shallow_size(Ref r) const;
-  /// Materialize a shallow cell into this heap.  Embedded non-null refs
-  /// become remote stubs carrying the home ref (when `stubs`), or nulls
-  /// (graph deserialization rewires them afterwards).  `remote_of`
-  /// receives (holder, slot_or_index, home_ref) for each embedded ref.
-  /// Returns the new local ref.
-  using RemoteRefSink = std::function<void(Ref local_holder, uint32_t slot, Ref home_ref)>;
-  Ref deserialize_shallow(ByteReader& r, const RemoteRefSink& remote_of, bool stubs = true);
+  /// Materialize a shallow cell into this heap.  Each embedded non-null
+  /// ref becomes a remote stub carrying the home ref, allocated before its
+  /// holder.  Returns the new local ref (kNull if the heap is full).
+  Ref deserialize_shallow(ByteReader& r);
 
   /// Full reachable closure from `roots` (eager copy).  The wire form is a
   /// list of (home_ref, shallow cell); intra-graph refs are preserved via

@@ -76,21 +76,16 @@ TEST(Heap, ShallowSerializeStubsEmbeddedRefs) {
 
   Heap dst;
   ByteReader r(w.bytes());
-  std::vector<std::tuple<Ref, uint32_t, Ref>> remotes;
-  Ref copy = dst.deserialize_shallow(
-      r, [&](Ref holder, uint32_t slot, Ref home) { remotes.emplace_back(holder, slot, home); });
+  Ref copy = dst.deserialize_shallow(r);
   ASSERT_NE(copy, bc::kNull);
   EXPECT_EQ(dst.obj(copy).fields[0].as_i64(), 99);
-  // Ref field arrives as a remote stub carrying the home ref, and the
-  // side-table sink still reports it.
+  // The ref field arrives as a remote stub carrying the home ref,
+  // allocated before its holder.
   Ref stub = dst.obj(copy).fields[1].as_ref();
   ASSERT_NE(stub, bc::kNull);
+  EXPECT_LT(stub, copy);
   EXPECT_TRUE(dst.is_stub(stub));
   EXPECT_EQ(dst.stub_home(stub), inner);
-  ASSERT_EQ(remotes.size(), 1u);
-  EXPECT_EQ(std::get<0>(remotes[0]), copy);
-  EXPECT_EQ(std::get<1>(remotes[0]), 1u);
-  EXPECT_EQ(std::get<2>(remotes[0]), inner);
 }
 
 TEST(Heap, ValueCodecRoundTripsEveryTag) {
@@ -137,24 +132,27 @@ TEST(Heap, ShallowSerializeMapsEveryRef) {
   src.obj(obj).fields[3] = Value::of_ref(b);
   Ref arr = src.alloc_arr_r(3);
   src.arr_r(arr).v = {b, bc::kNull, a};
-  // Every ref, null included, goes through the mapper in field order.
+  // Every ref, null included, goes through the mapper in field order, and
+  // read_cell hands back the raw wire ids.
   auto map = [](Ref r) { return r == bc::kNull ? Ref{1000} : r + 500; };
   for (Ref holder : {obj, arr}) {
     ByteWriter w;
     src.serialize_shallow(holder, w, map);
-    Heap dst;
     ByteReader r(w.bytes());
-    std::vector<std::pair<uint32_t, Ref>> remotes;
-    dst.deserialize_shallow(
-        r, [&](Ref, uint32_t slot, Ref home) { remotes.emplace_back(slot, home); });
+    Cell c = read_cell(r);
     EXPECT_TRUE(r.done());
-    std::vector<std::pair<uint32_t, Ref>> want;
+    std::vector<Ref> seen;
+    for_each_ref(c, [&](Ref x) { seen.push_back(x); });
     if (holder == obj) {
-      want = {{0, a + 500}, {2, 1000}, {3, b + 500}};
+      const auto& f = std::get<ObjCell>(c).fields;
+      EXPECT_EQ(f[1].as_i64(), 5);
+      EXPECT_EQ((std::vector<Ref>{f[0].as_ref(), f[2].as_ref(), f[3].as_ref()}),
+                (std::vector<Ref>{a + 500, 1000, b + 500}));
+      EXPECT_EQ(seen, (std::vector<Ref>{a + 500, 1000, b + 500}));
     } else {
-      want = {{0, b + 500}, {1, 1000}, {2, a + 500}};
+      EXPECT_EQ(std::get<ArrRCell>(c).v, (std::vector<Ref>{b + 500, 1000, a + 500}));
+      EXPECT_EQ(seen, std::get<ArrRCell>(c).v);
     }
-    EXPECT_EQ(remotes, want);
   }
 }
 
@@ -166,11 +164,11 @@ TEST(Heap, ShallowArrays) {
   src.serialize_shallow(ad, w);
   Heap dst;
   ByteReader r(w.bytes());
-  Ref copy = dst.deserialize_shallow(r, nullptr);
+  Ref copy = dst.deserialize_shallow(r);
   EXPECT_EQ(dst.arr_d(copy).v, src.arr_d(ad).v);
 }
 
-TEST(Heap, RefArrayRemoteSink) {
+TEST(Heap, RefArrayElementsArriveAsStubs) {
   Heap src;
   Ref s1 = src.alloc_str("x");
   Ref arr = src.alloc_arr_r(3);
@@ -179,14 +177,30 @@ TEST(Heap, RefArrayRemoteSink) {
   src.serialize_shallow(arr, w);
   Heap dst;
   ByteReader r(w.bytes());
-  int sink_calls = 0;
-  Ref copy = dst.deserialize_shallow(r, [&](Ref, uint32_t, Ref) { ++sink_calls; });
-  EXPECT_EQ(sink_calls, 2);  // two non-null elements
+  Ref copy = dst.deserialize_shallow(r);
+  EXPECT_EQ(dst.count(), 3u);  // two stubs, then the array
   // Non-null elements arrive as stubs; the genuine null stays null.
   EXPECT_TRUE(dst.is_stub(dst.arr_r(copy).v[0]));
   EXPECT_EQ(dst.arr_r(copy).v[1], bc::kNull);
   EXPECT_TRUE(dst.is_stub(dst.arr_r(copy).v[2]));
   EXPECT_EQ(dst.stub_home(dst.arr_r(copy).v[0]), s1);
+}
+
+TEST(Heap, AllocAndOverwriteDecodedCells) {
+  Heap src;
+  Ref arr = src.alloc_arr_i(2);
+  src.arr_i(arr).v = {4, 5};
+  ByteWriter w;
+  src.serialize_shallow(arr, w);
+  Heap dst;
+  ByteReader r(w.bytes());
+  Ref copy = dst.alloc(read_cell(r));
+  EXPECT_EQ(dst.used_bytes(), src.used_bytes());
+  dst.overwrite(copy, Cell(ArrICell{{6, 7}}));
+  EXPECT_EQ(dst.arr_i(copy).v, (std::vector<int64_t>{6, 7}));
+  EXPECT_EQ(dst.used_bytes(), src.used_bytes());
+  EXPECT_DEATH(dst.overwrite(copy, Cell(ArrICell{{1}})), "another kind or size");
+  EXPECT_DEATH(dst.overwrite(copy, Cell(ArrDCell{{1.0, 2.0}})), "another kind or size");
 }
 
 TEST(Heap, GraphDeserializeWithoutStubs) {

@@ -173,6 +173,80 @@ TEST(Migrate, WriteBackReflectsHeapMutations) {
   }
 }
 
+TEST(Migrate, WriteBackAppliesEveryCellKind) {
+  // One offloaded frame mutates a fetched cell of every kind and creates
+  // an object and a string, so the write-back carries updates of an i64,
+  // an f64 and a ref array and of an object, plus temp ids in both a ref
+  // array element and an object field.
+  ProgramBuilder pb;
+  auto& box = pb.cls("Box");
+  box.field("v", Ty::I64);
+  box.field("s", Ty::Ref);
+  auto& m = pb.cls("M");
+  auto& mut = m.method("mut", {{"ai", Ty::Ref}, {"ad", Ty::Ref}, {"ar", Ty::Ref}, {"b", Ty::Ref}},
+                       Ty::Ref);
+  uint16_t nb = mut.local("nb", Ty::Ref);
+  mut.stmt().aload("ai").iconst(0).iconst(41).iastore();
+  mut.stmt().aload("ad").iconst(1).dconst(-0.5).dastore();
+  mut.stmt().new_("Box").astore(nb);
+  mut.stmt().aload(nb).iconst(7).putfield("Box.v");
+  mut.stmt().aload("ar").iconst(0).aload(nb).aastore();
+  mut.stmt().aload("ar").iconst(1).aconst_null().aastore();
+  mut.stmt().aload("b").iconst(99).putfield("Box.v");
+  mut.stmt().aload("b").ldc_str("fresh").putfield("Box.s");
+  mut.stmt().aload("ar").aret();
+  auto p = pb.build();
+  prep::preprocess_program(p);
+  SodNode home("home", p, {});
+  SodNode dest("dest", p, {});
+
+  uint16_t box_cls = p.find_class("Box");
+  const bc::Field& vf = p.field(p.find_field("Box.v"));
+  const bc::Field& sf = p.field(p.find_field("Box.s"));
+  svm::Heap& hh = home.vm().heap();
+  home.vm().ensure_loaded(box_cls);
+  auto new_box = [&](int64_t v) {
+    bc::Ref r = hh.alloc_obj(box_cls, home.vm().inst_slot_types(box_cls));
+    hh.obj(r).fields[vf.slot] = Value::of_i64(v);
+    return r;
+  };
+  bc::Ref ai = hh.alloc_arr_i(3);
+  hh.arr_i(ai).v = {1, 2, 3};
+  bc::Ref ad = hh.alloc_arr_d(2);
+  hh.arr_d(ad).v = {1.25, 2.5};
+  bc::Ref x = new_box(10), y = new_box(20), z = new_box(30);
+  bc::Ref ar = hh.alloc_arr_r(3);
+  hh.arr_r(ar).v = {x, y, z};
+  bc::Ref b = new_box(5);
+
+  uint16_t mid = p.find_method("M.mut");
+  const Value args[] = {Value::of_ref(ai), Value::of_ref(ad), Value::of_ref(ar), Value::of_ref(b)};
+  int tid = home.vm().spawn(mid, args);
+  ASSERT_TRUE(mig::pause_at_depth(home, tid, mid, 1));
+  auto out = mig::offload_and_return(home, tid, 1, dest, sim::Link::gigabit());
+  EXPECT_GE(out.writeback.objects_created, 2);
+  ASSERT_EQ(home.vm().thread(tid).status, svm::ThreadStatus::Done);
+  EXPECT_EQ(home.vm().thread(tid).result.as_ref(), ar);
+
+  EXPECT_EQ(hh.arr_i(ai).v, (std::vector<int64_t>{41, 2, 3}));
+  EXPECT_EQ(hh.arr_d(ad).v, (std::vector<double>{1.25, -0.5}));
+  const auto& elems = hh.arr_r(ar).v;
+  ASSERT_EQ(elems.size(), 3u);
+  bc::Ref created = elems[0];
+  ASSERT_NE(created, bc::kNull);
+  EXPECT_NE(created, x);
+  EXPECT_EQ(hh.obj(created).cls, box_cls);
+  EXPECT_EQ(hh.obj(created).fields[vf.slot].as_i64(), 7);
+  EXPECT_EQ(hh.obj(created).fields[sf.slot].as_ref(), bc::kNull);
+  EXPECT_EQ(elems[1], bc::kNull);
+  EXPECT_EQ(elems[2], z);
+  EXPECT_EQ(hh.obj(z).fields[vf.slot].as_i64(), 30);
+  EXPECT_EQ(hh.obj(b).fields[vf.slot].as_i64(), 99);
+  bc::Ref s = hh.obj(b).fields[sf.slot].as_ref();
+  ASSERT_NE(s, bc::kNull);
+  EXPECT_EQ(hh.str(s).s, "fresh");
+}
+
 TEST(Migrate, TotalMigrationFig1b) {
   // Fig. 1(b): top frame migrates; the residual frames are pushed to the
   // same destination; when the top segment finishes, its result is

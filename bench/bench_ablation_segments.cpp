@@ -2,6 +2,7 @@
 // stack for k = 1..10 and watch capture cost and state size grow linearly
 // while SOD's k=1 stays minimal (the design choice behind "export only the
 // top segment").
+#include <cstdint>
 #include <cstdio>
 
 #include "cli/scenario.h"
@@ -37,7 +38,8 @@ int run(const cli::ScenarioOptions& opt) {
     VDur t0 = home.node().clock.now();
     auto cs = mig::capture_segment(home, tid, mig::SegmentSpec{0, k});
     home.ti().set_debug_enabled(false);
-    home.node().charge_host(home.serde().cost(cs.wire_size(), k));
+    const std::vector<uint8_t> wire = cs.wire();
+    home.node().charge_host(home.serde().cost(wire.size(), k));
     VDur cap = home.node().clock.now() - t0;
 
     uint16_t top_cls = p.method(cs.frames.back().method).owner;
@@ -45,16 +47,16 @@ int run(const cli::ScenarioOptions& opt) {
     dest.enable_class_fetch(&home, sim::Link::gigabit());
     VDur sent = home.node().clock.now();
     sim::deliver(home.node(), dest.node(), sim::Link::gigabit(),
-                 cs.wire_size() + p.class_image(top_cls).size());
+                 wire.size() + p.class_image(top_cls).size());
     VDur xfer = dest.node().clock.now() - sent;
 
     VDur t2 = dest.node().clock.now();
     mig::Segment seg(dest);
     seg.objman().bind_home(&home, tid, k, sim::Link::gigabit());
-    seg.restore(cs);
+    seg.restore(mig::CapturedState::from_wire(wire));
     VDur rest = dest.node().clock.now() - t2;
 
-    t.row({std::to_string(k), std::to_string(cs.wire_size()), fmt("%.3f", cap.ms()),
+    t.row({std::to_string(k), std::to_string(wire.size()), fmt("%.3f", cap.ms()),
            fmt("%.3f", xfer.ms()), fmt("%.3f", rest.ms()), fmt("%.3f", (cap + xfer + rest).ms())});
   }
   t.print();

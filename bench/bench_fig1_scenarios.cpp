@@ -88,22 +88,22 @@ void scenario_c(Table& summary) {
 
   int tid = n1.vm().spawn(fib, std::vector<Value>{Value::of_i64(22)});
   mig::pause_at_depth(n1, tid, fib, 3);
-  auto csTop = mig::capture_segment(n1, tid, mig::SegmentSpec{0, 1});
-  auto csRest = mig::capture_segment(n1, tid, mig::SegmentSpec{1, 3});
+  auto wireTop = mig::capture_segment(n1, tid, mig::SegmentSpec{0, 1}).wire();
+  auto wireRest = mig::capture_segment(n1, tid, mig::SegmentSpec{1, 3}).wire();
   n1.ti().set_debug_enabled(false);
 
   // Both segments ship concurrently (node1 sends without blocking).
-  sim::deliver(n1.node(), n2.node(), link, csTop.wire_size());
-  sim::deliver(n1.node(), n3.node(), link, csRest.wire_size());
+  sim::deliver(n1.node(), n2.node(), link, wireTop.size());
+  sim::deliver(n1.node(), n3.node(), link, wireRest.size());
 
   mig::Segment segTop(n2);
   segTop.objman().bind_home(&n1, tid, 1, link);
-  segTop.restore(csTop);
+  segTop.restore(mig::CapturedState::from_wire(wireTop));
   VDur n2_restored = n2.node().clock.now();
 
   mig::Segment segRest(n3);
   segRest.objman().bind_home(&n1, tid, 3, link);
-  segRest.restore(csRest);
+  segRest.restore(mig::CapturedState::from_wire(wireRest));
   VDur n3_restored = n3.node().clock.now();
 
   Value top = segTop.run_to_completion();

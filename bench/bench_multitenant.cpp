@@ -4,7 +4,9 @@
 // Xeons on gigabit plus a 25x-slower wifi device).  Each arrival mix
 // (poisson | onoff | soak) runs per policy twice — without and with
 // checkpoint-based speculation — and the table reports exact completion
-// percentiles (p50/p95/p99, nearest-rank over every session).
+// percentiles (p50/p95/p99, nearest-rank over every session) and home's
+// utilisation (`home busy %`: CPU booked on home's one core over the
+// replay's span).
 //
 // Acceptance: every session of every tenant completes with its app's
 // single-node reference result, the shared event log passes the
@@ -102,8 +104,19 @@ int run(const cli::ScenarioOptions& opt) {
               static_cast<unsigned long long>(cfg.seed));
 
   Table t({"config", "sessions", "completed", "segments", "joins", "lost", "p50 ms",
-           "p95 ms", "p99 ms", "mean ms", "total ms", "stat scans", "stat skipped",
-           "stat bytes"});
+           "p95 ms", "p99 ms", "mean ms", "total ms", "home busy %", "stat scans",
+           "stat skipped", "stat bytes"});
+  auto add_row = [&t](const std::string& label, const cluster::LoadGenResult& r) {
+    // Home has one core: its utilisation is booked CPU over the replay span.
+    double home_busy = r.total_ms > 0 ? 100.0 * r.home_busy_ms / r.total_ms : 0;
+    t.row({label, std::to_string(r.sessions), std::to_string(r.completed),
+           std::to_string(r.segments), std::to_string(r.surge_joins),
+           std::to_string(r.workers_lost), fmt("%.3f", r.completion_ms.p50()),
+           fmt("%.3f", r.completion_ms.p95()), fmt("%.3f", r.completion_ms.p99()),
+           fmt("%.3f", r.completion_ms.mean()), fmt("%.3f", r.total_ms), fmt("%.1f", home_busy),
+           std::to_string(r.statics_scans), std::to_string(r.statics_skipped),
+           std::to_string(r.statics_bytes)});
+  };
   bool all_ok = true;
   for (cluster::ArrivalKind arrival : arrivals) {
     cluster::TraceConfig acfg = cfg;
@@ -139,13 +152,7 @@ int run(const cli::ScenarioOptions& opt) {
                     "%d speculation(s) — exactly-once %s\n",
                     label.c_str(), r.segments, r.surge_joins, r.workers_lost, r.redispatched,
                     r.speculated, r.exactly_once ? "OK" : "VIOLATED");
-        t.row({label, std::to_string(r.sessions), std::to_string(r.completed),
-               std::to_string(r.segments), std::to_string(r.surge_joins),
-               std::to_string(r.workers_lost), fmt("%.3f", r.completion_ms.p50()),
-               fmt("%.3f", r.completion_ms.p95()), fmt("%.3f", r.completion_ms.p99()),
-               fmt("%.3f", r.completion_ms.mean()), fmt("%.3f", r.total_ms),
-               std::to_string(r.statics_scans), std::to_string(r.statics_skipped),
-               std::to_string(r.statics_bytes)});
+        add_row(label, r);
         // The tail claim: speculation may only shrink p99 where the policy
         // actually parks work on the straggler (least_loaded).  Learned
         // routes around the device, so its rows are informational.
@@ -195,13 +202,7 @@ int run(const cli::ScenarioOptions& opt) {
       }
       std::printf("%s: %zu refresh scan(s), %zu skipped, %zu byte(s) copied\n",
                   label.c_str(), r.statics_scans, r.statics_skipped, r.statics_bytes);
-      t.row({label, std::to_string(r.sessions), std::to_string(r.completed),
-             std::to_string(r.segments), std::to_string(r.surge_joins),
-             std::to_string(r.workers_lost), fmt("%.3f", r.completion_ms.p50()),
-             fmt("%.3f", r.completion_ms.p95()), fmt("%.3f", r.completion_ms.p99()),
-             fmt("%.3f", r.completion_ms.mean()), fmt("%.3f", r.total_ms),
-             std::to_string(r.statics_scans), std::to_string(r.statics_skipped),
-             std::to_string(r.statics_bytes)});
+      add_row(label, r);
     }
     if (pair[0].statics_skipped == 0) {
       std::fprintf(stderr, "multitenant: purity skip never fired on the statics mix\n");

@@ -66,19 +66,19 @@ int run(const cli::ScenarioOptions&) {
   std::printf("node1 paused with 3 frames: [stage1, stage2, stage3]\n");
 
   // Split: top frame (stage3) -> node2; frames stage2+stage1 -> node3.
-  auto csTop = mig::capture_segment(n1, tid, mig::SegmentSpec{0, 1});
-  auto csRest = mig::capture_segment(n1, tid, mig::SegmentSpec{1, 3});
+  auto wireTop = mig::capture_segment(n1, tid, mig::SegmentSpec{0, 1}).wire();
+  auto wireRest = mig::capture_segment(n1, tid, mig::SegmentSpec{1, 3}).wire();
   n1.ti().set_debug_enabled(false);
-  sim::deliver(n1.node(), n2.node(), link, csTop.wire_size());
-  sim::deliver(n1.node(), n3.node(), link, csRest.wire_size());
+  sim::deliver(n1.node(), n2.node(), link, wireTop.size());
+  sim::deliver(n1.node(), n3.node(), link, wireRest.size());
 
   mig::Segment segTop(n2);
   segTop.objman().bind_home(&n1, tid, 1, link);
-  segTop.restore(csTop);
+  segTop.restore(mig::CapturedState::from_wire(wireTop));
 
   mig::Segment segRest(n3);
   segRest.objman().bind_home(&n1, tid, 3, link);
-  segRest.restore(csRest);
+  segRest.restore(mig::CapturedState::from_wire(wireRest));
   std::printf("node3 restored its segment at %.3f ms (concurrent with node2)\n",
               n3.node().clock.now().ms());
 

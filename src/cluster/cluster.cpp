@@ -79,7 +79,10 @@ const sim::Link& Cluster::link(int id) const {
   return workers_[static_cast<size_t>(id)].link;
 }
 
-VDur Cluster::load(int id) const { return worker(id).node().clock.now(); }
+VDur Cluster::load(int id) const {
+  const sim::Node& n = worker(id).node();
+  return n.cpu.free_from(n.clock.now());
+}
 
 int Cluster::inflight(int id) const {
   SOD_CHECK(id >= 0 && id < size(), "bad worker id");

@@ -103,7 +103,9 @@ class Cluster {
   mig::SodNode& worker(int id) const;
   const sim::Link& link(int id) const;
 
-  /// Virtual-clock load front of a worker: everything charged to it so far.
+  /// Load front of a worker: the first instant at or after its clock that
+  /// its core is free (sim::CpuCalendar) — its clock itself unless
+  /// another timeline booked the core past it.
   VDur load(int id) const;
   /// Home's current virtual time (placement estimates start from here).
   VDur home_now() const { return home_->node().clock.now(); }

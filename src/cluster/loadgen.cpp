@@ -148,6 +148,7 @@ struct SessState {
   int segments = 0;
   bool done = false;
   bool ok = false;
+  VDur at{};  ///< the session's home instant: where its timeline stands
   VDur first_step{};
   int64_t result = INT64_MIN;
   double ms = 0;
@@ -312,52 +313,91 @@ LoadGenResult run_loadgen(const Trace& trace, const LoadGenOptions& opts) {
     }
   };
 
+  // Every session is one home guest thread with its own timeline: `at` is
+  // the session's home instant.  A step switches the home clock to it
+  // (VClock::set), runs one dispatch round or the residual at home, and
+  // reads it back.  Home's CPU work books the one home core
+  // (sim::CpuCalendar), so sessions overlap wherever one waits on a worker
+  // while another computes, and queue wherever both need the core.  A
+  // worker's clock is switched back to `at` the same way when an earlier
+  // step left it later: a round runs to completion inside its step, so
+  // without the switch a later-stepping session would queue behind work
+  // another session booked further in the future, instead of using the
+  // worker's idle CPU before it.  Steps go in virtual-time order: the
+  // steppable session with the earliest `at` (ties: fewest steps, then the
+  // oldest session), and no step at or after an arrival's instant runs
+  // before that arrival is admitted.
+  sim::Node& home_node = home.node();
   size_t next = 0, inj_next = 0;
   std::vector<int> active;
   int done_count = 0;
+  VDur latest{};  ///< the latest instant any timeline reached
   const auto wall_t0 = std::chrono::steady_clock::now();
   auto wall_ms_since_start = [&wall_t0] {
     return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
                                                      wall_t0)
         .count();
   };
-  auto admit = [&] {
-    while (next < n && trace.sessions[next].arrival.ns <= c.home_now().ns) {
-      while (inj_next < trace.injections.size() &&
-             trace.injections[inj_next].at_session <= static_cast<int>(next))
-        apply(trace.injections[inj_next++]);
-      active.push_back(static_cast<int>(next));
-      ++next;
-    }
+  auto admit_next = [&] {
+    const VDur arrival = trace.sessions[next].arrival;
+    // Injections pinned to this arrival fire at its instant.
+    home_node.clock.set(arrival);
+    while (inj_next < trace.injections.size() &&
+           trace.injections[inj_next].at_session <= static_cast<int>(next))
+      apply(trace.injections[inj_next++]);
+    st[next].at = arrival;
+    latest = std::max(latest, arrival);
+    active.push_back(static_cast<int>(next));
+    ++next;
+  };
+  // No booking, at home or on a worker (whose work follows a ship from
+  // home), is ever made before the earliest instant a timeline can still
+  // take up — the next arrival or an active session's `at` — so what ended
+  // earlier is forgotten and each calendar holds only the work in flight.
+  auto forget_past = [&] {
+    VDur horizon = next < n ? trace.sessions[next].arrival : latest;
+    for (int s : active) horizon = std::min(horizon, st[static_cast<size_t>(s)].at);
+    home_node.cpu.forget_before(horizon);
+    for (int w = 0; w < c.size(); ++w) c.worker(w).node().cpu.forget_before(horizon);
   };
 
   while (done_count < static_cast<int>(n)) {
-    admit();
-    if (active.empty()) {
-      // Idle until the next arrival instant — the load generator's only
-      // source of clock advancement besides guest execution.
-      home.node().clock.wait_until(trace.sessions[next].arrival);
-      continue;
-    }
-    // Fair step picker: fewest steps first, ties to the oldest session.
     int pick = -1;
     for (int s : active) {
       if (blocked(static_cast<size_t>(s))) continue;
-      if (pick < 0 || st[static_cast<size_t>(s)].steps < st[static_cast<size_t>(pick)].steps)
+      const SessState& a = st[static_cast<size_t>(s)];
+      if (pick < 0) {
         pick = s;
+        continue;
+      }
+      const SessState& b = st[static_cast<size_t>(pick)];
+      if (a.at < b.at || (a.at == b.at && a.steps < b.steps)) pick = s;
+    }
+    if (next < n &&
+        (pick < 0 || trace.sessions[next].arrival <= st[static_cast<size_t>(pick)].at)) {
+      admit_next();
+      continue;
     }
     const size_t i = static_cast<size_t>(pick);
     auto& ss = st[i];
     const auto& ts = trace.sessions[i];
     const LoadApp& la = cat[static_cast<size_t>(ts.app)];
     const std::string pfx = tenant_prefix(ts.tenant);
+    home_node.clock.set(ss.at);
+    for (int w = 0; w < c.size(); ++w) {
+      sim::Node& wn = c.worker(w).node();
+      if (ss.at < wn.clock.now()) wn.clock.set(ss.at);
+    }
 
     if (ss.tid < 0) {
       if (writes_statics[static_cast<size_t>(lock_key(ts))]) lock[lock_key(ts)] = pick;
-      ss.first_step = c.home_now();
+      // Admitted, the session waits for home's core before its first step
+      // can run.
+      ss.first_step = home_node.cpu.free_from(ss.at);
       ss.tid = home.vm().spawn(p.find_method(pfx + la.spec.entry), la.args);
     }
 
+    bool offloaded = false;
     if (ss.rounds_left > 0) {
       // Split depth is capped by the app's paper stack height: FFT's
       // trigger lives at depth 3, fib's recursion goes as deep as asked.
@@ -372,28 +412,41 @@ LoadGenResult run_loadgen(const Trace& trace, const LoadGenOptions& opts) {
         res.segments += k;
         res.tenants[static_cast<size_t>(ts.tenant)].segments += k;
         --ss.rounds_left;
-        ++ss.steps;
-        continue;
+        offloaded = true;
+      } else {
+        ss.rounds_left = 0;  // recursion exhausted — finish at home
       }
-      ss.rounds_left = 0;  // recursion exhausted — finish at home
     }
 
-    home.ti().set_debug_enabled(false);
-    auto rr = home.run_guest(ss.tid);
-    ss.done = true;
+    if (!offloaded) {
+      home.ti().set_debug_enabled(false);
+      auto rr = home.run_guest(ss.tid);
+      ss.done = true;
+      if (rr.reason == svm::StopReason::Done) {
+        ss.result = home.vm().thread(ss.tid).result.as_i64();
+        ss.ok = ss.result == expected[static_cast<size_t>(ts.app)];
+      }
+    }
     ++ss.steps;
-    if (rr.reason == svm::StopReason::Done) {
-      ss.result = home.vm().thread(ss.tid).result.as_i64();
-      ss.ok = ss.result == expected[static_cast<size_t>(ts.app)];
+    ss.at = home_node.clock.now();
+    latest = std::max(latest, ss.at);
+
+    if (ss.done) {
+      ss.ms = (ss.at - ts.arrival).ms();
+      if (wall) ss.wall_ms = wall_ms_since_start();
+      if (writes_statics[static_cast<size_t>(lock_key(ts))]) {
+        auto it = lock.find(lock_key(ts));
+        if (it != lock.end() && it->second == pick) lock.erase(it);
+        // Sessions waiting on the instance lock take it up no earlier
+        // than its release.
+        for (int s : active)
+          if (lock_key(trace.sessions[static_cast<size_t>(s)]) == lock_key(ts))
+            st[static_cast<size_t>(s)].at = std::max(st[static_cast<size_t>(s)].at, ss.at);
+      }
+      active.erase(std::find(active.begin(), active.end(), pick));
+      ++done_count;
     }
-    ss.ms = (c.home_now() - ts.arrival).ms();
-    if (wall) ss.wall_ms = wall_ms_since_start();
-    if (writes_statics[static_cast<size_t>(lock_key(ts))]) {
-      auto it = lock.find(lock_key(ts));
-      if (it != lock.end() && it->second == pick) lock.erase(it);
-    }
-    active.erase(std::find(active.begin(), active.end(), pick));
-    ++done_count;
+    forget_past();
   }
 
   bool all_ok = true;
@@ -444,7 +497,8 @@ LoadGenResult run_loadgen(const Trace& trace, const LoadGenOptions& opts) {
     res.wall_max_queue = total.max_queue;
     res.wall_total_ms = wall_ms_since_start();
   }
-  res.total_ms = c.home_now().ms();
+  res.total_ms = latest.ms();
+  res.home_busy_ms = home_node.cpu.booked().ms();
   return res;
 }
 

@@ -15,12 +15,15 @@
 // placement state, and the event log, while their statics and heap
 // objects stay isolated by class identity — the property the
 // cross-tenant leakage tests pin down.
-// Sessions interleave at dispatch-round granularity through the existing
-// event loop: the step picker is fair (fewest steps first, ties to the
-// oldest session), admission waits are accounted per tenant, and sessions
-// of a statics-bearing app (FFT, TSP) serialize per (tenant, app) — the
-// tenant's app-instance lock — so concurrent sessions can never clobber
-// one another's static workspace.
+// Every session is a home guest thread with its own virtual timeline, and
+// home's CPU work is booked on one shared home core (sim::CpuCalendar):
+// while one session's segments run on workers, other sessions use the
+// home CPU.  Sessions interleave at dispatch-round granularity in
+// virtual-time order (the earliest timeline steps next; ties to the
+// fewest steps, then the oldest session), admission waits are accounted
+// per tenant, and sessions of a statics-bearing app (FFT, TSP) serialize
+// per (tenant, app) — the tenant's app-instance lock — so concurrent
+// sessions can never clobber one another's static workspace.
 //
 // Completion latency is measured arrival -> final result (queueing
 // included) and reduced to exact tail percentiles (support/stats.h
@@ -155,7 +158,8 @@ struct TenantStats {
   int sessions = 0;
   int completed = 0;
   int segments = 0;
-  /// Mean admission wait (arrival -> first dispatch step), ms.
+  /// Mean admission wait (arrival -> the first instant home's core is
+  /// free for the session's first step), ms.
   double mean_wait_ms = 0;
   /// Per-session completion latency (arrival -> final result), ms.
   Percentiles completion_ms;
@@ -201,8 +205,11 @@ struct LoadGenResult {
   /// Per-session final results / latencies, parallel to trace.sessions.
   std::vector<int64_t> results;
   std::vector<double> session_ms;
-  /// Home virtual clock at the end of the replay, ms.
+  /// The latest instant any session's home timeline reached, ms.
   double total_ms = 0;
+  /// Home CPU time booked over the replay, ms (home utilisation is
+  /// home_busy_ms / total_ms: home has one core).
+  double home_busy_ms = 0;
 
   // Wall-clock engine telemetry (zero in virtual mode).
   /// Home shard count the replay ran with.

@@ -100,7 +100,7 @@ std::optional<Autoscaler::Action> Autoscaler::tick(Cluster& c, bool placement_ph
 /// Per-segment lifecycle state for the current round.
 struct Scheduler::Task {
   mig::SegmentSpec spec{};
-  mig::CapturedState cs;
+  std::vector<uint8_t> state;  ///< the captured state as shipped, serialized once
   std::unique_ptr<mig::Segment> seg;
   PlacementRequest req{};
   Placement pl{};
@@ -259,8 +259,8 @@ int Scheduler::choose_worker(const PlacementRequest& req) {
   return w;
 }
 
-std::unique_ptr<mig::Segment> Scheduler::ship(size_t i, int w, const mig::CapturedState& state,
-                                              size_t state_bytes, Placement& pl) {
+std::unique_ptr<mig::Segment> Scheduler::ship(size_t i, int w, std::span<const uint8_t> state,
+                                              int frames, Placement& pl) {
   Task& t = tasks_[i];
   mig::SodNode& home = c_->home();
   mig::SodNode& dst = c_->worker(w);
@@ -270,7 +270,7 @@ std::unique_ptr<mig::Segment> Scheduler::ship(size_t i, int w, const mig::Captur
   pl.spec = t.spec;
   pl.cls = t.req.cls;
   pl.attempts = ++t.attempts;
-  pl.shipped_bytes = state_bytes;
+  pl.shipped_bytes = state.size();
   if (!dst.class_shipped(pl.cls)) pl.shipped_bytes += t.req.class_image_bytes;
 
   dst.mark_class_shipped(pl.cls);
@@ -278,7 +278,7 @@ std::unique_ptr<mig::Segment> Scheduler::ship(size_t i, int w, const mig::Captur
   // Home (re-)serializes the state and ships it from its current send
   // front: a re-dispatch's original copy died with the lost worker, and a
   // checkpoint lives at home.
-  VDur serde = home.serde().cost(state_bytes, static_cast<int>(state.frames.size()));
+  VDur serde = home.serde().cost(state.size(), frames);
   home.node().charge_host(serde);
   sim::deliver(home.node(), dst.node(), c_->link(w), pl.shipped_bytes);
   on_ship(static_cast<int>(i), w, serde, c_->link(w).transfer_time(pl.shipped_bytes));
@@ -286,19 +286,14 @@ std::unique_ptr<mig::Segment> Scheduler::ship(size_t i, int w, const mig::Captur
   auto seg = std::make_unique<mig::Segment>(dst);
   seg->objman().set_home_gate(home_gate());
   seg->objman().bind_home(&home, home_tid_, t.spec.depth_hi, c_->link(w));
-  seg->restore(state);
+  // The worker restores what arrived on the wire.
+  seg->restore(mig::CapturedState::from_wire(state));
   pl.restored_at = dst.node().clock.now();
   return seg;
 }
 
 void Scheduler::dispatch(size_t i) {
   Task& t = tasks_[i];
-  const bc::Program& P = c_->home().program();
-  uint16_t entry_cls = P.method(t.cs.frames[0].method).owner;
-  t.req.cls = entry_cls;
-  t.req.state_bytes = t.cs.wire_size();
-  t.req.class_image_bytes = P.class_image(entry_cls).size();
-  t.req.msp_state_slots = c_->facts().class_msp_state_slots(entry_cls);
   int w = choose_worker(t.req);
   t.est_cost = policy_->estimate(*c_, w, t.req);
   c_->note_assigned(w, t.est_cost);
@@ -307,7 +302,7 @@ void Scheduler::dispatch(size_t i) {
   t.deltas = {};
   t.resumed = false;
   t.partial = false;  // a restart re-executes the full segment
-  t.seg = ship(i, w, t.cs, t.req.state_bytes, t.pl);
+  t.seg = ship(i, w, t.state, t.spec.len(), t.pl);
   t.dispatched = true;
   emit(EventKind::SegmentDispatched, t.pl.restored_at, static_cast<int>(i), w, t.attempts);
 }
@@ -319,7 +314,8 @@ Scheduler::CheckpointRestore Scheduler::restore_from_checkpoint(
   CheckpointRestore r;
   r.est = policy_->estimate(*c_, w, req);
   c_->note_assigned(w, r.est);
-  r.seg = ship(i, w, ck.ckpt.state, ck.ckpt.state_bytes, r.pl);
+  // Home re-serializes the checkpoint it keeps for every restore.
+  r.seg = ship(i, w, ck.ckpt.state.wire(), static_cast<int>(ck.ckpt.state.frames.size()), r.pl);
   // A checkpoint resumes mid-execution: no upstream delivery is pending,
   // the attempt starts executing right after its restore.
   r.pl.executed_at = r.pl.restored_at;
@@ -391,11 +387,12 @@ void Scheduler::cancel_attempt(size_t i, int loser_worker, int loser_attempt, VD
                                int winner_worker, VDur winner_completed) {
   // The winner's completion signal travels to home, home cancels the
   // loser; the loser stops at its current chunk boundary or the cancel
-  // arrival, whichever is later, and never writes back.
+  // arrival, whichever is later, and never writes back.  Until then it is
+  // still computing: its worker's core stays booked.
   VDur arrival = winner_completed + c_->link(winner_worker).transfer_time(kResultMsgBytes) +
                  c_->link(loser_worker).transfer_time(kResultMsgBytes);
   auto& ln = c_->worker(loser_worker).node();
-  ln.clock.wait_until(arrival);
+  if (ln.clock.now() < arrival) ln.busy(arrival - ln.clock.now());
   emit(EventKind::AttemptCancelled, ln.clock.now(), static_cast<int>(i), loser_worker,
        loser_attempt);
   c_->note_cancelled(loser_worker, loser_est);
@@ -695,10 +692,16 @@ DispatchOutcome Scheduler::run(int home_tid, const std::vector<mig::SegmentSpec>
   home_tid_ = home_tid;
   tasks_.clear();
   tasks_.reserve(specs.size());
+  const bc::Program& P = home.program();
   for (const auto& s : specs) {
     Task t;
     t.spec = s;
-    t.cs = mig::capture_segment(home, home_tid, s);
+    mig::CapturedState cs = mig::capture_segment(home, home_tid, s);
+    t.state = cs.wire();
+    t.req.cls = P.method(cs.frames[0].method).owner;
+    t.req.state_bytes = t.state.size();
+    t.req.class_image_bytes = P.class_image(t.req.cls).size();
+    t.req.msp_state_slots = c_->facts().class_msp_state_slots(t.req.cls);
     tasks_.push_back(std::move(t));
   }
   home.ti().set_debug_enabled(false);

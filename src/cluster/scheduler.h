@@ -44,9 +44,11 @@
 // engines share this one control path and read identical virtual clocks.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -354,11 +356,11 @@ class Scheduler {
   void emit(EventKind kind, VDur at, int segment, int worker, int attempt = 0);
   /// The policy's worker for `req`, checked to be an accepting member.
   int choose_worker(const PlacementRequest& req);
-  /// Ships `state` (`state_bytes` on the wire, plus segment i's class
-  /// image if `w` lacks it) from home to worker `w` and restores it there
-  /// as a new attempt of segment i, filling `pl`.
-  std::unique_ptr<mig::Segment> ship(size_t i, int w, const mig::CapturedState& state,
-                                     size_t state_bytes, Placement& pl);
+  /// Ships the serialized `state` of `frames` frames (plus segment i's
+  /// class image if `w` lacks it) from home to worker `w` and restores
+  /// the decoded bytes there as a new attempt of segment i, filling `pl`.
+  std::unique_ptr<mig::Segment> ship(size_t i, int w, std::span<const uint8_t> state, int frames,
+                                     Placement& pl);
   void dispatch(size_t i);
   /// Home-side prelude of segment i's live attempt (natives, statics
   /// refresh, result relay, ref forward), then one guest job that delivers

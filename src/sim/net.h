@@ -9,11 +9,15 @@
 //
 // Guest execution charges node time as instructions x per-instruction cost
 // x the node's cpu_scale (device profiles: cluster Xeon vs iPhone ARM).
+// Every charge is CPU work and goes through Node::busy, which books it on
+// the node's one core (sim/calendar.h); waiting for a message is not CPU
+// work and only moves the clock.
 #pragma once
 
 #include <string>
 #include <vector>
 
+#include "sim/calendar.h"
 #include "support/panic.h"
 #include "support/vclock.h"
 
@@ -34,6 +38,8 @@ struct Link {
 struct Node {
   std::string name;
   VClock clock;
+  /// The node's one core: every CPU charge below is booked here.
+  CpuCalendar cpu;
   /// Execution-speed multiplier relative to the reference cluster node
   /// (iPhone-3G-like device: ~25; cluster Xeon: 1).
   double cpu_scale = 1.0;
@@ -42,15 +48,19 @@ struct Node {
   /// Slowdown while the debug interpreter is active (mixed-mode penalty).
   double debug_multiplier = 10.0;
 
+  /// Spend `d` of CPU: the work starts at the first instant at or after
+  /// now that the core is free for all of `d`, and the clock moves to its
+  /// end.  The one path by which CPU work reaches a clock.
+  void busy(VDur d) { clock.wait_until(cpu.book(clock.now(), d) + d); }
   /// Charge `n` interpreted instructions (debug selects the mode).
   void charge_instrs(uint64_t n, bool debug = false) {
     double ns = static_cast<double>(n) * static_cast<double>(instr_cost.ns) * cpu_scale;
     if (debug) ns *= debug_multiplier;
-    clock.advance(VDur::nanos(static_cast<int64_t>(ns)));
+    busy(VDur::nanos(static_cast<int64_t>(ns)));
   }
   /// Charge host-side work (serialization, allocation) scaled by CPU.
   void charge_host(VDur d) {
-    clock.advance(VDur::nanos(static_cast<int64_t>(static_cast<double>(d.ns) * cpu_scale)));
+    busy(VDur::nanos(static_cast<int64_t>(static_cast<double>(d.ns) * cpu_scale)));
   }
 };
 
@@ -65,12 +75,12 @@ inline VDur deliver(const Node& src, Node& dst, const Link& l, size_t bytes) {
 
 /// Synchronous round trip: src asks dst for `resp_bytes` with a small
 /// request; src blocks until the response arrives.  Returns the new time
-/// at src.  `dst_service` is the virtual service time charged at dst.
+/// at src.  `dst_service` is the virtual service time dst's CPU spends.
 inline VDur round_trip(Node& src, Node& dst, const Link& l, size_t req_bytes, size_t resp_bytes,
                        VDur dst_service) {
   VDur req_arrival = src.clock.now() + l.transfer_time(req_bytes);
   dst.clock.wait_until(req_arrival);
-  dst.clock.advance(dst_service);
+  dst.busy(dst_service);
   VDur resp_arrival = dst.clock.now() + l.transfer_time(resp_bytes);
   src.clock.wait_until(resp_arrival);
   return src.clock.now();

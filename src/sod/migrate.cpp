@@ -602,12 +602,15 @@ SegmentCheckpoint checkpoint_segment(Segment& seg, SodNode& home, sim::Link link
   out.heap_bytes = w.size();
   out.full_heap_bytes = w.size() + builder.skipped_bytes();
   out.objects_shipped = builder.updated() + builder.created();
-  out.state_bytes = cs.wire_size();
+  const std::vector<uint8_t> state = cs.wire();
+  out.state_bytes = state.size();
 
   dest.node().charge_host(dest.serde().cost(out.state_bytes + w.size(),
                                             out.objects_shipped + depth));
   sim::deliver(dest.node(), home.node(), link, out.state_bytes + w.size());
   home.node().charge_host(home.serde().cost(w.size()));
+  // Home keeps the state it decoded off the wire.
+  cs = CapturedState::from_wire(state);
 
   // Restart-from-capture mode records the checkpoint without absorbing
   // its heap flush: a later restart re-executes against home's pristine
@@ -697,7 +700,8 @@ OffloadOutcome offload_and_return(SodNode& home, int home_tid, int nframes, SodN
   // The paper disables the debug interface outside migration events.
   home.ti().set_debug_enabled(false);
   home.sync_ti_cost();
-  out.timing.state_bytes = cs.wire_size();
+  const std::vector<uint8_t> state = cs.wire();
+  out.timing.state_bytes = state.size();
   home.node().charge_host(home.serde().cost(out.timing.state_bytes,
                                             static_cast<int>(cs.frames.size())));
   out.timing.capture = home.node().clock.now() - t0;
@@ -715,7 +719,8 @@ OffloadOutcome offload_and_return(SodNode& home, int home_tid, int nframes, SodN
   VDur t2 = dest.node().clock.now();
   Segment seg(dest);
   seg.objman().bind_home(&home, home_tid, static_cast<int>(cs.frames.size()), link);
-  seg.restore(cs);
+  // The destination restores what arrived on the wire.
+  seg.restore(CapturedState::from_wire(state));
   out.timing.restore = dest.node().clock.now() - t2;
   out.timing.class_bytes = dest.class_bytes_fetched();
 

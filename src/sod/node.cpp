@@ -20,7 +20,7 @@ svm::RunResult SodNode::run_guest(int tid, uint64_t budget) {
   vm_->reset_charged();
   svm::RunResult rr = vm_->run(tid, budget);
   node_.charge_instrs(vm_->instr_count() - i0, vm_->debug_mode());
-  node_.clock.advance(vm_->charged());
+  node_.busy(vm_->charged());
   vm_->reset_charged();
   sync_ti_cost();
   return rr;

@@ -82,10 +82,15 @@ CapturedState CapturedState::deserialize(ByteReader& r) {
   return cs;
 }
 
-size_t CapturedState::wire_size() const {
+std::vector<uint8_t> CapturedState::wire() const {
   ByteWriter w;
   serialize(w);
-  return w.size();
+  return w.take();
+}
+
+CapturedState CapturedState::from_wire(std::span<const uint8_t> bytes) {
+  ByteReader r(bytes);
+  return deserialize(r);
 }
 
 }  // namespace sod::mig

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "bytecode/program.h"
@@ -62,8 +63,10 @@ struct CapturedState {
 
   void serialize(ByteWriter& w) const;
   static CapturedState deserialize(ByteReader& r);
-  /// Wire size in bytes (what the network is charged for).
-  size_t wire_size() const;
+  /// The state as it crosses the wire: what a sender counts and ships.
+  std::vector<uint8_t> wire() const;
+  /// Decodes what arrived on the wire.
+  static CapturedState from_wire(std::span<const uint8_t> bytes);
 };
 
 }  // namespace sod::mig

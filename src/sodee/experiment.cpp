@@ -95,7 +95,8 @@ MeasuredApp measure_app(const AppSpec& spec) {
     VDur t0 = home.node().clock.now();
     mig::CapturedState cs = mig::capture_segment(home, tid, mig::SegmentSpec{0, 1});
     home.ti().set_debug_enabled(false);
-    m.sod.state_bytes = cs.wire_size();
+    const std::vector<uint8_t> wire = cs.wire();
+    m.sod.state_bytes = wire.size();
     home.node().charge_host(home.serde().cost(m.sod.state_bytes, 1));
     m.sod.capture = home.node().clock.now() - t0;
 
@@ -110,7 +111,7 @@ MeasuredApp measure_app(const AppSpec& spec) {
     VDur t2 = dest.node().clock.now();
     mig::Segment seg(dest);
     seg.objman().bind_home(&home, tid, 1, link);
-    seg.restore(cs);
+    seg.restore(mig::CapturedState::from_wire(wire));
     m.sod.restore = dest.node().clock.now() - t2;
     m.sod.class_bytes = dest.class_bytes_fetched();
     // The segment is abandoned here: running Fib(46) to completion is not
@@ -266,13 +267,14 @@ std::vector<LocalityRow> run_locality_experiment(const LocalityConfig& cfg) {
     VDur t0 = client.node().clock.now();
     mig::CapturedState cs = mig::capture_segment(client, tid, mig::SegmentSpec{0, 2});
     client.ti().set_debug_enabled(false);
-    client.node().charge_host(client.serde().cost(cs.wire_size(), 2));
+    const std::vector<uint8_t> wire = cs.wire();
+    client.node().charge_host(client.serde().cost(wire.size(), 2));
     server.enable_class_fetch(&client, link);
-    sim::deliver(client.node(), server.node(), link, cs.wire_size());
+    sim::deliver(client.node(), server.node(), link, wire.size());
     mig::Segment seg(server);
     server_mount.install(server.registry());  // after objman: server-local fs
     seg.objman().bind_home(&client, tid, 2, link);
-    seg.restore(cs);
+    seg.restore(mig::CapturedState::from_wire(wire));
     Value hits = seg.run_to_completion();
     SOD_CHECK(hits.as_i64() == cfg.nfiles, "sod search missed needles");
     mig::write_back(seg, client, tid, 2, hits, link);
@@ -434,11 +436,12 @@ std::vector<BandwidthRow> run_bandwidth_experiment(const std::vector<double>& kb
     VDur t0 = server.node().clock.now();
     mig::CapturedState cs = mig::capture_segment(server, tid, mig::SegmentSpec{0, 1});
     server.ti().set_debug_enabled(false);
-    server.node().charge_host(server.serde().cost(cs.wire_size(), 1));
+    const std::vector<uint8_t> wire = cs.wire();
+    server.node().charge_host(server.serde().cost(wire.size(), 1));
     row.capture_ms = (server.node().clock.now() - t0).ms();
 
     VDur sent = server.node().clock.now();
-    sim::deliver(server.node(), phone.node(), wifi, cs.wire_size());
+    sim::deliver(server.node(), phone.node(), wifi, wire.size());
     row.state_ms = (phone.node().clock.now() - sent).ms();
 
     phone.enable_class_fetch(&server, wifi);
@@ -446,7 +449,7 @@ std::vector<BandwidthRow> run_bandwidth_experiment(const std::vector<double>& kb
     mig::Segment seg(phone);
     phone_mount.install(phone.registry());
     seg.objman().bind_home(&server, tid, 1, wifi);
-    seg.restore(cs);
+    seg.restore(mig::CapturedState::from_wire(wire));
     VDur restore_total = phone.node().clock.now() - t2;
     row.class_ms = phone.class_fetch_time().ms();
     row.restore_ms = (restore_total - phone.class_fetch_time()).ms();

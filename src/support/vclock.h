@@ -42,7 +42,11 @@ class VClock {
   void advance(VDur d) { now_ += d; }
   /// Wait until at least `t` (no-op if already past it).
   void wait_until(VDur t) { now_ = std::max(now_, t); }
-  void reset() { now_ = {}; }
+  /// Context switch: the clock takes up another timeline at its instant
+  /// `t`, earlier or later.  Several timelines that share one node take
+  /// turns this way (sim::CpuCalendar keeps their CPU work apart); a
+  /// single timeline never needs it.
+  void set(VDur t) { now_ = t; }
 
  private:
   VDur now_{};

@@ -67,6 +67,26 @@ TEST(Policy, LeastLoadedPicksTheIdleWorker) {
   EXPECT_EQ(pol->choose(c, req), 0);
 }
 
+TEST(Policy, LeastLoadedSeesCpuBookedPastAWorkersClock) {
+  // A worker's clock switched back to an earlier timeline still reads as
+  // loaded while its core is booked past that instant.
+  auto p = prepped_fib();
+  Cluster c(p);
+  c.add_uniform_workers(2);
+  c.worker(0).node().charge_host(VDur::millis(20));
+  c.worker(0).node().clock.set(VDur::millis(5));
+  EXPECT_EQ(c.load(0), VDur::millis(20));
+  auto pol = make_policy(PolicyKind::LeastLoaded);
+  PlacementRequest req;
+  req.state_bytes = 256;
+  EXPECT_EQ(pol->choose(c, req), 1);
+  // Past the booking, the switched-back clock is the load front again.
+  c.worker(0).node().clock.set(VDur::millis(30));
+  c.worker(1).node().clock.advance(VDur::millis(40));
+  EXPECT_EQ(c.load(0), VDur::millis(30));
+  EXPECT_EQ(pol->choose(c, req), 0);
+}
+
 TEST(Policy, LeastLoadedAvoidsASlowLink) {
   auto p = prepped_fib();
   Cluster c(p);

@@ -2,6 +2,7 @@
 // exactly-once under injected churn/loss, and a 1000-session smoke.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -186,6 +187,65 @@ TEST(LoadGenTest, ReplayDeterministic) {
   EXPECT_EQ(a.session_ms, b.session_ms);  // bit-identical virtual latencies
   EXPECT_EQ(a.segments, b.segments);
   EXPECT_DOUBLE_EQ(a.completion_ms.p99(), b.completion_ms.p99());
+}
+
+// ------------------------------------------------- home timelines
+// Each session runs on its own home timeline and home's CPU work books one
+// shared home core.
+
+TEST(LoadGenTest, OneSessionLatencyMatchesTheSingleClockHome) {
+  // A lone session never overlaps itself, so its latency is what the
+  // single-clock home (one session at a time) produced, to the ns.
+  TraceConfig cfg;
+  cfg.sessions = 1;
+  cfg.tenants = 3;
+  cfg.apps = 4;
+  cfg.seed = 9;
+  Trace tr = sod::cluster::make_trace(cfg);
+  auto r = sod::cluster::run_loadgen(tr, LoadGenOptions{});
+  ASSERT_TRUE(r.all_ok);
+  ASSERT_EQ(r.session_ms.size(), 1u);
+  EXPECT_EQ(r.session_ms[0], 2.144369);
+}
+
+TEST(LoadGenTest, SharingHomeNeverSpeedsASessionUp) {
+  // Every session of a shared replay takes at least as long as the same
+  // session replayed alone.  Each session is its own tenant with one
+  // segment per round: no session inherits classes another one shipped,
+  // and no cross-worker relay differs with placement.  The arrivals are
+  // dense enough that home's CPU work outlasts any one session, so it can
+  // fit in the replay's span only if no two bookings overlap.
+  TraceConfig cfg;
+  cfg.sessions = 12;
+  cfg.tenants = 1;
+  cfg.apps = 4;
+  cfg.seed = 21;
+  cfg.mean_gap = VDur::micros(20);
+  Trace tr = sod::cluster::make_trace(cfg);
+  cfg.tenants = cfg.sessions;
+  tr.cfg = cfg;
+  for (auto& s : tr.sessions) s.tenant = s.id;
+  LoadGenOptions opts;
+  opts.segments_per_round = 1;
+
+  auto shared = sod::cluster::run_loadgen(tr, opts);
+  ASSERT_TRUE(shared.all_ok);
+  ASSERT_TRUE(shared.exactly_once);
+  const double span_ms = shared.total_ms - tr.sessions.front().arrival.ms();
+  EXPECT_LE(shared.home_busy_ms, span_ms);
+  double longest_alone_ms = 0;
+  int slowed = 0;
+  for (const auto& s : tr.sessions) {
+    Trace one = tr;
+    one.sessions = {s};
+    auto alone = sod::cluster::run_loadgen(one, opts);
+    ASSERT_TRUE(alone.all_ok) << s.id;
+    EXPECT_GE(shared.session_ms[static_cast<size_t>(s.id)], alone.session_ms[0]) << s.id;
+    if (shared.session_ms[static_cast<size_t>(s.id)] > alone.session_ms[0]) ++slowed;
+    longest_alone_ms = std::max(longest_alone_ms, alone.session_ms[0]);
+  }
+  EXPECT_GT(slowed, 0);  // the trace does contend for home
+  EXPECT_GT(shared.home_busy_ms, longest_alone_ms);
 }
 
 TEST(LoadGenTest, HomeShardsPreserveTheReplayOnBothEngines) {

@@ -354,9 +354,8 @@ TEST(Migrate, CapturedStateSerializationRoundTrip) {
 
   ByteWriter w;
   cs.serialize(w);
-  EXPECT_EQ(w.size(), cs.wire_size());
-  ByteReader r(w.bytes());
-  auto cs2 = mig::CapturedState::deserialize(r);
+  EXPECT_EQ(w.bytes(), cs.wire());
+  auto cs2 = mig::CapturedState::from_wire(cs.wire());
   ASSERT_EQ(cs2.frames.size(), cs.frames.size());
   for (size_t i = 0; i < cs.frames.size(); ++i) {
     EXPECT_EQ(cs2.frames[i].method, cs.frames[i].method);

@@ -1,6 +1,11 @@
-// Unit tests for the support layer: byte buffers, rng, vclock, stats.
+// Unit tests for the support layer: byte buffers, rng, vclock, stats; and
+// the CPU calendar every simulated node charges through.
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
+#include "sim/net.h"
 #include "support/bytes.h"
 #include "support/rng.h"
 #include "support/stats.h"
@@ -93,6 +98,109 @@ TEST(VClock, AdvanceAndWait) {
   EXPECT_DOUBLE_EQ(c.now().ms(), 2.0);
   c.wait_until(VDur::millis(5));
   EXPECT_DOUBLE_EQ(c.now().ms(), 5.0);
+}
+
+TEST(VClock, SetSwitchesTimelines) {
+  VClock c;
+  c.advance(VDur::millis(7));
+  c.set(VDur::millis(3));  // back to an earlier timeline
+  EXPECT_DOUBLE_EQ(c.now().ms(), 3.0);
+  c.set(VDur::millis(9));
+  EXPECT_DOUBLE_EQ(c.now().ms(), 9.0);
+}
+
+VDur us(double v) { return VDur::micros(v); }
+
+TEST(CpuCalendar, BooksAtReadyWhenFree) {
+  sim::CpuCalendar cal;
+  EXPECT_EQ(cal.book(us(5), us(2)), us(5));
+  EXPECT_EQ(cal.book(us(7), us(1)), us(7));  // starts where the first ends
+  EXPECT_EQ(cal.book(us(20), us(1)), us(20));
+  EXPECT_EQ(cal.booked(), us(4));
+}
+
+TEST(CpuCalendar, FillsTheFirstGapThatFits) {
+  sim::CpuCalendar cal;
+  cal.book(us(0), us(10));   // [0, 10)
+  cal.book(us(15), us(10));  // [15, 25)
+  cal.book(us(28), us(2));   // [28, 30)
+  // A 5 us job ready at 2 fits exactly in [10, 15).
+  EXPECT_EQ(cal.book(us(2), us(5)), us(10));
+  // A 4 us job ready at 0 is too long for [25, 28): it goes after 30.
+  EXPECT_EQ(cal.book(us(0), us(4)), us(30));
+  // A 3 us job fits [25, 28) exactly; the core is now busy to 34.
+  EXPECT_EQ(cal.book(us(1), us(3)), us(25));
+  EXPECT_EQ(cal.book(us(0), us(1)), us(34));
+  // Zero work needs no core.
+  EXPECT_EQ(cal.book(us(3), VDur{}), us(3));
+}
+
+TEST(CpuCalendar, NeverOverlapsAndNeverStartsBeforeReady) {
+  sim::CpuCalendar cal;
+  Rng rng(17);
+  std::vector<std::pair<VDur, VDur>> booked;  // [start, end)
+  VDur total{};
+  for (int i = 0; i < 400; ++i) {
+    VDur ready = VDur::nanos(static_cast<int64_t>(rng.below(100000)));
+    VDur d = VDur::nanos(1 + static_cast<int64_t>(rng.below(700)));
+    VDur start = cal.book(ready, d);
+    EXPECT_GE(start, ready);
+    for (const auto& [s, e] : booked) ASSERT_TRUE(start + d <= s || e <= start) << i;
+    booked.emplace_back(start, start + d);
+    total += d;
+  }
+  EXPECT_EQ(cal.booked(), total);
+}
+
+TEST(CpuCalendar, ForgetBeforeDropsOnlyFinishedIntervals) {
+  sim::CpuCalendar cal;
+  cal.book(us(0), us(2));   // [0, 2)
+  cal.book(us(4), us(2));   // [4, 6)
+  cal.book(us(10), us(2));  // [10, 12)
+  cal.forget_before(us(6));  // [4, 6) ends at 6: gone too
+  EXPECT_EQ(cal.book(us(4), us(1)), us(4));
+  cal.forget_before(us(11));  // [10, 12) is still running at 11
+  EXPECT_EQ(cal.book(us(10), us(1)), us(12));
+  EXPECT_EQ(cal.booked(), us(8));  // forgetting keeps the total
+}
+
+TEST(CpuCalendar, FreeFromSkipsTheIntervalInProgress) {
+  sim::CpuCalendar cal;
+  cal.book(us(0), us(4));   // [0, 4)
+  cal.book(us(4), us(2));   // [4, 6): merged with the first
+  cal.book(us(10), us(2));  // [10, 12)
+  EXPECT_EQ(cal.free_from(us(1)), us(6));
+  EXPECT_EQ(cal.free_from(us(6)), us(6));  // an interval's end is free
+  EXPECT_EQ(cal.free_from(us(8)), us(8));  // idle, though booked later
+  EXPECT_EQ(cal.free_from(us(10)), us(12));
+  EXPECT_EQ(cal.free_from(us(30)), us(30));
+}
+
+TEST(SimNode, EveryChargeBooksTheCore) {
+  // Two timelines share one node: the second, switched in at an earlier
+  // instant, finds the core taken and queues behind the first's work —
+  // whether the work is host-side, guest instructions, or a service a
+  // round trip asks of the node.
+  sim::Node home;
+  sim::Node worker;
+  home.clock.set(us(100));
+  home.charge_host(us(50));  // [100, 150)
+  EXPECT_EQ(home.clock.now(), us(150));
+  home.clock.set(us(90));
+  home.charge_instrs(10000);  // 20 us of guest code: no gap before 150
+  EXPECT_EQ(home.clock.now(), us(170));
+  home.clock.set(us(0));
+  // The request lands at 100 + 0.1 ms latency = 200 us; the core is free.
+  worker.clock.set(us(100));
+  sim::round_trip(worker, home, sim::Link::gigabit(), 0, 0, us(5));
+  EXPECT_EQ(home.clock.now(), us(205));
+  // A second request, sent earlier, arrives at 160 while the core is busy
+  // until 170: its 30 us service waits, then fills [170, 200) exactly.
+  home.clock.set(us(0));
+  worker.clock.set(us(60));
+  sim::round_trip(worker, home, sim::Link::gigabit(), 0, 0, us(30));
+  EXPECT_EQ(home.clock.now(), us(200));
+  EXPECT_EQ(home.cpu.booked(), us(105));
 }
 
 TEST(VDur, UnitsAndArithmetic) {

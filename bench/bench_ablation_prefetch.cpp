@@ -70,17 +70,15 @@ int run(const cli::ScenarioOptions& opt) {
     Value head = home.call_guest("M.build", std::vector<Value>{Value::of_i64(kN)});
     int tid = home.vm().spawn(p.find_method("M.sum"), std::vector<Value>{head});
     SOD_CHECK(mig::pause_at_depth(home, tid, p.find_method("M.sum"), 1), "trigger");
-    auto cs = mig::capture_segment(home, tid, mig::SegmentSpec{0, 1});
-    home.ti().set_debug_enabled(false);
-
     mig::Segment seg(dest);
     seg.objman().set_prefetch_depth(depth);
-    seg.objman().bind_home(&home, tid, 1, sim::Link::gigabit());
+    auto hop = mig::migrate(home, tid, mig::SegmentSpec{0, 1}, seg, sim::Link::gigabit(),
+                            /*ship_class=*/true);
     VDur t0 = dest.node().clock.now();
-    seg.restore(cs);
     Value result = seg.run_to_completion();
     SOD_CHECK(result.as_i64() == kN * (kN + 1) / 2, "wrong sum");
-    VDur elapsed = dest.node().clock.now() - t0;
+    // Worker time: from the state's send to the walk's end.
+    VDur elapsed = hop.transfer + hop.restore + (dest.node().clock.now() - t0);
 
     const auto& st = seg.objman().stats();
     t.row({std::to_string(depth), std::to_string(st.faults), std::to_string(st.prefetched),

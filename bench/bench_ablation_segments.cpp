@@ -35,29 +35,12 @@ int run(const cli::ScenarioOptions& opt) {
     int tid = home.vm().spawn(fib, std::vector<Value>{Value::of_i64(kFibArg)});
     SOD_CHECK(mig::pause_at_depth(home, tid, fib, kDepth), "depth");
 
-    VDur t0 = home.node().clock.now();
-    auto cs = mig::capture_segment(home, tid, mig::SegmentSpec{0, k});
-    home.ti().set_debug_enabled(false);
-    const std::vector<uint8_t> wire = cs.wire();
-    home.node().charge_host(home.serde().cost(wire.size(), k));
-    VDur cap = home.node().clock.now() - t0;
-
-    uint16_t top_cls = p.method(cs.frames.back().method).owner;
-    dest.mark_class_shipped(top_cls);
-    dest.enable_class_fetch(&home, sim::Link::gigabit());
-    VDur sent = home.node().clock.now();
-    sim::deliver(home.node(), dest.node(), sim::Link::gigabit(),
-                 wire.size() + p.class_image(top_cls).size());
-    VDur xfer = dest.node().clock.now() - sent;
-
-    VDur t2 = dest.node().clock.now();
     mig::Segment seg(dest);
-    seg.objman().bind_home(&home, tid, k, sim::Link::gigabit());
-    seg.restore(mig::CapturedState::from_wire(wire));
-    VDur rest = dest.node().clock.now() - t2;
-
-    t.row({std::to_string(k), std::to_string(wire.size()), fmt("%.3f", cap.ms()),
-           fmt("%.3f", xfer.ms()), fmt("%.3f", rest.ms()), fmt("%.3f", (cap + xfer + rest).ms())});
+    auto hop = mig::migrate(home, tid, mig::SegmentSpec{0, k}, seg, sim::Link::gigabit(),
+                            /*ship_class=*/true);
+    t.row({std::to_string(k), std::to_string(hop.state_bytes), fmt("%.3f", hop.capture.ms()),
+           fmt("%.3f", hop.transfer.ms()), fmt("%.3f", hop.restore.ms()),
+           fmt("%.3f", hop.latency().ms())});
   }
   t.print();
   std::printf("\nShape: every component grows with k; shipping only the top frame is the\n"

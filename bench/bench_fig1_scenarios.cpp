@@ -57,15 +57,14 @@ void scenario_b(Table& summary) {
   SodNode dest("node2", p, {});
   int tid = home.vm().spawn(fib, std::vector<Value>{Value::of_i64(20)});
   mig::pause_at_depth(home, tid, fib, 4);
-  auto csTop = mig::capture_segment(home, tid, mig::SegmentSpec{0, 1});
-  auto csRest = mig::capture_segment(home, tid, mig::SegmentSpec{1, 4});
+  auto wireTop = mig::capture_segment(home, tid, mig::SegmentSpec{0, 1}).wire();
+  auto wireRest = mig::capture_segment(home, tid, mig::SegmentSpec{1, 4}).wire();
   home.ti().set_debug_enabled(false);
 
   mig::Segment segTop(dest);
-  segTop.objman().bind_home(&home, tid, 1, sim::Link::gigabit());
-  segTop.restore(csTop);
+  mig::hop(home, tid, 1, wireTop, segTop, sim::Link::gigabit(), /*ship_class=*/false);
   mig::Segment segRest(dest);
-  segRest.restore(csRest);
+  mig::hop(home, tid, 4, wireRest, segRest, sim::Link::gigabit(), /*ship_class=*/false);
   Value top = segTop.run_to_completion();
   segRest.deliver(top);
   Value final = segRest.run_to_completion();
@@ -92,19 +91,17 @@ void scenario_c(Table& summary) {
   auto wireRest = mig::capture_segment(n1, tid, mig::SegmentSpec{1, 3}).wire();
   n1.ti().set_debug_enabled(false);
 
-  // Both segments ship concurrently (node1 sends without blocking).
-  sim::deliver(n1.node(), n2.node(), link, wireTop.size());
-  sim::deliver(n1.node(), n3.node(), link, wireRest.size());
+  // The lower segment ships first.  node1 serves every on-demand class
+  // fetch on its one timeline, so a second send would leave only after
+  // node2's fetch; shipped first, node3's restore (fetch included)
+  // overlaps the top segment's trip and execution.
+  mig::Segment segRest(n3);
+  mig::hop(n1, tid, 3, wireRest, segRest, link, /*ship_class=*/false);
+  VDur n3_restored = n3.node().clock.now();
 
   mig::Segment segTop(n2);
-  segTop.objman().bind_home(&n1, tid, 1, link);
-  segTop.restore(mig::CapturedState::from_wire(wireTop));
+  mig::hop(n1, tid, 1, wireTop, segTop, link, /*ship_class=*/false);
   VDur n2_restored = n2.node().clock.now();
-
-  mig::Segment segRest(n3);
-  segRest.objman().bind_home(&n1, tid, 3, link);
-  segRest.restore(mig::CapturedState::from_wire(wireRest));
-  VDur n3_restored = n3.node().clock.now();
 
   Value top = segTop.run_to_completion();
   VDur n2_done = n2.node().clock.now();

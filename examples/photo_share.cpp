@@ -52,15 +52,9 @@ int run(const cli::ScenarioOptions& opt) {
   int migratable = mig::max_migratable_frames(server, tid, {entry});
   std::printf("stack depth 2, pinned handler below: %d frame(s) migratable\n", migratable);
 
-  auto wire = mig::capture_segment(server, tid, mig::SegmentSpec{0, migratable}).wire();
-  server.ti().set_debug_enabled(false);
-  sim::deliver(server.node(), phone.node(), wifi, wire.size());
-
-  mig::Segment seg(phone);
   roll.install(phone.registry());
-  phone.enable_class_fetch(&server, wifi);
-  seg.objman().bind_home(&server, tid, migratable, wifi);
-  seg.restore(mig::CapturedState::from_wire(wire));
+  mig::Segment seg(phone);
+  mig::migrate(server, tid, mig::SegmentSpec{0, migratable}, seg, wifi, /*ship_class=*/false);
   std::printf("find() restored on the phone (restore %.1f ms at device speed)\n",
               phone.node().clock.now().ms());
 

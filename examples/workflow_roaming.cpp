@@ -69,16 +69,13 @@ int run(const cli::ScenarioOptions&) {
   auto wireTop = mig::capture_segment(n1, tid, mig::SegmentSpec{0, 1}).wire();
   auto wireRest = mig::capture_segment(n1, tid, mig::SegmentSpec{1, 3}).wire();
   n1.ti().set_debug_enabled(false);
-  sim::deliver(n1.node(), n2.node(), link, wireTop.size());
-  sim::deliver(n1.node(), n3.node(), link, wireRest.size());
-
-  mig::Segment segTop(n2);
-  segTop.objman().bind_home(&n1, tid, 1, link);
-  segTop.restore(mig::CapturedState::from_wire(wireTop));
-
+  // The lower segment ships first: node1 serves each node's on-demand
+  // class fetch on its one timeline, so node3's restore then overlaps the
+  // top segment's trip and execution instead of waiting behind them.
   mig::Segment segRest(n3);
-  segRest.objman().bind_home(&n1, tid, 3, link);
-  segRest.restore(mig::CapturedState::from_wire(wireRest));
+  mig::hop(n1, tid, 3, wireRest, segRest, link, /*ship_class=*/false);
+  mig::Segment segTop(n2);
+  mig::hop(n1, tid, 1, wireTop, segTop, link, /*ship_class=*/false);
   std::printf("node3 restored its segment at %.3f ms (concurrent with node2)\n",
               n3.node().clock.now().ms());
 

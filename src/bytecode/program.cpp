@@ -204,41 +204,6 @@ void write_method(ByteWriter& w, const Method& m) {
   for (uint32_t s : m.stmt_starts) w.u32(s);
 }
 
-Method read_method(ByteReader& r) {
-  Method m;
-  m.id = r.u16();
-  m.owner = r.u16();
-  m.name = r.str();
-  uint16_t np = r.u16();
-  m.params.resize(np);
-  for (auto& t : m.params) t = static_cast<Ty>(r.u8());
-  m.ret = static_cast<Ty>(r.u8());
-  m.num_locals = r.u16();
-  m.max_stack = r.u16();
-  uint32_t csz = r.u32();
-  m.code.resize(csz);
-  for (uint32_t i = 0; i < csz; ++i) m.code[i] = r.u8();
-  uint16_t nv = r.u16();
-  m.var_table.resize(nv);
-  for (auto& v : m.var_table) {
-    v.name = r.str();
-    v.type = static_cast<Ty>(r.u8());
-    v.slot = r.u16();
-  }
-  uint16_t ne = r.u16();
-  m.ex_table.resize(ne);
-  for (auto& e : m.ex_table) {
-    e.from_pc = r.u32();
-    e.to_pc = r.u32();
-    e.handler_pc = r.u32();
-    e.ex_class = r.u16();
-  }
-  uint32_t ns = r.u32();
-  m.stmt_starts.resize(ns);
-  for (auto& s : m.stmt_starts) s = r.u32();
-  return m;
-}
-
 void write_field(ByteWriter& w, const Field& f) {
   w.u16(f.id);
   w.u16(f.owner);
@@ -248,33 +213,12 @@ void write_field(ByteWriter& w, const Field& f) {
   w.u16(f.slot);
 }
 
-Field read_field(ByteReader& r) {
-  Field f;
-  f.id = r.u16();
-  f.owner = r.u16();
-  f.name = r.str();
-  f.type = static_cast<Ty>(r.u8());
-  f.is_static = r.u8() != 0;
-  f.slot = r.u16();
-  return f;
-}
-
 void write_class_meta(ByteWriter& w, const Class& c) {
   w.u16(c.id);
   w.str(c.name);
   w.u16(c.num_inst_slots);
   w.u16(c.num_static_slots);
   w.u8(c.is_exception ? 1 : 0);
-}
-
-Class read_class_meta(ByteReader& r) {
-  Class c;
-  c.id = r.u16();
-  c.name = r.str();
-  c.num_inst_slots = r.u16();
-  c.num_static_slots = r.u16();
-  c.is_exception = r.u8() != 0;
-  return c;
 }
 
 }  // namespace
@@ -320,42 +264,6 @@ std::vector<uint8_t> Program::serialize() const {
     w.u8(static_cast<uint8_t>(n.ret));
   }
   return w.take();
-}
-
-Program Program::deserialize(std::span<const uint8_t> bytes) {
-  ByteReader r(bytes);
-  Program p;
-  uint32_t nc = r.u32();
-  p.classes.resize(nc);
-  for (auto& c : p.classes) {
-    c = read_class_meta(r);
-    uint16_t nf = r.u16();
-    c.field_ids.resize(nf);
-    for (auto& fid : c.field_ids) fid = r.u16();
-    uint16_t nm = r.u16();
-    c.method_ids.resize(nm);
-    for (auto& mid : c.method_ids) mid = r.u16();
-  }
-  uint32_t nm = r.u32();
-  p.methods.resize(nm);
-  for (auto& m : p.methods) m = read_method(r);
-  uint32_t nf = r.u32();
-  p.fields.resize(nf);
-  for (auto& f : p.fields) f = read_field(r);
-  uint32_t ns = r.u32();
-  p.strings.resize(ns);
-  for (auto& s : p.strings) s = r.str();
-  uint32_t nn = r.u32();
-  p.natives.resize(nn);
-  for (auto& n : p.natives) {
-    n.name = r.str();
-    uint16_t np = r.u16();
-    n.params.resize(np);
-    for (auto& t : n.params) t = static_cast<Ty>(r.u8());
-    n.ret = static_cast<Ty>(r.u8());
-  }
-  SOD_CHECK(r.done(), "trailing bytes in program image");
-  return p;
 }
 
 }  // namespace sod::bc

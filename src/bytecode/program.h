@@ -159,10 +159,9 @@ class Program {
   /// Total image size of all classes (whole-program code size).
   size_t total_image_size() const;
 
-  /// Serialize / reconstruct the entire program (used when shipping code
-  /// to a freshly spawned worker).
+  /// Serialize the entire program: one canonical byte image of every
+  /// class, method, field, string and native.
   std::vector<uint8_t> serialize() const;
-  static Program deserialize(std::span<const uint8_t> bytes);
 };
 
 /// What one instruction pops and pushes.

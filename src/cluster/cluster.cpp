@@ -115,37 +115,15 @@ void Cluster::note_assigned(int id, VDur est_cost) {
   s.queue.push_back(est_cost);
 }
 
-namespace {
-
-/// Remove the first queue entry carrying `est_cost` (front when absent or
-/// unmatched): out-of-FIFO completions must not charge a still-waiting
-/// assignment's estimate to the finished one.
-void dequeue_assignment(std::deque<VDur>& queue, std::optional<VDur> est_cost) {
-  if (est_cost) {
-    auto it = std::find(queue.begin(), queue.end(), *est_cost);
-    if (it != queue.end()) {
-      queue.erase(it);
-      return;
-    }
-  }
-  queue.pop_front();
-}
-
-}  // namespace
-
 void Cluster::note_completed(int id, std::optional<VDur> est_cost) {
   SOD_CHECK(id >= 0 && id < size(), "bad worker id");
   Slot& s = workers_[static_cast<size_t>(id)];
   SOD_CHECK(!s.queue.empty(), "completion without an assignment");
-  dequeue_assignment(s.queue, est_cost);
-  if (s.state == WorkerState::Draining && s.queue.empty()) s.state = WorkerState::Retired;
-}
-
-void Cluster::note_cancelled(int id, std::optional<VDur> est_cost) {
-  SOD_CHECK(id >= 0 && id < size(), "bad worker id");
-  Slot& s = workers_[static_cast<size_t>(id)];
-  SOD_CHECK(!s.queue.empty(), "cancellation without an assignment");
-  dequeue_assignment(s.queue, est_cost);
+  // Out-of-FIFO completions must not charge a still-waiting assignment's
+  // estimate to the finished one: remove the first entry carrying
+  // `est_cost`, the front when it is absent or unmatched.
+  auto it = est_cost ? std::find(s.queue.begin(), s.queue.end(), *est_cost) : s.queue.end();
+  s.queue.erase(it != s.queue.end() ? it : s.queue.begin());
   if (s.state == WorkerState::Draining && s.queue.empty()) s.state = WorkerState::Retired;
 }
 

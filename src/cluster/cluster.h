@@ -127,20 +127,16 @@ class Cluster {
   /// Enqueues an assignment with the policy's execution-cost estimate
   /// (VDur{} when the policy has none).  Panics on non-accepting workers.
   void note_assigned(int id, VDur est_cost = {});
-  /// Dequeues one assignment; a draining worker retires when its queue
-  /// empties.  Completions can land out of FIFO order (a speculative
-  /// backup or a checkpoint resume finishes before segments queued ahead
-  /// of it), so callers that recorded the assignment's estimate pass it
-  /// back and the first entry carrying that estimate is removed — keeping
-  /// queued_cost() attributed to the assignments actually still waiting.
-  /// Without an estimate the oldest entry goes.
+  /// Dequeues one assignment, completed or cancelled (the losing side of
+  /// a speculative race frees its slot the same way); a draining worker
+  /// retires when its queue empties.  Completions can land out of FIFO
+  /// order (a speculative backup or a checkpoint resume finishes before
+  /// segments queued ahead of it), so callers that recorded the
+  /// assignment's estimate pass it back and the first entry carrying that
+  /// estimate is removed — keeping queued_cost() attributed to the
+  /// assignments actually still waiting.  Without an estimate the oldest
+  /// entry goes.
   void note_completed(int id, std::optional<VDur> est_cost = std::nullopt);
-  /// Dequeues the assignment of a worker whose attempt was cancelled (the
-  /// losing side of a speculative race).  Same queue accounting as a
-  /// completion — the slot is free either way — but kept separate so
-  /// traces and future cancellation-aware accounting can distinguish
-  /// useful work from abandoned work.
-  void note_cancelled(int id, std::optional<VDur> est_cost = std::nullopt);
 
  private:
   struct Slot {

@@ -260,9 +260,8 @@ int Scheduler::choose_worker(const PlacementRequest& req) {
 }
 
 std::unique_ptr<mig::Segment> Scheduler::ship(size_t i, int w, std::span<const uint8_t> state,
-                                              int frames, Placement& pl) {
+                                              Placement& pl) {
   Task& t = tasks_[i];
-  mig::SodNode& home = c_->home();
   mig::SodNode& dst = c_->worker(w);
   pl = Placement{};
   pl.worker = w;
@@ -270,25 +269,18 @@ std::unique_ptr<mig::Segment> Scheduler::ship(size_t i, int w, std::span<const u
   pl.spec = t.spec;
   pl.cls = t.req.cls;
   pl.attempts = ++t.attempts;
-  pl.shipped_bytes = state.size();
-  if (!dst.class_shipped(pl.cls)) pl.shipped_bytes += t.req.class_image_bytes;
 
-  dst.mark_class_shipped(pl.cls);
-  dst.enable_class_fetch(&home, c_->link(w), home_gate());
   // Home (re-)serializes the state and ships it from its current send
   // front: a re-dispatch's original copy died with the lost worker, and a
-  // checkpoint lives at home.
-  VDur serde = home.serde().cost(state.size(), frames);
-  home.node().charge_host(serde);
-  sim::deliver(home.node(), dst.node(), c_->link(w), pl.shipped_bytes);
-  on_ship(static_cast<int>(i), w, serde, c_->link(w).transfer_time(pl.shipped_bytes));
-
+  // checkpoint lives at home.  The class image rides along when the
+  // worker lacks it.
   auto seg = std::make_unique<mig::Segment>(dst);
   seg->objman().set_home_gate(home_gate());
-  seg->objman().bind_home(&home, home_tid_, t.spec.depth_hi, c_->link(w));
-  // The worker restores what arrived on the wire.
-  seg->restore(mig::CapturedState::from_wire(state));
+  mig::MigrationTiming hop = mig::hop(c_->home(), home_tid_, t.spec.depth_hi, state, *seg,
+                                      c_->link(w), /*ship_class=*/!dst.class_shipped(pl.cls));
+  pl.shipped_bytes = hop.state_bytes + hop.class_bytes;
   pl.restored_at = dst.node().clock.now();
+  on_ship(static_cast<int>(i), w, hop.serde, c_->link(w).transfer_time(pl.shipped_bytes));
   return seg;
 }
 
@@ -302,7 +294,7 @@ void Scheduler::dispatch(size_t i) {
   t.deltas = {};
   t.resumed = false;
   t.partial = false;  // a restart re-executes the full segment
-  t.seg = ship(i, w, t.state, t.spec.len(), t.pl);
+  t.seg = ship(i, w, t.state, t.pl);
   t.dispatched = true;
   emit(EventKind::SegmentDispatched, t.pl.restored_at, static_cast<int>(i), w, t.attempts);
 }
@@ -315,7 +307,7 @@ Scheduler::CheckpointRestore Scheduler::restore_from_checkpoint(
   r.est = policy_->estimate(*c_, w, req);
   c_->note_assigned(w, r.est);
   // Home re-serializes the checkpoint it keeps for every restore.
-  r.seg = ship(i, w, ck.ckpt.state.wire(), static_cast<int>(ck.ckpt.state.frames.size()), r.pl);
+  r.seg = ship(i, w, ck.ckpt.state.wire(), r.pl);
   // A checkpoint resumes mid-execution: no upstream delivery is pending,
   // the attempt starts executing right after its restore.
   r.pl.executed_at = r.pl.restored_at;
@@ -395,7 +387,7 @@ void Scheduler::cancel_attempt(size_t i, int loser_worker, int loser_attempt, VD
   if (ln.clock.now() < arrival) ln.busy(arrival - ln.clock.now());
   emit(EventKind::AttemptCancelled, ln.clock.now(), static_cast<int>(i), loser_worker,
        loser_attempt);
-  c_->note_cancelled(loser_worker, loser_est);
+  c_->note_completed(loser_worker, loser_est);
   ++cancelled_total_;
   ++out_->cancelled;
 }

@@ -322,8 +322,9 @@ class Scheduler {
   /// Gate that worker-side object faults and class fetches take on their
   /// way home (nullptr: none).
   virtual mig::HomeGate* home_gate() { return nullptr; }
-  /// Segment `segment` of the current round was just shipped to `worker`:
-  /// home spent `serde` serializing it and the link spends `transfer`.
+  /// Segment `segment` of the current round was just shipped to and
+  /// restored on `worker`: home spent `serde` serializing it and the link
+  /// spends `transfer`.
   virtual void on_ship(int /*segment*/, int /*worker*/, VDur /*serde*/, VDur /*transfer*/) {}
   /// Runs `guest` — deliver, run_chunk, or run_to_completion of a segment
   /// restored on `worker` — after a result relay of `relay` to it.
@@ -356,10 +357,10 @@ class Scheduler {
   void emit(EventKind kind, VDur at, int segment, int worker, int attempt = 0);
   /// The policy's worker for `req`, checked to be an accepting member.
   int choose_worker(const PlacementRequest& req);
-  /// Ships the serialized `state` of `frames` frames (plus segment i's
-  /// class image if `w` lacks it) from home to worker `w` and restores
-  /// the decoded bytes there as a new attempt of segment i, filling `pl`.
-  std::unique_ptr<mig::Segment> ship(size_t i, int w, std::span<const uint8_t> state, int frames,
+  /// Hops the serialized `state` (plus segment i's class image if `w`
+  /// lacks it) from home to worker `w` as a new attempt of segment i,
+  /// filling `pl`.
+  std::unique_ptr<mig::Segment> ship(size_t i, int w, std::span<const uint8_t> state,
                                      Placement& pl);
   void dispatch(size_t i);
   /// Home-side prelude of segment i's live attempt (natives, statics

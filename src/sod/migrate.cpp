@@ -688,41 +688,57 @@ int max_migratable_frames(SodNode& node, int tid, const std::vector<uint16_t>& p
   return n;
 }
 
+// ------------------------------------------------------------- migration hop
+
+MigrationTiming hop(SodNode& home, int home_tid, int depth_hi, std::span<const uint8_t> state,
+                    Segment& seg, sim::Link link, bool ship_class) {
+  SodNode& dest = seg.dest();
+  // Decoded once up front: home's serialization cost counts the frames,
+  // and the destination restores exactly these bytes.
+  CapturedState cs = CapturedState::from_wire(state);
+  SOD_CHECK(!cs.frames.empty(), "hop of an empty state");
+  MigrationTiming t;
+  t.state_bytes = state.size();
+  t.serde = home.serde().cost(state.size(), static_cast<int>(cs.frames.size()));
+  VDur t0 = home.node().clock.now();
+  home.node().charge_host(t.serde);
+  VDur sent = home.node().clock.now();
+  t.capture = sent - t0;
+
+  if (ship_class) {
+    uint16_t entry_cls = home.program().method(cs.frames[0].method).owner;
+    dest.mark_class_shipped(entry_cls);
+    t.class_bytes = home.program().class_image(entry_cls).size();
+  }
+  dest.enable_class_fetch(&home, link, seg.objman().home_gate());
+  sim::deliver(home.node(), dest.node(), link, t.state_bytes + t.class_bytes);
+  VDur arrived = dest.node().clock.now();
+  t.transfer = arrived - sent;
+
+  seg.objman().bind_home(&home, home_tid, depth_hi, link);
+  seg.restore(cs);
+  t.restore = dest.node().clock.now() - arrived;
+  return t;
+}
+
+MigrationTiming migrate(SodNode& home, int home_tid, SegmentSpec spec, Segment& seg,
+                        sim::Link link, bool ship_class) {
+  VDur t0 = home.node().clock.now();
+  CapturedState cs = capture_segment(home, home_tid, spec);
+  home.ti().set_debug_enabled(false);
+  VDur walk = home.node().clock.now() - t0;
+  MigrationTiming t = hop(home, home_tid, spec.depth_hi, cs.wire(), seg, link, ship_class);
+  t.capture += walk;
+  return t;
+}
+
 // ---------------------------------------------------------------- offload
 
 OffloadOutcome offload_and_return(SodNode& home, int home_tid, int nframes, SodNode& dest,
                                   sim::Link link) {
   OffloadOutcome out;
-
-  // Capture.
-  VDur t0 = home.node().clock.now();
-  CapturedState cs = capture_segment(home, home_tid, SegmentSpec{0, nframes});
-  // The paper disables the debug interface outside migration events.
-  home.ti().set_debug_enabled(false);
-  home.sync_ti_cost();
-  const std::vector<uint8_t> state = cs.wire();
-  out.timing.state_bytes = state.size();
-  home.node().charge_host(home.serde().cost(out.timing.state_bytes,
-                                            static_cast<int>(cs.frames.size())));
-  out.timing.capture = home.node().clock.now() - t0;
-
-  // Transfer (state + the top frame's class image is pre-shipped).
-  uint16_t top_cls = home.program().method(cs.frames.back().method).owner;
-  size_t ship = out.timing.state_bytes + home.program().class_image(top_cls).size();
-  dest.mark_class_shipped(top_cls);
-  dest.enable_class_fetch(&home, link);
-  VDur sent_at = home.node().clock.now();
-  sim::deliver(home.node(), dest.node(), link, ship);
-  out.timing.transfer = dest.node().clock.now() - sent_at;
-
-  // Restore.
-  VDur t2 = dest.node().clock.now();
   Segment seg(dest);
-  seg.objman().bind_home(&home, home_tid, static_cast<int>(cs.frames.size()), link);
-  // The destination restores what arrived on the wire.
-  seg.restore(CapturedState::from_wire(state));
-  out.timing.restore = dest.node().clock.now() - t2;
-  out.timing.class_bytes = dest.class_bytes_fetched();
+  out.timing = migrate(home, home_tid, SegmentSpec{0, nframes}, seg, link, /*ship_class=*/true);
 
   // Execute remotely; object misses fault in on demand.
   Value result = seg.run_to_completion();
@@ -733,7 +749,6 @@ OffloadOutcome offload_and_return(SodNode& home, int home_tid, int nframes, SodN
   out.result = result;
   return out;
 }
-
 
 // ------------------------------------------------- exception-driven offload
 

@@ -3,8 +3,10 @@
 //   capture   : suspend at a migration-safe point, walk the top segment of
 //               frames through the tool interface (GetFrameLocation,
 //               GetLocal<T> ...), null out references, save statics.
-//   transfer  : ship CapturedState (+ the top frame's class image) to the
-//               destination over a simulated link.
+//   transfer  : ship the CapturedState's wire bytes (+ the entry frame's
+//               class image, or fetch it on demand) to the destination over
+//               a simulated link.  hop() is this step plus restore; every
+//               migrated segment takes that one path.
 //   restore   : breakpoint-and-exception driven, frame by frame (Fig. 4b):
 //               breakpoint at the method entry, throw InvalidStateException,
 //               the injected handler re-reads locals + pc and jumps; the
@@ -28,11 +30,12 @@
 namespace sod::mig {
 
 struct MigrationTiming {
-  VDur capture{};
-  VDur transfer{};
-  VDur restore{};
+  VDur capture{};   ///< home clock: the capture walk (if any) + serializing the state
+  VDur transfer{};  ///< send instant to arrival on the destination clock
+  VDur restore{};   ///< destination clock: restoration, on-demand class fetches included
+  VDur serde{};     ///< modelled serialization cost, before CPU scaling or core waits
   size_t state_bytes = 0;
-  size_t class_bytes = 0;
+  size_t class_bytes = 0;  ///< entry class image shipped with the state (0: fetched on demand)
   VDur latency() const { return capture + transfer + restore; }
 };
 
@@ -96,6 +99,24 @@ class Segment {
   uint16_t pending_callee_ = bc::kNoId;
   bool debug_held_ = false;
 };
+
+/// One migration hop (paper Sections III.A–B): home pays the serialization
+/// cost of the captured `state` bytes and ships them to the segment's node,
+/// together with the entry frame's class image when `ship_class` is set
+/// (otherwise that class is fetched on demand like any other).  Class
+/// fetches go through the segment's home gate.  Then `seg` — built by the
+/// caller, who may set its gate or prefetch depth and install mounts first
+/// — is bound to home frames [.., depth_hi) of `home_tid` and restores
+/// what arrived.
+MigrationTiming hop(SodNode& home, int home_tid, int depth_hi, std::span<const uint8_t> state,
+                    Segment& seg, sim::Link link, bool ship_class);
+
+/// Single-segment hop: capture frames `spec` of the paused home thread,
+/// turn home's debug interface off (the paper keeps it off outside
+/// migration events), and hop the wire form into `seg`.  timing.capture
+/// includes the capture walk.
+MigrationTiming migrate(SodNode& home, int home_tid, SegmentSpec spec, Segment& seg,
+                        sim::Link link, bool ship_class);
 
 /// Ship updated objects + result home; pop the segment's outdated frames
 /// (ForceEarlyReturn); returns the result value translated into home refs.

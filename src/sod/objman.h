@@ -67,6 +67,7 @@ class ObjectManager {
   /// ordered home lock; nullptr (the default) keeps the lock-free
   /// single-threaded behaviour of the virtual-time scheduler.
   void set_home_gate(HomeGate* gate) { home_gate_ = gate; }
+  HomeGate* home_gate() const { return home_gate_; }
 
   const FaultStats& stats() const { return stats_; }
   void reset_stats() { stats_ = {}; }

@@ -25,10 +25,7 @@ double wall_seconds_of_run(const bc::Program& p, const std::string& entry,
   svm::NativeRegistry reg;
   svm::StdLib lib;
   lib.install(reg);
-  mig::ObjectManager om;  // standalone fault semantics for preprocessed code
   svm::VM vm(p, &reg);
-  // ObjectManager::install wants a SodNode; bind minimal natives instead.
-  (void)om;
   uint16_t mid = p.find_method(entry);
   SOD_CHECK(mid != bc::kNoId, "unknown entry " + entry);
   auto t0 = std::chrono::steady_clock::now();
@@ -92,28 +89,8 @@ MeasuredApp measure_app(const AppSpec& spec) {
     m.measured_F_bytes = measure_F(home, tid);
 
     // SOD ships only the top frame (paper Table IV discussion).
-    VDur t0 = home.node().clock.now();
-    mig::CapturedState cs = mig::capture_segment(home, tid, mig::SegmentSpec{0, 1});
-    home.ti().set_debug_enabled(false);
-    const std::vector<uint8_t> wire = cs.wire();
-    m.sod.state_bytes = wire.size();
-    home.node().charge_host(home.serde().cost(m.sod.state_bytes, 1));
-    m.sod.capture = home.node().clock.now() - t0;
-
-    uint16_t top_cls = prog.method(cs.frames.back().method).owner;
-    size_t ship = m.sod.state_bytes + prog.class_image(top_cls).size();
-    dest.mark_class_shipped(top_cls);
-    dest.enable_class_fetch(&home, link);
-    VDur sent = home.node().clock.now();
-    sim::deliver(home.node(), dest.node(), link, ship);
-    m.sod.transfer = dest.node().clock.now() - sent;
-
-    VDur t2 = dest.node().clock.now();
     mig::Segment seg(dest);
-    seg.objman().bind_home(&home, tid, 1, link);
-    seg.restore(mig::CapturedState::from_wire(wire));
-    m.sod.restore = dest.node().clock.now() - t2;
-    m.sod.class_bytes = dest.class_bytes_fetched();
+    m.sod = mig::migrate(home, tid, mig::SegmentSpec{0, 1}, seg, link, /*ship_class=*/true);
     // The segment is abandoned here: running Fib(46) to completion is not
     // the point of the latency experiment.
   }
@@ -151,7 +128,6 @@ MeasuredApp measure_app(const AppSpec& spec) {
     int tid = home.vm().spawn(entry, spec.bench_args);
     int depth = std::min(spec.paper_depth, 4);
     if (mig::pause_at_depth(home, tid, trigger, depth)) {
-      VDur w0 = dest.node().clock.now();
       auto out = mig::offload_and_return(home, tid, 1, dest, link);
       m.faults = out.faults;
       m.writeback = out.writeback;
@@ -160,7 +136,6 @@ MeasuredApp measure_app(const AppSpec& spec) {
           VDur::nanos(static_cast<int64_t>(m.faults.faults) * 2 * link.latency.ns) +
           link.transfer_time(m.faults.bytes);
       m.sod_writeback_time = link.transfer_time(m.writeback.bytes);
-      (void)w0;
       home.ti().set_debug_enabled(false);
       auto rr = home.run_guest(tid);
       SOD_CHECK(rr.reason == StopReason::Done || rr.reason == StopReason::Crashed,
@@ -259,22 +234,14 @@ std::vector<LocalityRow> run_locality_experiment(const LocalityConfig& cfg) {
     sfs::MountedFs client_mount(&store, sfs::MountSpeed::nfs());
     client_mount.install(client.registry());
     sfs::MountedFs server_mount(&store, sfs::MountSpeed::local_disk());
-    // ObjectManager/cs natives installed by Segment on the server.
+    server_mount.install(server.registry());
     int tid = client.vm().spawn(prog.find_method("Search.main"),
                                 std::vector<Value>{Value::of_i64(cfg.nfiles)});
     uint16_t run_m = prog.find_method("Search.run");
     SOD_CHECK(mig::pause_at_depth(client, tid, run_m, 2), "sod locality trigger");
     VDur t0 = client.node().clock.now();
-    mig::CapturedState cs = mig::capture_segment(client, tid, mig::SegmentSpec{0, 2});
-    client.ti().set_debug_enabled(false);
-    const std::vector<uint8_t> wire = cs.wire();
-    client.node().charge_host(client.serde().cost(wire.size(), 2));
-    server.enable_class_fetch(&client, link);
-    sim::deliver(client.node(), server.node(), link, wire.size());
     mig::Segment seg(server);
-    server_mount.install(server.registry());  // after objman: server-local fs
-    seg.objman().bind_home(&client, tid, 2, link);
-    seg.restore(mig::CapturedState::from_wire(wire));
+    mig::migrate(client, tid, mig::SegmentSpec{0, 2}, seg, link, /*ship_class=*/false);
     Value hits = seg.run_to_completion();
     SOD_CHECK(hits.as_i64() == cfg.nfiles, "sod search missed needles");
     mig::write_back(seg, client, tid, 2, hits, link);
@@ -381,8 +348,7 @@ RoamingResult run_roaming_grid(int nservers, size_t file_bytes, double report_sc
       // Server idx hosts doc<idx> on local disk (the catalog covers all
       // names so index lookups work; the hop only reads its own file).
       sfs::MountedFs server_mount(&all, sfs::MountSpeed::local_disk());
-      // The mount must be live before the offloaded segment runs (the
-      // segment's own natives are installed inside offload_and_return).
+      // The mount must be live before the offloaded segment runs.
       server_mount.install(server.registry());
       auto out = mig::offload_and_return(client, tid, 1, server, wan);
       SOD_CHECK(out.result.as_i64() == 1, "roaming hop missed its needle");
@@ -425,34 +391,24 @@ std::vector<BandwidthRow> run_bandwidth_experiment(const std::vector<double>& kb
       photos.add(f);
     }
     sfs::MountedFs phone_mount(&photos, sfs::MountSpeed::local_disk());
+    phone_mount.install(phone.registry());
 
     int tid = server.vm().spawn(prog.find_method("Photo.count_photos"),
                                 std::vector<Value>{Value::of_i64(8)});
     uint16_t find_m = prog.find_method("Photo.find");
     SOD_CHECK(mig::pause_at_depth(server, tid, find_m, 2), "photo trigger");
 
+    // The class image is fetched on demand: its round trips are the
+    // class column, split out of the restore.
+    mig::Segment seg(phone);
+    mig::MigrationTiming hop =
+        mig::migrate(server, tid, mig::SegmentSpec{0, 1}, seg, wifi, /*ship_class=*/false);
     BandwidthRow row;
     row.kbps = kbps;
-    VDur t0 = server.node().clock.now();
-    mig::CapturedState cs = mig::capture_segment(server, tid, mig::SegmentSpec{0, 1});
-    server.ti().set_debug_enabled(false);
-    const std::vector<uint8_t> wire = cs.wire();
-    server.node().charge_host(server.serde().cost(wire.size(), 1));
-    row.capture_ms = (server.node().clock.now() - t0).ms();
-
-    VDur sent = server.node().clock.now();
-    sim::deliver(server.node(), phone.node(), wifi, wire.size());
-    row.state_ms = (phone.node().clock.now() - sent).ms();
-
-    phone.enable_class_fetch(&server, wifi);
-    VDur t2 = phone.node().clock.now();
-    mig::Segment seg(phone);
-    phone_mount.install(phone.registry());
-    seg.objman().bind_home(&server, tid, 1, wifi);
-    seg.restore(mig::CapturedState::from_wire(wire));
-    VDur restore_total = phone.node().clock.now() - t2;
+    row.capture_ms = hop.capture.ms();
+    row.state_ms = hop.transfer.ms();
     row.class_ms = phone.class_fetch_time().ms();
-    row.restore_ms = (restore_total - phone.class_fetch_time()).ms();
+    row.restore_ms = (hop.restore - phone.class_fetch_time()).ms();
 
     Value found = seg.run_to_completion();  // the photo-name array (a ref)
     mig::write_back(seg, server, tid, 1, found, wifi);

@@ -4,18 +4,10 @@
 
 #include "bytecode/disasm.h"
 
-// Direct-threaded dispatch: on GCC/Clang the interpreter loop uses computed
-// goto (a per-opcode label table) so each handler jumps straight to the next
-// handler instead of round-tripping through a switch.  MSVC and unknown
-// compilers fall back to the portable switch loop; -DSOD_COMPUTED_GOTO=0
-// (CMake option SOD_FORCE_SWITCH_DISPATCH) forces the fallback anywhere.
-#ifndef SOD_COMPUTED_GOTO
-#if defined(__GNUC__) || defined(__clang__)
-#define SOD_COMPUTED_GOTO 1
-#else
-#define SOD_COMPUTED_GOTO 0
-#endif
-#endif
+// Direct-threaded dispatch: the interpreter loop uses computed goto (a
+// per-opcode label table, a GCC/Clang extension — the only compilers that
+// build this tree) so each handler jumps straight to the next handler
+// instead of round-tripping through a switch.
 
 namespace sod::svm {
 
@@ -210,15 +202,13 @@ RunResult VM::run(int tid, uint64_t budget) {
   return loop(th, budget);
 }
 
-// Dispatch plumbing shared by both interpreter modes.  Handlers are written
-// once; VM_LABEL expands to a goto label (direct-threaded) or a case label
-// (switch loop), and every handler ends in VM_NEXT()/VM_JUMP() instead of
-// falling through.  Frame-changing ops (INVOKE, RETURN..., THROW, pending
-// exceptions) always re-enter through vm_top, which runs the full prologue:
-// budget, pause/breakpoint/safepoint checks, and frame re-seating.  The fast
-// path between straight-line instructions skips all of that and only
-// re-checks the flags that could have been set by the handler itself.
-#if SOD_COMPUTED_GOTO
+// Dispatch plumbing.  VM_LABEL names a handler's goto label, and every
+// handler ends in VM_NEXT()/VM_JUMP() instead of falling through.
+// Frame-changing ops (INVOKE, RETURN..., THROW, pending exceptions) always
+// re-enter through vm_top, which runs the full prologue: budget,
+// pause/breakpoint/safepoint checks, and frame re-seating.  The fast path
+// between straight-line instructions skips all of that and only re-checks
+// the flags that could have been set by the handler itself.
 #define VM_LABEL(name) h_##name
 #define VM_DISPATCH_FAST()                                        \
   do {                                                            \
@@ -240,19 +230,6 @@ RunResult VM::run(int tid, uint64_t budget) {
     f->pc = (target);      \
     VM_DISPATCH_FAST();    \
   } while (0)
-#else
-#define VM_LABEL(name) case Op::name
-#define VM_NEXT()   \
-  do {              \
-    f->pc = next;   \
-    goto vm_top;    \
-  } while (0)
-#define VM_JUMP(target)  \
-  do {                   \
-    f->pc = (target);    \
-    goto vm_top;         \
-  } while (0)
-#endif
 
 RunResult VM::loop(GuestThread& th, uint64_t budget) {
   uint64_t executed = 0;
@@ -277,7 +254,6 @@ RunResult VM::loop(GuestThread& th, uint64_t budget) {
     goto handle_pending;                 \
   } while (0)
 
-#if SOD_COMPUTED_GOTO
   // One entry per opcode, in bc::Op declaration order.
   static const void* const kJump[] = {
       &&h_NOP,        &&h_ICONST,     &&h_DCONST,     &&h_ACONST_NULL, &&h_LDC_STR,
@@ -297,7 +273,6 @@ RunResult VM::loop(GuestThread& th, uint64_t budget) {
   };
   static_assert(sizeof(kJump) / sizeof(kJump[0]) == static_cast<size_t>(bc::kNumOps),
                 "jump table out of sync with bc::Op");
-#endif
 
 vm_top:
   if (executed >= budget) return {StopReason::Budget, executed};
@@ -327,11 +302,7 @@ vm_top:
   ++executed;
   ++instrs_;
 
-#if SOD_COMPUTED_GOTO
   goto* kJump[static_cast<size_t>(in.op)];
-#else
-  switch (in.op) {
-#endif
 
   VM_LABEL(NOP) : VM_NEXT();
 
@@ -622,12 +593,6 @@ vm_top:
     goto vm_top;
   }
 
-#if !SOD_COMPUTED_GOTO
-  case Op::kOpCount_: SOD_UNREACHABLE("bad opcode");
-  }
-  SOD_UNREACHABLE("fell out of dispatch switch");
-#endif
-
 handle_pending: {
   SOD_CHECK(pending_, "handle_pending without pending exception");
   pending_ = false;
@@ -641,9 +606,7 @@ handle_pending: {
 #undef VM_LABEL
 #undef VM_NEXT
 #undef VM_JUMP
-#if SOD_COMPUTED_GOTO
 #undef VM_DISPATCH_FAST
-#endif
 
 vm_done:
   th.status = ThreadStatus::Done;

@@ -63,21 +63,6 @@ TEST(Decode, RoundTripThroughBuilder) {
   EXPECT_GT(count, 10);
 }
 
-TEST(Program, SerializeRoundTrip) {
-  auto p = fib_program();
-  auto bytes = p.serialize();
-  auto q = bc::Program::deserialize(bytes);
-  ASSERT_EQ(q.methods.size(), p.methods.size());
-  ASSERT_EQ(q.classes.size(), p.classes.size());
-  uint16_t mid = p.find_method("Main.fib");
-  EXPECT_EQ(q.find_method("Main.fib"), mid);
-  EXPECT_EQ(q.method(mid).code, p.method(mid).code);
-  EXPECT_EQ(q.method(mid).stmt_starts, p.method(mid).stmt_starts);
-  EXPECT_EQ(q.method(mid).max_stack, p.method(mid).max_stack);
-  // The reconstructed program must run identically.
-  EXPECT_EQ(run1(q, "Main.fib", {Value::of_i64(15)}).as_i64(), fib_ref(15));
-}
-
 TEST(Program, ClassImageSizeIsPositiveAndStable) {
   auto p = fib_program();
   uint16_t cid = p.find_class("Main");

@@ -247,6 +247,57 @@ TEST(Migrate, WriteBackAppliesEveryCellKind) {
   EXPECT_EQ(hh.str(s).s, "fresh");
 }
 
+TEST(Migrate, HopShipsTheStateAndRestoresTheCapturedFrames) {
+  // One hop of a three-frame segment, with and without the entry class
+  // image riding along: the timing reports the wire bytes, the state
+  // arrives after exactly the link's transfer time, and the destination
+  // holds the frames home captured.
+  auto p = prepped_fib();
+  uint16_t fib = p.find_method("Main.fib");
+  uint16_t main_cls = p.find_class("Main");
+  sim::Link link = sim::Link::gigabit();
+  size_t fetched[2] = {};
+  for (bool ship_class : {true, false}) {
+    SCOPED_TRACE(ship_class ? "class image shipped" : "class image fetched on demand");
+    SodNode home("home", p, {});
+    SodNode dest("dest", p, {});
+    int tid = home.vm().spawn(fib, std::vector<Value>{Value::of_i64(12)});
+    ASSERT_TRUE(mig::pause_at_depth(home, tid, fib, 5));
+    auto cs = mig::capture_segment(home, tid, mig::SegmentSpec{0, 3});
+    home.ti().set_debug_enabled(false);
+    const std::vector<uint8_t> wire = cs.wire();
+    const size_t image = ship_class ? p.class_image(main_cls).size() : 0;
+
+    mig::Segment seg(dest);
+    VDur home_at = home.node().clock.now();
+    mig::MigrationTiming t = mig::hop(home, tid, 3, wire, seg, link, ship_class);
+    EXPECT_EQ(t.state_bytes, wire.size());
+    EXPECT_EQ(t.class_bytes, image);
+    EXPECT_EQ(t.serde.ns, home.serde().cost(wire.size(), 3).ns);
+    EXPECT_EQ(t.capture.ns, t.serde.ns);  // home's clock pays the serialization
+    EXPECT_EQ(t.transfer.ns, link.transfer_time(wire.size() + image).ns);
+    // Sent once home has paid the serialization; the destination clock
+    // then advances by the transfer and the restore alone.
+    EXPECT_EQ(dest.node().clock.now().ns,
+              (home_at + t.capture + link.transfer_time(wire.size() + image) + t.restore).ns);
+    fetched[ship_class] = dest.class_bytes_fetched();
+
+    auto back = mig::capture_segment(dest, seg.tid(), mig::SegmentSpec{0, 3});
+    ASSERT_EQ(back.frames.size(), cs.frames.size());
+    for (size_t i = 0; i < cs.frames.size(); ++i) {
+      EXPECT_EQ(back.frames[i].method, cs.frames[i].method) << "frame " << i;
+      EXPECT_EQ(back.frames[i].pc, cs.frames[i].pc) << "frame " << i;
+      EXPECT_EQ(back.frames[i].pending_callee, cs.frames[i].pending_callee) << "frame " << i;
+      ASSERT_EQ(back.frames[i].locals.size(), cs.frames[i].locals.size()) << "frame " << i;
+      for (size_t k = 0; k < cs.frames[i].locals.size(); ++k)
+        EXPECT_TRUE(back.frames[i].locals[k].same_as(cs.frames[i].locals[k]))
+            << "frame " << i << " local " << k;
+    }
+  }
+  // Without the image, the restore fetches exactly that class on demand.
+  EXPECT_EQ(fetched[false] - fetched[true], p.class_image(main_cls).size());
+}
+
 TEST(Migrate, TotalMigrationFig1b) {
   // Fig. 1(b): top frame migrates; the residual frames are pushed to the
   // same destination; when the top segment finishes, its result is
@@ -261,20 +312,17 @@ TEST(Migrate, TotalMigrationFig1b) {
   ASSERT_TRUE(mig::pause_at_depth(home, tid, fib, 4));
 
   // Segment A: top frame.
-  auto csA = mig::capture_segment(home, tid, mig::SegmentSpec{0, 1});
+  auto wireA = mig::capture_segment(home, tid, mig::SegmentSpec{0, 1}).wire();
   // Segment B: the residual stack (depths 1..4).
-  auto csB = mig::capture_segment(home, tid, mig::SegmentSpec{1, 4});
+  auto wireB = mig::capture_segment(home, tid, mig::SegmentSpec{1, 4}).wire();
   home.ti().set_debug_enabled(false);
 
   mig::Segment segA(dest);
-  segA.objman().bind_home(&home, tid, 0, sim::Link::gigabit());
-  // Worker frames for A mirror home depth 0 only; frame 0 <-> depth 0.
-  segA.objman().bind_home(&home, tid, 1, sim::Link::gigabit());
-  segA.restore(csA);
+  mig::hop(home, tid, 1, wireA, segA, sim::Link::gigabit(), /*ship_class=*/false);
   Value a = segA.run_to_completion();
 
   mig::Segment segB(dest);
-  segB.restore(csB);
+  mig::hop(home, tid, 4, wireB, segB, sim::Link::gigabit(), /*ship_class=*/false);
   segB.deliver(a);
   Value final = segB.run_to_completion();
   EXPECT_EQ(final.as_i64(), fib_ref(12));
@@ -293,17 +341,15 @@ TEST(Migrate, WorkflowFig1cAcrossThreeNodes) {
   int tid = n1.vm().spawn(fib, std::vector<Value>{Value::of_i64(12)});
   ASSERT_TRUE(mig::pause_at_depth(n1, tid, fib, 3));
 
-  auto csTop = mig::capture_segment(n1, tid, mig::SegmentSpec{0, 1});
-  auto csRest = mig::capture_segment(n1, tid, mig::SegmentSpec{1, 3});
+  auto wireTop = mig::capture_segment(n1, tid, mig::SegmentSpec{0, 1}).wire();
+  auto wireRest = mig::capture_segment(n1, tid, mig::SegmentSpec{1, 3}).wire();
   n1.ti().set_debug_enabled(false);
 
   mig::Segment segTop(n2);
-  segTop.objman().bind_home(&n1, tid, 1, sim::Link::gigabit());
-  segTop.restore(csTop);
+  mig::hop(n1, tid, 1, wireTop, segTop, sim::Link::gigabit(), /*ship_class=*/false);
 
   mig::Segment segRest(n3);
-  segRest.objman().bind_home(&n1, tid, 3, sim::Link::gigabit());
-  segRest.restore(csRest);
+  mig::hop(n1, tid, 3, wireRest, segRest, sim::Link::gigabit(), /*ship_class=*/false);
 
   // Control: node2 executes the top frame, forwards its result to node3.
   Value top = segTop.run_to_completion();

@@ -98,8 +98,7 @@ ElasticResult run_policy(cluster::PolicyKind kind, const ChurnSchedule& sched, i
   if (opt.autoscale) {
     std::vector<cluster::WorkerSpec> standby{{"standby1", {}, sim::Link::gigabit()},
                                              {"standby2", {}, sim::Link::gigabit()}};
-    sched_loop.set_autoscaler(
-        std::make_unique<cluster::Autoscaler>(cluster::Autoscaler::Config{}, standby));
+    sched_loop.set_autoscaler(std::make_unique<cluster::Autoscaler>(standby));
   }
 
   uint16_t trigger = p.find_method(spec.trigger_method);

@@ -74,10 +74,10 @@ ModeResult run_mode(Mode mode, int rounds, int fail_at, const cli::ScenarioOptio
   dopt.speculate = opt.speculate;
   cluster::Scheduler sched(c, *policy, dopt);
   if (mode != Mode::Fixed) sched.fail_after(fail_at, device_id);
-  if (mode == Mode::FailAutoscale)
-    sched.set_autoscaler(std::make_unique<cluster::Autoscaler>(
-        cluster::Autoscaler::Config{},
-        std::vector<cluster::WorkerSpec>{{"standby1", {}, sim::Link::gigabit()}}));
+  if (mode == Mode::FailAutoscale) {
+    std::vector<cluster::WorkerSpec> standby{{"standby1", {}, sim::Link::gigabit()}};
+    sched.set_autoscaler(std::make_unique<cluster::Autoscaler>(standby));
+  }
 
   uint16_t trigger = p.find_method(spec.trigger_method);
   int tid = c.home().vm().spawn(p.find_method(spec.entry), spec.bench_args);

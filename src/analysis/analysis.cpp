@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <deque>
-#include <map>
 #include <set>
 
 #include "bytecode/verifier.h"
@@ -18,7 +17,6 @@ struct Scratch {
   std::set<uint16_t> callees;
   std::set<uint16_t> statics_read;
   std::set<uint16_t> statics_written;
-  std::map<uint16_t, uint32_t> first_write_pc;  ///< field id -> first PUTSTATIC pc
   bool ref_escape = false;
   bool verified = false;
 };
@@ -69,7 +67,7 @@ AdmissionReport analyze_program(const bc::Program& p, const AnalysisOptions& opt
 
     bc::StackMap map;
     try {
-      map = bc::verify_method(p, m, opt.enforce_msp);
+      map = bc::verify_method(p, m);
     } catch (const Error& e) {
       diag(class_of(p, m), m.name, parse_pc(e.what()), e.what());
       continue;
@@ -97,7 +95,6 @@ AdmissionReport analyze_program(const bc::Program& p, const AnalysisOptions& opt
         case bc::Op::PUTSTATIC: {
           uint16_t fid = static_cast<uint16_t>(in.arg);
           sc.statics_written.insert(fid);
-          sc.first_write_pc.emplace(fid, pc);
           if (p.field(fid).type == bc::Ty::Ref) sc.ref_escape = true;
           break;
         }
@@ -204,36 +201,6 @@ AdmissionReport analyze_program(const bc::Program& p, const AnalysisOptions& opt
       ClassFacts& cf = rep.facts.classes[m.owner];
       cf.ref_escape = cf.ref_escape || mf.ref_escape;
       cf.max_msp_state_slots = std::max(cf.max_msp_state_slots, mf.max_msp_state_slots);
-    }
-  }
-
-  // --- pass 5: declared-purity violations --------------------------------
-  for (const std::string& pure : opt.declared_pure) {
-    uint16_t cid = p.find_class(pure);
-    if (cid == bc::kNoId) {
-      diag(pure, "?", UINT32_MAX, "declared-pure class not found in program");
-      continue;
-    }
-    // Any reachable direct write to a static owned by the pure class, or
-    // any reachable write *by* one of its methods, is a violation; point
-    // the diagnostic at the direct PUTSTATIC site.
-    for (const bc::Method& m : p.methods) {
-      if (!rep.facts.methods[m.id].reachable) continue;
-      for (const auto& [fid, pc] : scratch[m.id].first_write_pc) {
-        const bc::Field& f = p.field(fid);
-        if (f.owner == cid || m.owner == cid)
-          diag(pure, m.name, pc,
-               "statics write ('" + f.name + "') in declared-pure class '" + pure + "'");
-      }
-    }
-    // A pure-class method whose *callee* writes statics has no local
-    // PUTSTATIC; report the transitive effect against the entry method.
-    for (uint16_t mid : p.cls(cid).method_ids) {
-      const MethodFacts& mf = rep.facts.methods[mid];
-      if (!mf.reachable || !mf.writes_statics || !scratch[mid].first_write_pc.empty())
-        continue;
-      diag(pure, p.method(mid).name, UINT32_MAX,
-           "method of declared-pure class '" + pure + "' transitively writes statics");
     }
   }
 

@@ -19,7 +19,7 @@
 //      over the method's migration-safe points, exposed to placement as a
 //      static migration-cost hint.
 //
-// analyze_program never throws: verifier failures and effect violations
+// analyze_program never throws: verifier failures and undefined callees
 // become Diagnostics in the AdmissionReport, and `admitted` is simply
 // "no diagnostics".  This is the admission gate the cluster runs on every
 // tenant program before any class image ships.
@@ -37,11 +37,6 @@ struct AnalysisOptions {
   /// Qualified entry-method names used as reachability roots.  Empty means
   /// every defined method is a root (the conservative lint default).
   std::vector<std::string> entries;
-  /// Enforce the empty-stack-at-MSP invariant while verifying.
-  bool enforce_msp = true;
-  /// Class names the submitter declares statics-pure; any transitive
-  /// static write by their methods (or to their statics) is a violation.
-  std::vector<std::string> declared_pure;
 };
 
 /// One admission failure, pointed at a class/method/pc.

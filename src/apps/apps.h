@@ -70,6 +70,12 @@ void emit_tsp(bc::ProgramBuilder& pb, const std::string& prefix);
 /// Entry: Search.run(nfiles) ; per-file method: Search.search_one(idx).
 bc::Program build_docsearch();
 
+/// Exception-driven offload kernel (Section II.B): Big.sum(n) allocates an
+/// n-element i64 array, fills it with 0..n-1 and returns the sum, n(n-1)/2.
+/// The array dies inside the call, so a whole-stack offload ships back
+/// nothing but the sum.
+bc::Program build_bigsum();
+
 /// Photo-share server (Section IV.D): Photo.find(count) lists photos on
 /// the device fs; Photo.fetch(idx) returns one photo's data string.
 /// Entry wrappers live in class Photo.

@@ -105,18 +105,4 @@ std::string disasm_method(const Program& p, const Method& m) {
   return out;
 }
 
-std::string disasm_program(const Program& p) {
-  std::string out;
-  for (const auto& c : p.classes) {
-    out += "class " + c.name + " (inst_slots=" + num(c.num_inst_slots) +
-           ", static_slots=" + num(c.num_static_slots) + ")\n";
-    for (uint16_t mid : c.method_ids) {
-      const Method& m = p.method(mid);
-      if (m.code.empty()) continue;
-      out += disasm_method(p, m);
-    }
-  }
-  return out;
-}
-
 }  // namespace sod::bc

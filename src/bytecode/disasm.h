@@ -13,7 +13,4 @@ std::string disasm_instr(const Program& p, const Method& m, uint32_t pc);
 /// Full method listing: signature, locals, code, exception table, MSPs.
 std::string disasm_method(const Program& p, const Method& m);
 
-/// Every class and method in the program.
-std::string disasm_program(const Program& p);
-
 }  // namespace sod::bc

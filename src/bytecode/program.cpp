@@ -240,30 +240,4 @@ size_t Program::total_image_size() const {
   return sz;
 }
 
-std::vector<uint8_t> Program::serialize() const {
-  ByteWriter w;
-  w.u32(static_cast<uint32_t>(classes.size()));
-  for (const auto& c : classes) {
-    write_class_meta(w, c);
-    w.u16(static_cast<uint16_t>(c.field_ids.size()));
-    for (uint16_t fid : c.field_ids) w.u16(fid);
-    w.u16(static_cast<uint16_t>(c.method_ids.size()));
-    for (uint16_t mid : c.method_ids) w.u16(mid);
-  }
-  w.u32(static_cast<uint32_t>(methods.size()));
-  for (const auto& m : methods) write_method(w, m);
-  w.u32(static_cast<uint32_t>(fields.size()));
-  for (const auto& f : fields) write_field(w, f);
-  w.u32(static_cast<uint32_t>(strings.size()));
-  for (const auto& s : strings) w.str(s);
-  w.u32(static_cast<uint32_t>(natives.size()));
-  for (const auto& n : natives) {
-    w.str(n.name);
-    w.u16(static_cast<uint16_t>(n.params.size()));
-    for (Ty t : n.params) w.u8(static_cast<uint8_t>(t));
-    w.u8(static_cast<uint8_t>(n.ret));
-  }
-  return w.take();
-}
-
 }  // namespace sod::bc

@@ -158,10 +158,6 @@ class Program {
 
   /// Total image size of all classes (whole-program code size).
   size_t total_image_size() const;
-
-  /// Serialize the entire program: one canonical byte image of every
-  /// class, method, field, string and native.
-  std::vector<uint8_t> serialize() const;
 };
 
 /// What one instruction pops and pushes.

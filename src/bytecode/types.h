@@ -90,17 +90,6 @@ struct Value {
     return r;
   }
 
-  bool same_as(const Value& o) const {
-    if (tag != o.tag) return false;
-    switch (tag) {
-      case Ty::I64: return i == o.i;
-      case Ty::F64: return d == o.d;
-      case Ty::Ref: return r == o.r;
-      case Ty::Void: return true;
-    }
-    return false;
-  }
-
   std::string str() const;
 };
 

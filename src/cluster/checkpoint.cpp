@@ -27,18 +27,13 @@ void AttemptTracker::observe(uint16_t cls, VDur ref_span) {
   if (ref_span.ns < 0) return;
   double observed = static_cast<double>(ref_span.ns);
   auto [it, fresh] = ewma_ns_.try_emplace(cls, observed);
-  if (!fresh) it->second = cfg_.alpha * observed + (1.0 - cfg_.alpha) * it->second;
-}
-
-VDur AttemptTracker::expected_span(uint16_t cls) const {
-  auto it = ewma_ns_.find(cls);
-  return it == ewma_ns_.end() ? VDur{} : VDur::nanos(static_cast<int64_t>(it->second));
+  if (!fresh) it->second = kAlpha * observed + (1.0 - kAlpha) * it->second;
 }
 
 bool AttemptTracker::straggler(uint16_t cls, VDur age) const {
   auto it = ewma_ns_.find(cls);
   if (it == ewma_ns_.end()) return false;
-  return static_cast<double>(age.ns) > cfg_.straggler_factor * it->second;
+  return static_cast<double>(age.ns) > kStragglerFactor * it->second;
 }
 
 }  // namespace sod::cluster

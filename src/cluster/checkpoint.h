@@ -68,22 +68,14 @@ class CheckpointStore {
 /// attempt completions.
 class AttemptTracker {
  public:
-  struct Config {
-    /// An attempt is a straggler once its age exceeds this multiple of
-    /// the learned reference-CPU span for its class.
-    double straggler_factor = 1.75;
-    double alpha = 0.4;  ///< EWMA smoothing weight for new observations
-  };
-
-  explicit AttemptTracker(Config cfg) : cfg_(cfg) {}
+  /// An attempt is a straggler once its age exceeds this multiple of the
+  /// learned reference-CPU span for its class.
+  static constexpr double kStragglerFactor = 1.75;
+  static constexpr double kAlpha = 0.4;  ///< EWMA smoothing weight for new observations
 
   /// Trains the per-class EWMA with an observed execution span already
   /// normalized to the reference CPU (span / cpu_scale).
   void observe(uint16_t cls, VDur ref_span);
-
-  /// Learned reference-CPU span for `cls`; VDur{} before the first
-  /// observation.
-  VDur expected_span(uint16_t cls) const;
 
   /// Whether an attempt of `cls` that has been executing for `age` is a
   /// straggler.  Never true before the first observation of the class —
@@ -91,7 +83,6 @@ class AttemptTracker {
   bool straggler(uint16_t cls, VDur age) const;
 
  private:
-  Config cfg_;
   std::unordered_map<uint16_t, double> ewma_ns_;
 };
 

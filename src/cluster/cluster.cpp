@@ -38,15 +38,6 @@ void Cluster::drain_worker(int id) {
   s.state = s.queue.empty() ? WorkerState::Retired : WorkerState::Draining;
 }
 
-void Cluster::remove_worker(int id) {
-  SOD_CHECK(id >= 0 && id < size(), "bad worker id");
-  Slot& s = workers_[static_cast<size_t>(id)];
-  if (s.state == WorkerState::Retired || s.state == WorkerState::Lost) return;
-  SOD_CHECK(s.queue.empty(),
-            "remove of worker '" + s.node->name() + "' with outstanding work (drain it first)");
-  s.state = WorkerState::Retired;
-}
-
 int Cluster::fail_worker(int id) {
   SOD_CHECK(id >= 0 && id < size(), "bad worker id");
   Slot& s = workers_[static_cast<size_t>(id)];

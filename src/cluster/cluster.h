@@ -4,8 +4,8 @@
 // A Cluster owns the home SodNode and an elastic set of workers, each with
 // its own CPU profile and its own simulated link back to home.  Membership
 // is dynamic: workers join mid-run (add_worker), stop accepting new
-// segments while finishing queued work (drain_worker), retire
-// (remove_worker) — the Boxer-style ephemeral-worker flow — or are lost
+// segments while finishing queued work (drain_worker), retire once
+// their queue is empty — the Boxer-style ephemeral-worker flow — or are lost
 // outright (fail_worker), dropping their outstanding assignments for the
 // scheduler to re-dispatch.  Worker ids are dense and stable for the
 // lifetime of the cluster; a retired or lost worker keeps its id and its
@@ -80,9 +80,6 @@ class Cluster {
   /// Stops new assignments to the worker; it retires as soon as its queue
   /// drains (immediately when idle — no next-round lag).
   void drain_worker(int id);
-  /// Retires an idle worker immediately.  A worker with outstanding
-  /// assignments cannot be removed — drain it first.
-  void remove_worker(int id);
   /// Drops the worker mid-run (crash / network partition): its queued
   /// assignments are discarded and it never receives work again.  Returns
   /// the number of assignments dropped — the caller (the scheduler) owns

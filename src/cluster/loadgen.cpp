@@ -131,14 +131,6 @@ Trace make_trace(const TraceConfig& cfg) {
   return tr;
 }
 
-Trace filter_tenant(const Trace& t, int tenant) {
-  Trace out;
-  out.cfg = t.cfg;
-  for (const auto& s : t.sessions)
-    if (s.tenant == tenant) out.sessions.push_back(s);
-  return out;
-}
-
 namespace {
 
 struct SessState {

@@ -58,9 +58,9 @@ std::optional<ArrivalKind> parse_arrival(std::string_view s);
 /// One session of a trace: tenant `tenant` runs Table I app `app` (index
 /// into the fib/nqueens/fft/tsp mix) arriving at virtual instant
 /// `arrival`, offloading up to `rounds` dispatch rounds before the
-/// residual computation finishes at home.  `id` is stable across
-/// filter_tenant so per-session results can be compared between a shared
-/// run and a tenant-alone run.
+/// residual computation finishes at home.  `id` is the session's index in
+/// the full trace, so per-session results stay comparable between a
+/// shared run and a run of a subset of its sessions.
 struct SessionTrace {
   int id = 0;
   int tenant = 0;
@@ -121,11 +121,6 @@ struct Trace {
 /// Builds the deterministic trace for `cfg`: the same config (seed
 /// included) always yields the identical trace.
 Trace make_trace(const TraceConfig& cfg);
-
-/// The sessions of one tenant, arrival instants and ids preserved;
-/// injections are dropped (the alone-run is the clean-room baseline the
-/// isolation property tests compare against).
-Trace filter_tenant(const Trace& t, int tenant);
 
 struct LoadGenOptions {
   PolicyKind policy = PolicyKind::LeastLoaded;

@@ -77,13 +77,13 @@ std::optional<Autoscaler::Action> Autoscaler::tick(Cluster& c, bool placement_ph
   while (!joined_.empty() && c.state(joined_.back()) != WorkerState::Active)
     joined_.pop_back();
   double depth = c.mean_queue_depth();
-  if (depth > cfg_.high_water && next_standby_ < standby_.size()) {
+  if (depth > kHighWater && next_standby_ < standby_.size()) {
     int id = c.add_worker(standby_[next_standby_++]);
     joined_.push_back(id);
     ++joins_;
     return Action{EventKind::WorkerJoined, id};
   }
-  if (placement_phase && depth < cfg_.low_water && !joined_.empty()) {
+  if (placement_phase && depth < kLowWater && !joined_.empty()) {
     int id = joined_.back();
     joined_.pop_back();
     // Immediate retire when idle (no next-round lag); otherwise the
@@ -130,10 +130,7 @@ struct Scheduler::Race {
 };
 
 Scheduler::Scheduler(Cluster& c, PlacementPolicy& policy, DispatchOptions opt)
-    : c_(&c),
-      policy_(&policy),
-      opt_(opt),
-      tracker_(AttemptTracker::Config{}) {
+    : c_(&c), policy_(&policy), opt_(opt) {
   // Admission verdict is part of the event stream: a program that failed
   // the cluster's static analysis is announced up front, and run() refuses
   // to ship any of its class images.
@@ -705,18 +702,11 @@ DispatchOutcome Scheduler::run(int home_tid, const std::vector<mig::SegmentSpec>
   // placement so a lost worker never receives this round's segments.
   process_failure_plans();
 
-  if (opt_.concurrent) {
-    // All segments ship from home's current send front and restore while
-    // upstream segments execute (freeze-time hiding).
-    for (size_t i = 0; i < tasks_.size(); ++i) dispatch(i);
-    autoscale_tick(/*placement_phase=*/true);
-  }
+  // All segments ship from home's current send front and restore while
+  // upstream segments execute (freeze-time hiding, Fig. 1(c)).
+  for (size_t i = 0; i < tasks_.size(); ++i) dispatch(i);
+  autoscale_tick(/*placement_phase=*/true);
   for (size_t i = 0; i < tasks_.size(); ++i) {
-    if (!opt_.concurrent) {
-      if (i > 0) home.node().clock.wait_until(tasks_[i - 1].pl.completed_at);
-      dispatch(i);
-      autoscale_tick(/*placement_phase=*/true);
-    }
     execute(i);
     write_back(i);
     emit(EventKind::SegmentCompleted, tasks_[i].pl.completed_at, static_cast<int>(i),

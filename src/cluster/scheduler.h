@@ -98,10 +98,6 @@ struct Event {
 };
 
 struct DispatchOptions {
-  /// Ship every segment as soon as it is serialized (the Fig. 1(c)
-  /// latency-hiding path).  When false, segment i+1 leaves home only after
-  /// segment i completed remotely — the sequential baseline.
-  bool concurrent = true;
   /// Guest instructions between checkpoints of an executing segment
   /// (0 = checkpointing off).  Each checkpoint pauses the worker at a
   /// migration-safe point, flushes its heap delta home, and records the
@@ -211,13 +207,10 @@ size_t refresh_primitive_statics(mig::SodNode& src, mig::SodNode& dst,
 /// post-completion troughs would otherwise flap the membership).
 class Autoscaler {
  public:
-  struct Config {
-    double high_water = 1.25;
-    double low_water = 0.4;
-  };
+  static constexpr double kHighWater = 1.25;
+  static constexpr double kLowWater = 0.4;
 
-  Autoscaler(Config cfg, std::vector<WorkerSpec> standby)
-      : cfg_(cfg), standby_(std::move(standby)) {}
+  explicit Autoscaler(std::vector<WorkerSpec> standby) : standby_(std::move(standby)) {}
 
   struct Action {
     EventKind kind;  ///< WorkerJoined or WorkerDraining
@@ -233,7 +226,6 @@ class Autoscaler {
   int standby_left() const { return static_cast<int>(standby_.size() - next_standby_); }
 
  private:
-  Config cfg_;
   std::vector<WorkerSpec> standby_;  ///< consumed front to back
   size_t next_standby_ = 0;
   std::vector<int> joined_;  ///< active joiner ids, join order (drained LIFO)

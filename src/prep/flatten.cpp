@@ -241,16 +241,4 @@ class Flattener {
 
 FlattenStats flatten_method(Program& p, Method& m) { return Flattener(p, m).run(); }
 
-FlattenStats flatten_program(Program& p) {
-  FlattenStats total;
-  for (auto& m : p.methods) {
-    if (m.code.empty()) continue;
-    FlattenStats s = flatten_method(p, m);
-    total.temps_added += s.temps_added;
-    total.calls_extracted += s.calls_extracted;
-    total.statements_out += s.statements_out;
-  }
-  return total;
-}
-
 }  // namespace sod::prep

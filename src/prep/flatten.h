@@ -38,7 +38,4 @@ struct FlattenStats {
 /// does not support (documented in DESIGN.md).
 FlattenStats flatten_method(bc::Program& p, bc::Method& m);
 
-/// Flatten every method with a body.
-FlattenStats flatten_program(bc::Program& p);
-
 }  // namespace sod::prep

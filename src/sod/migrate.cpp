@@ -1,5 +1,6 @@
 #include "sod/migrate.h"
 
+#include <algorithm>
 #include <deque>
 #include <unordered_set>
 
@@ -549,6 +550,20 @@ WriteBackReport write_back(Segment& seg, SodNode& home, int home_tid, int frames
   sim::deliver(dest.node(), home.node(), link, w.size());
   home.node().charge_host(home.serde().cost(w.size()));
 
+  // A home with a heap limit applies all of the write-back or none of it.
+  // A created cell takes as many bytes at home as it does at the worker.
+  const svm::Heap& heap = home.vm().heap();
+  if (heap.limit_bytes() != 0) {
+    size_t needed = 0;
+    for (const auto& [local, temp] : builder.created_map())
+      needed += svm::Heap::cell_bytes(dest.vm().heap().cell(local));
+    size_t free = heap.limit_bytes() - std::min(heap.used_bytes(), heap.limit_bytes());
+    if (needed > free) {
+      rep.shortfall = HeapShortfall{needed, free};
+      return rep;
+    }
+  }
+
   ByteReader r(w.bytes());
   WriteBackApplier applier(home);
   Value home_result = applier.apply(r);
@@ -665,16 +680,6 @@ bool pause_at_depth(SodNode& node, int tid, uint16_t method, int depth) {
   }
 }
 
-bool pause_at_next_msp(SodNode& node, int tid) {
-  auto& vm = node.vm();
-  node.ti().set_debug_enabled(true);
-  vm.request_safepoint(true);
-  svm::RunResult rr = node.run_guest(tid);
-  vm.request_safepoint(false);
-  node.sync_ti_cost();
-  return rr.reason == StopReason::SafePoint;
-}
-
 int max_migratable_frames(SodNode& node, int tid, const std::vector<uint16_t>& pinned_methods) {
   const auto& frames = node.vm().thread(tid).frames;
   int n = 0;
@@ -789,6 +794,11 @@ ElasticOutcome run_elastic(SodNode& device, int tid, SodNode& cloud, sim::Link l
     out.offloaded = true;
     out.timing = o.timing;
     device.ti().set_debug_enabled(false);
+    if (o.writeback.shortfall) {
+      out.shortfall = o.writeback.shortfall;
+      out.result = o.result;
+      return out;
+    }
     // The whole stack migrated: the device thread completed via write-back.
     SOD_CHECK(device.vm().thread(tid).status == svm::ThreadStatus::Done,
               "elastic offload did not complete the thread");

@@ -118,6 +118,12 @@ MigrationTiming hop(SodNode& home, int home_tid, int depth_hi, std::span<const u
 MigrationTiming migrate(SodNode& home, int home_tid, SegmentSpec spec, Segment& seg,
                         sim::Link link, bool ship_class);
 
+/// A write-back whose creations do not fit home's heap budget.
+struct HeapShortfall {
+  size_t needed = 0;  ///< bytes the created objects would take at home
+  size_t free = 0;    ///< bytes left under home's heap limit
+};
+
 /// Ship updated objects + result home; pop the segment's outdated frames
 /// (ForceEarlyReturn); returns the result value translated into home refs.
 /// After this the home thread is runnable (or Done if the segment was the
@@ -128,6 +134,10 @@ struct WriteBackReport {
   size_t bytes = 0;
   int objects_updated = 0;
   int objects_created = 0;
+  /// Set when home's heap has a limit and the creations do not fit it:
+  /// home applied nothing and popped nothing, so the home thread still
+  /// waits where its segment was captured.
+  std::optional<HeapShortfall> shortfall;
   /// The result value translated into home refs (applying the write-back
   /// materializes created objects, so a ref result is a live home
   /// object).  The cluster scheduler records it in its ref-forwarding
@@ -183,9 +193,6 @@ SegmentCheckpoint checkpoint_segment(Segment& seg, SodNode& home, sim::Link link
 /// the thread finished first.
 bool pause_at_depth(SodNode& node, int tid, uint16_t method, int depth);
 
-/// Run until the next migration-safe point (safepoint request).
-bool pause_at_next_msp(SodNode& node, int tid);
-
 /// Largest migratable top-segment length that keeps every frame running a
 /// pinned method (e.g. socket holders) at home.
 int max_migratable_frames(SodNode& node, int tid, const std::vector<uint16_t>& pinned_methods);
@@ -222,10 +229,15 @@ class OffloadGuard {
 /// Run `tid` on the (resource-poor) device; if an allocation traps on
 /// OutOfMemory, rocket the whole stack into `cloud` and finish there.
 /// Requires the program to be preprocessed with offload_handlers = true.
+/// When the cloud's write-back does not fit the device heap, `shortfall`
+/// says by how much: the device applied none of it, so its heap and its
+/// thread stay as they were at the trap, and `result` is the value the
+/// cloud computed (a ref result would name a cloud object).
 struct ElasticOutcome {
   bool offloaded = false;
   Value result{};
   MigrationTiming timing{};
+  std::optional<HeapShortfall> shortfall;
 };
 ElasticOutcome run_elastic(SodNode& device, int tid, SodNode& cloud, sim::Link link,
                            OffloadGuard& guard);

@@ -9,9 +9,7 @@ SodNode::SodNode(std::string name, const bc::Program& prog, Config cfg)
   node_.instr_cost = cfg.instr_cost;
   node_.debug_multiplier = cfg.debug_multiplier;
   stdlib_.install(reg_);
-  svm::VM::Config vc;
-  vc.heap_limit_bytes = cfg.heap_limit_bytes;
-  vm_ = std::make_unique<svm::VM>(prog, &reg_, vc);
+  vm_ = std::make_unique<svm::VM>(prog, &reg_, cfg.heap_limit_bytes);
   ti_ = std::make_unique<vmti::ToolInterface>(*vm_, cfg.vmti_costs);
 }
 

@@ -50,11 +50,11 @@ Cell read_cell(ByteReader& r) {
 }
 
 Ref Heap::push_cell(Cell c, size_t bytes) {
-  if (limit_ != 0 && used_ + bytes > limit_) {
-    oom_ = true;
-    return bc::kNull;
-  }
-  oom_ = false;
+  if (limit_ != 0 && used_ + bytes > limit_) return bc::kNull;
+  return place(std::move(c), bytes);
+}
+
+Ref Heap::place(Cell c, size_t bytes) {
   used_ += bytes;
   size_t idx = count_++;
   if ((idx & kChunkMask) == 0) chunks_.emplace_back(std::make_unique<Cell[]>(kChunkCells));
@@ -62,7 +62,7 @@ Ref Heap::push_cell(Cell c, size_t bytes) {
   return static_cast<Ref>(count_);
 }
 
-size_t Heap::cell_bytes(const Cell& c) const {
+size_t Heap::cell_bytes(const Cell& c) {
   struct V {
     size_t operator()(const std::monostate&) const { return 0; }
     size_t operator()(const ObjCell& o) const { return 16 + o.fields.size() * 8; }
@@ -117,17 +117,16 @@ Ref Heap::alloc(Cell c) {
   return push_cell(std::move(c), b);
 }
 
+Ref Heap::alloc_past_limit(Cell c) {
+  size_t b = cell_bytes(c);
+  return place(std::move(c), b);
+}
+
 void Heap::overwrite(Ref r, Cell c) {
   Cell& old = cell(r);
   SOD_CHECK(old.index() == c.index() && cell_bytes(old) == cell_bytes(c),
             "overwrite with a cell of another kind or size");
   old = std::move(c);
-}
-
-void Heap::replace_stub(Ref stub, Cell materialized) {
-  SOD_CHECK(is_stub(stub), "replace_stub on non-stub");
-  used_ += cell_bytes(materialized);
-  cell(stub) = std::move(materialized);
 }
 
 ObjCell& Heap::obj(Ref r) {
@@ -159,12 +158,6 @@ const StrCell& Heap::str(Ref r) const {
   auto* p = std::get_if<StrCell>(&cell(r));
   SOD_CHECK(p, "ref is not a string");
   return *p;
-}
-
-size_t Heap::shallow_size(Ref r) const {
-  ByteWriter w;
-  serialize_shallow(r, w);
-  return w.size();
 }
 
 Ref Heap::deserialize_shallow(ByteReader& r) {
@@ -218,55 +211,6 @@ std::unordered_map<Ref, Ref> Heap::deserialize_graph(ByteReader& r) {
       ref = it->second;
     });
   return map;
-}
-
-bool Heap::deep_equal(const Heap& a, Ref ra, const Heap& b, Ref rb) {
-  if ((ra == bc::kNull) != (rb == bc::kNull)) return false;
-  if (ra == bc::kNull) return true;
-  std::unordered_map<Ref, Ref> paired;
-  std::deque<std::pair<Ref, Ref>> q{{ra, rb}};
-  while (!q.empty()) {
-    auto [x, y] = q.front();
-    q.pop_front();
-    auto it = paired.find(x);
-    if (it != paired.end()) {
-      if (it->second != y) return false;
-      continue;
-    }
-    paired[x] = y;
-    const Cell& cx = a.cell(x);
-    const Cell& cy = b.cell(y);
-    if (cx.index() != cy.index()) return false;
-    if (const auto* ox = std::get_if<ObjCell>(&cx)) {
-      const auto& oy = std::get<ObjCell>(cy);
-      if (ox->cls != oy.cls || ox->fields.size() != oy.fields.size()) return false;
-      for (size_t i = 0; i < ox->fields.size(); ++i) {
-        const Value& vx = ox->fields[i];
-        const Value& vy = oy.fields[i];
-        if (vx.tag != vy.tag) return false;
-        if (vx.tag == Ty::Ref) {
-          if ((vx.r == bc::kNull) != (vy.r == bc::kNull)) return false;
-          if (vx.r != bc::kNull) q.emplace_back(vx.r, vy.r);
-        } else if (!vx.same_as(vy)) {
-          return false;
-        }
-      }
-    } else if (const auto* aix = std::get_if<ArrICell>(&cx)) {
-      if (aix->v != std::get<ArrICell>(cy).v) return false;
-    } else if (const auto* adx = std::get_if<ArrDCell>(&cx)) {
-      if (adx->v != std::get<ArrDCell>(cy).v) return false;
-    } else if (const auto* arx = std::get_if<ArrRCell>(&cx)) {
-      const auto& ary = std::get<ArrRCell>(cy);
-      if (arx->v.size() != ary.v.size()) return false;
-      for (size_t i = 0; i < arx->v.size(); ++i) {
-        if ((arx->v[i] == bc::kNull) != (ary.v[i] == bc::kNull)) return false;
-        if (arx->v[i] != bc::kNull) q.emplace_back(arx->v[i], ary.v[i]);
-      }
-    } else if (const auto* sx = std::get_if<StrCell>(&cx)) {
-      if (sx->s != std::get<StrCell>(cy).s) return false;
-    }
-  }
-  return true;
 }
 
 }  // namespace sod::svm

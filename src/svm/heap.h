@@ -125,18 +125,16 @@ class Heap {
   Ref alloc_stub(Ref home_ref, uint16_t static_field = bc::kNoId);
   /// Allocate a decoded cell as is, charged by its size.
   Ref alloc(Cell c);
+  /// Allocate a decoded cell past the byte budget (its bytes still
+  /// count): the VM's OutOfMemory object, when a full heap has no room
+  /// left for it.
+  Ref alloc_past_limit(Cell c);
   /// Replace cell `r` with `c`, which must have the same kind and size.
   void overwrite(Ref r, Cell c);
 
   bool is_stub(Ref r) const { return std::holds_alternative<StubCell>(cell(r)); }
   Ref stub_home(Ref r) const { return std::get<StubCell>(cell(r)).home_ref; }
   uint16_t stub_static(Ref r) const { return std::get<StubCell>(cell(r)).static_field; }
-  /// Replace a stub in place with the materialized cell `from` (so every
-  /// existing reference to the stub sees the real object).
-  void replace_stub(Ref stub, Cell materialized);
-
-  /// True if the last alloc_* failed for capacity (ref came back null).
-  bool last_alloc_failed() const { return oom_; }
 
   bool valid(Ref r) const { return r >= 1 && r <= count_; }
   Cell& cell(Ref r) {
@@ -156,6 +154,10 @@ class Heap {
 
   size_t count() const { return count_; }
   size_t used_bytes() const { return used_; }
+  /// Byte budget (0 = unlimited).
+  size_t limit_bytes() const { return limit_; }
+  /// Bytes allocating `c` charges against the budget.
+  static size_t cell_bytes(const Cell& c);
 
   /// Shallow wire form of one cell; each embedded ref travels as
   /// `map_ref(ref)`, called in field / element order.
@@ -163,8 +165,6 @@ class Heap {
   void serialize_shallow(Ref r, ByteWriter& w, MapRef&& map_ref) const;
   /// Shallow wire form with embedded refs as raw ids.
   void serialize_shallow(Ref r, ByteWriter& w) const { serialize_shallow(r, w, std::identity{}); }
-  /// Byte size of the shallow wire form.
-  size_t shallow_size(Ref r) const;
   /// Materialize a shallow cell into this heap.  Each embedded non-null
   /// ref becomes a remote stub carrying the home ref, allocated before its
   /// holder.  Returns the new local ref (kNull if the heap is full).
@@ -178,9 +178,6 @@ class Heap {
   /// Returns home->local ref map.
   std::unordered_map<Ref, Ref> deserialize_graph(ByteReader& r);
 
-  /// Deep-copy compare of two refs across heaps (test support).
-  static bool deep_equal(const Heap& a, Ref ra, const Heap& b, Ref rb);
-
  private:
   // Cells live in fixed-size chunks so allocation is a bump of count_ (a
   // new chunk every kChunkCells allocs) and cell references stay stable —
@@ -189,14 +186,15 @@ class Heap {
   static constexpr size_t kChunkCells = size_t{1} << kChunkShift;
   static constexpr size_t kChunkMask = kChunkCells - 1;
 
+  /// Charges `bytes` against the budget; kNull (nothing allocated) past it.
   Ref push_cell(Cell c, size_t bytes);
-  size_t cell_bytes(const Cell& c) const;
+  /// Allocates regardless of the budget.
+  Ref place(Cell c, size_t bytes);
 
   std::vector<std::unique_ptr<Cell[]>> chunks_;
   size_t count_ = 0;
   size_t limit_;
   size_t used_ = 0;
-  bool oom_ = false;
 };
 
 template <class MapRef>

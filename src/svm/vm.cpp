@@ -16,10 +16,8 @@ using bc::Method;
 using bc::Op;
 using bc::Program;
 
-VM::VM(const Program& prog, const NativeRegistry* natives) : VM(prog, natives, Config{}) {}
-
-VM::VM(const Program& prog, const NativeRegistry* natives, Config cfg)
-    : prog_(&prog), natives_(natives), cfg_(cfg), heap_(cfg.heap_limit_bytes) {
+VM::VM(const Program& prog, const NativeRegistry* natives, size_t heap_limit_bytes)
+    : prog_(&prog), natives_(natives), heap_(heap_limit_bytes) {
   rt_.resize(prog.classes.size());
   for (size_t c = 0; c < prog.classes.size(); ++c) {
     auto& r = rt_[c];
@@ -141,7 +139,18 @@ void VM::throw_guest(uint16_t ex_cls, std::string_view msg) {
 Ref VM::make_exception(uint16_t ex_cls, std::string_view msg) {
   ensure_loaded(ex_cls);
   Ref r = heap_.alloc_obj(ex_cls, rt_[ex_cls].inst_types);
-  SOD_CHECK(r != bc::kNull, "heap exhausted allocating exception");
+  if (r == bc::kNull) {
+    // No room left even for the exception: the guest gets OutOfMemory.
+    // Its one object is made past the budget on first need, not up front,
+    // so runs that never fill the heap keep their ref numbering.
+    if (oom_ == bc::kNull) {
+      ensure_loaded(bc::builtin::kOutOfMemory);
+      ObjCell o{bc::builtin::kOutOfMemory, {}};
+      for (Ty t : rt_[bc::builtin::kOutOfMemory].inst_types) o.fields.push_back(Value::zero_of(t));
+      oom_ = heap_.alloc_past_limit(std::move(o));
+    }
+    r = oom_;
+  }
   if (!msg.empty()) ex_msgs_[r] = std::string(msg);
   return r;
 }
@@ -155,8 +164,7 @@ Ref VM::intern_pool_string(uint16_t idx) {
   auto it = pool_strings_.find(idx);
   if (it != pool_strings_.end()) return it->second;
   Ref r = heap_.alloc_str(prog_->strings[idx]);
-  SOD_CHECK(r != bc::kNull, "heap exhausted interning string");
-  pool_strings_[idx] = r;
+  if (r != bc::kNull) pool_strings_[idx] = r;
   return r;
 }
 
@@ -309,7 +317,12 @@ vm_top:
   VM_LABEL(ICONST) : push(Value::of_i64(in.imm_i)); VM_NEXT();
   VM_LABEL(DCONST) : push(Value::of_f64(in.imm_d)); VM_NEXT();
   VM_LABEL(ACONST_NULL) : push(Value::null()); VM_NEXT();
-  VM_LABEL(LDC_STR) : push(Value::of_ref(intern_pool_string(static_cast<uint16_t>(in.arg)))); VM_NEXT();
+  VM_LABEL(LDC_STR) : {
+    Ref s = intern_pool_string(static_cast<uint16_t>(in.arg));
+    if (s == bc::kNull) THROW_GUEST(bc::builtin::kOutOfMemory, "string");
+    push(Value::of_ref(s));
+    VM_NEXT();
+  }
 
   VM_LABEL(ILOAD) :
   VM_LABEL(DLOAD) :
@@ -529,7 +542,7 @@ vm_top:
     uint16_t mid = static_cast<uint16_t>(in.arg);
     const Method& callee = P.method(mid);
     SOD_CHECK(!callee.code.empty(), "invoke of bodyless method " + callee.name);
-    if (th.frames.size() >= cfg_.max_frames)
+    if (th.frames.size() >= kMaxFrames)
       SOD_UNREACHABLE("guest stack overflow in " + callee.name);
     ensure_loaded(callee.owner);
     f->pc = next;  // return address

@@ -79,13 +79,11 @@ struct RunResult {
 
 class VM {
  public:
-  struct Config {
-    size_t heap_limit_bytes = 0;  ///< 0 = unlimited
-    uint32_t max_frames = 1 << 14;
-  };
+  /// Guest stack depth past which an INVOKE aborts the process.
+  static constexpr size_t kMaxFrames = size_t{1} << 14;
 
-  VM(const bc::Program& prog, const NativeRegistry* natives, Config cfg);
-  VM(const bc::Program& prog, const NativeRegistry* natives);
+  /// `heap_limit_bytes` caps the guest heap (0 = unlimited).
+  VM(const bc::Program& prog, const NativeRegistry* natives, size_t heap_limit_bytes = 0);
 
   const bc::Program& program() const { return *prog_; }
   Heap& heap() { return heap_; }
@@ -145,7 +143,7 @@ class VM {
   /// Diagnostic message attached to an exception object.
   std::string exception_message(Ref r) const;
 
-  /// Interned guest string for pool index.
+  /// Interned guest string for pool index (kNull when the heap is full).
   Ref intern_pool_string(uint16_t idx);
 
   // --- accounting ---
@@ -186,13 +184,13 @@ class VM {
 
   const bc::Program* prog_;
   const NativeRegistry* natives_;
-  Config cfg_;
   Heap heap_;
   std::vector<ClassRT> rt_;
   std::vector<GuestThread> threads_;
   std::vector<std::vector<Ty>> local_types_cache_;
   std::unordered_map<uint16_t, Ref> pool_strings_;
   std::unordered_map<Ref, std::string> ex_msgs_;
+  Ref oom_ = bc::kNull;  ///< the OutOfMemory object a full heap raises
 
   bool debug_ = false;
   bool safepoint_req_ = false;

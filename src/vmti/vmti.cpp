@@ -2,7 +2,7 @@
 
 namespace sod::vmti {
 
-svm::Frame& ToolInterface::frame_at(int tid, int depth) {
+const svm::Frame& ToolInterface::frame_at(int tid, int depth) {
   auto& th = vm_->thread(tid);
   SOD_CHECK(depth >= 0 && static_cast<size_t>(depth) < th.frames.size(), "bad frame depth");
   return th.frames[th.frames.size() - 1 - static_cast<size_t>(depth)];
@@ -31,21 +31,9 @@ Value ToolInterface::get_local(int tid, int depth, uint16_t slot) {
   return f.locals[slot];
 }
 
-void ToolInterface::set_local(int tid, int depth, uint16_t slot, Value v) {
-  spent_ += cm_.set_local;
-  svm::Frame& f = frame_at(tid, depth);
-  SOD_CHECK(slot < f.locals.size(), "bad local slot");
-  f.locals[slot] = v;
-}
-
 Value ToolInterface::get_static_field(uint16_t field_id) {
   spent_ += cm_.get_static;
   return vm_->get_static(field_id);
-}
-
-void ToolInterface::set_static_field(uint16_t field_id, Value v) {
-  spent_ += cm_.set_static;
-  vm_->set_static(field_id, v);
 }
 
 void ToolInterface::set_breakpoint(uint16_t method, uint32_t pc) {

@@ -32,9 +32,7 @@ struct CostModel {
   VDur get_frame_location = VDur::micros(1);
   VDur get_local_table = VDur::micros(1);
   VDur get_local = VDur::micros(30);
-  VDur set_local = VDur::micros(30);
   VDur get_static = VDur::micros(2);
-  VDur set_static = VDur::micros(2);
   VDur set_breakpoint = VDur::micros(5);
   VDur force_early_return = VDur::micros(10);
   VDur pop_frame = VDur::micros(5);
@@ -42,7 +40,7 @@ struct CostModel {
   VDur get_object = VDur::micros(5);  ///< locating an object for the object manager
 
   /// Zero-cost model (for tests that care only about semantics).
-  static CostModel free() { return CostModel{{}, {}, {}, {}, {}, {}, {}, {}, {}, {}, {}, {}}; }
+  static CostModel free() { return CostModel{{}, {}, {}, {}, {}, {}, {}, {}, {}, {}}; }
 };
 
 struct FrameLocation {
@@ -61,11 +59,9 @@ class ToolInterface {
   FrameLocation get_frame_location(int tid, int depth);
   const std::vector<bc::LocalVar>& get_local_variable_table(uint16_t method);
   Value get_local(int tid, int depth, uint16_t slot);
-  void set_local(int tid, int depth, uint16_t slot, Value v);
 
   // --- statics ---
   Value get_static_field(uint16_t field_id);
-  void set_static_field(uint16_t field_id, Value v);
 
   // --- execution control ---
   void set_breakpoint(uint16_t method, uint32_t pc);
@@ -93,7 +89,7 @@ class ToolInterface {
   void reset_spent() { spent_ = {}; }
 
  private:
-  svm::Frame& frame_at(int tid, int depth);
+  const svm::Frame& frame_at(int tid, int depth);
 
   svm::VM* vm_;
   CostModel cm_;

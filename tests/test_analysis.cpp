@@ -126,17 +126,6 @@ bc::Program undefined_callee_program() {
   return pb.build();
 }
 
-/// PUTSTATIC of Pure.x inside the class the options declare statics-pure.
-bc::Program impure_program() {
-  ProgramBuilder pb;
-  auto& c = pb.cls("Pure");
-  c.field("x", Ty::I64, /*is_static=*/true);
-  auto& f = c.method("run", {}, Ty::I64);
-  f.stmt().iconst(7).putstatic("Pure.x");
-  f.stmt().getstatic("Pure.x").iret();
-  return pb.build();
-}
-
 // ------------------------------------------------------- verifier satellite
 
 TEST(Verifier, IsBoundaryRejectsUnreachableAndMidInstruction) {
@@ -163,9 +152,7 @@ TEST(Verifier, IsBoundaryRejectsUnreachableAndMidInstruction) {
 // ------------------------------------------------- malformed-program table
 
 struct MalformedCase {
-  const char* name;
   std::function<bc::Program()> build;
-  std::vector<std::string> declared_pure;
   const char* expect_substr;  ///< must appear in the diagnostic message
   const char* expect_cls;
   const char* expect_method;
@@ -173,27 +160,17 @@ struct MalformedCase {
 
 TEST(Admission, MalformedProgramsRejectedWithPointedDiagnostics) {
   const std::vector<MalformedCase> cases = {
-      {"bad jump target", bad_jump_program, {}, "not at boundary", "Jump", "Jump.run"},
-      {"stack underflow", underflow_program, {}, "pop from empty stack", "Under",
-       "Under.run"},
-      {"non-empty stack at MSP", msp_nonempty_program, {}, "MSP invariant", "Msp",
-       "Msp.run"},
-      {"truncated lookupswitch", truncated_switch_program, {}, "truncated lookupswitch",
-       "Switch", "Switch.run"},
-      {"parameters overflow locals", params_overflow_program, {},
-       "2 parameters do not fit 0 locals", "Args", "Args.run"},
-      {"parameter type differs from local", param_type_program, {},
-       "parameter 1 is i64 but local slot 1 is f64", "Typed", "Typed.run"},
-      {"undefined callee", undefined_callee_program, {},
-       "call to undefined method 'Call.stub'", "Call", "Call.run"},
-      {"statics write in declared-pure class", impure_program, {"Pure"},
-       "statics write ('Pure.x') in declared-pure class 'Pure'", "Pure", "Pure.run"},
+      {bad_jump_program, "not at boundary", "Jump", "Jump.run"},
+      {underflow_program, "pop from empty stack", "Under", "Under.run"},
+      {msp_nonempty_program, "MSP invariant", "Msp", "Msp.run"},
+      {truncated_switch_program, "truncated lookupswitch", "Switch", "Switch.run"},
+      {params_overflow_program, "2 parameters do not fit 0 locals", "Args", "Args.run"},
+      {param_type_program, "parameter 1 is i64 but local slot 1 is f64", "Typed", "Typed.run"},
+      {undefined_callee_program, "call to undefined method 'Call.stub'", "Call", "Call.run"},
   };
   for (const MalformedCase& mc : cases) {
-    SCOPED_TRACE(mc.name);
-    analysis::AnalysisOptions opt;
-    opt.declared_pure = mc.declared_pure;
-    analysis::AdmissionReport rep = analysis::analyze_program(mc.build(), opt);
+    SCOPED_TRACE(mc.expect_substr);
+    analysis::AdmissionReport rep = analysis::analyze_program(mc.build());
     EXPECT_FALSE(rep.admitted);
     ASSERT_FALSE(rep.diagnostics.empty());
     const analysis::Diagnostic& d = rep.diagnostics.front();

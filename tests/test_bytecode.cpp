@@ -177,8 +177,6 @@ TEST(Disasm, ListsInstructionsAndMsps) {
   EXPECT_NE(text.find("invoke"), std::string::npos);
   EXPECT_NE(text.find("Main.fib"), std::string::npos);
   EXPECT_NE(text.find("*"), std::string::npos);  // MSP marker
-  std::string prog_text = bc::disasm_program(p);
-  EXPECT_NE(prog_text.find("class Main"), std::string::npos);
 }
 
 TEST(Builtins, StableIds) {

@@ -66,17 +66,17 @@ TEST(CheckpointStore, KeepsTheNewestEntryPerSegment) {
 }
 
 TEST(AttemptTracker, FlagsStragglersOnlyAfterLearning) {
-  AttemptTracker t(AttemptTracker::Config{2.0, 0.5});
+  AttemptTracker t;
   // Nothing learned: no baseline to be slow against.
   EXPECT_FALSE(t.straggler(7, VDur::seconds(100)));
-  EXPECT_EQ(t.expected_span(7), VDur{});
+  // The first observation is the span: stragglers run past 1.75 x 10 ms.
   t.observe(7, VDur::millis(10));
-  EXPECT_EQ(t.expected_span(7), VDur::millis(10));
-  EXPECT_FALSE(t.straggler(7, VDur::millis(19)));
-  EXPECT_TRUE(t.straggler(7, VDur::millis(21)));
-  // EWMA update: 0.5 * 30 + 0.5 * 10 = 20 ms.
+  EXPECT_FALSE(t.straggler(7, VDur::millis(17)));
+  EXPECT_TRUE(t.straggler(7, VDur::millis(18)));
+  // EWMA update: 0.4 * 30 + 0.6 * 10 = 18 ms, so the bar moves to 31.5 ms.
   t.observe(7, VDur::millis(30));
-  EXPECT_EQ(t.expected_span(7), VDur::millis(20));
+  EXPECT_FALSE(t.straggler(7, VDur::millis(31)));
+  EXPECT_TRUE(t.straggler(7, VDur::millis(32)));
   // Other classes stay unlearned.
   EXPECT_FALSE(t.straggler(8, VDur::seconds(100)));
 }
@@ -173,7 +173,7 @@ TEST(Checkpoint, DeltaSizingSkipsUnchangedObjects) {
 
   int64_t n = 3000;
   int tid = home.vm().spawn(work, std::vector<Value>{Value::of_i64(n)});
-  ASSERT_TRUE(mig::pause_at_next_msp(home, tid));
+  ASSERT_TRUE(testing::pause_at_next_msp(home, tid));
   mig::CapturedState cs = mig::capture_segment(home, tid, {0, 1});
   home.ti().set_debug_enabled(false);
 
@@ -316,8 +316,8 @@ TEST(Scheduler, AutoscalerDrainDuringCheckpointedRoundIsNotAFailure) {
   DispatchOptions opt;
   opt.checkpoint_every = kEvery;
   Scheduler s(c, *pol, opt);
-  s.set_autoscaler(std::make_unique<Autoscaler>(
-      Autoscaler::Config{}, std::vector<WorkerSpec>{{"standby1", {}, sim::Link::gigabit()}}));
+  std::vector<WorkerSpec> standby{{"standby1", {}, sim::Link::gigabit()}};
+  s.set_autoscaler(std::make_unique<Autoscaler>(standby));
   int tid = c.home().vm().spawn(fib, std::vector<Value>{Value::of_i64(26)});
   // Round 1 (4 segments / 2 workers) joins the standby on high water;
   // round 2 (5 segments) walks the round-robin cursor so round 3's single

@@ -2,6 +2,7 @@
 // (paper Section VI): the optional / future-work features.
 #include <gtest/gtest.h>
 
+#include "apps/apps.h"
 #include "prep/prep.h"
 #include "sod/migrate.h"
 #include "testlib.h"
@@ -13,80 +14,107 @@ using namespace sod::testing;
 using mig::SodNode;
 using svm::StopReason;
 
-/// big_sum(n): allocate an n-element array, fill with i, return the sum —
-/// OOMs on a device whose heap can't hold the array.
-bc::Program bigalloc_program() {
-  ProgramBuilder pb;
-  auto& f = pb.cls("Big").method("sum", {{"n", Ty::I64}}, Ty::I64);
-  uint16_t a = f.local("a", Ty::Ref);
-  uint16_t i = f.local("i", Ty::I64);
-  uint16_t s = f.local("s", Ty::I64);
-  Label h1 = f.label(), d1 = f.label(), h2 = f.label(), d2 = f.label();
-  f.stmt().iload("n").newarray(Ty::I64).astore(a);
-  f.stmt().iconst(0).istore(i);
-  f.bind(h1).stmt().iload(i).iload("n").if_icmpge(d1);
-  f.stmt().aload(a).iload(i).iload(i).iastore();
-  f.stmt().iload(i).iconst(1).iadd().istore(i);
-  f.stmt().go(h1);
-  f.bind(d1).stmt().iconst(0).istore(s);
-  f.stmt().iconst(0).istore(i);
-  f.bind(h2).stmt().iload(i).iload("n").if_icmpge(d2);
-  f.stmt().iload(s).aload(a).iload(i).iaload().iadd().istore(s);
-  f.stmt().iload(i).iconst(1).iadd().istore(i);
-  f.stmt().go(h2);
-  f.bind(d2).stmt().iload(s).iret();
-  return pb.build();
+/// A device with a `heap` byte budget, an unlimited cloud, and the
+/// offload guard + object manager run_elastic needs on the device.
+struct ElasticPair {
+  ElasticPair(const bc::Program& p, size_t heap)
+      : device("device", p, device_config(heap)), cloud("cloud", p, {}) {
+    guard.install(device);
+    om.install(device);  // keeps objman.* bound for fault handlers
+  }
+  static SodNode::Config device_config(size_t heap) {
+    SodNode::Config cfg;
+    cfg.heap_limit_bytes = heap;
+    return cfg;
+  }
+  int spawn(const bc::Program& p, const std::string& entry, std::vector<Value> args) {
+    return device.vm().spawn(p.find_method(entry), args);
+  }
+  mig::ElasticOutcome run(int tid) {
+    return mig::run_elastic(device, tid, cloud, sim::Link::gigabit(), guard);
+  }
+
+  SodNode device;
+  SodNode cloud;
+  mig::OffloadGuard guard;
+  mig::ObjectManager om;
+};
+
+bc::Program offload_prepped(bc::Program p) {
+  prep::PrepOptions opts;
+  opts.offload_handlers = true;
+  prep::preprocess_program(p, opts);
+  return p;
 }
 
 TEST(Elastic, OomOffloadsToCloudAndSucceeds) {
-  bc::Program p = bigalloc_program();
+  bc::Program p = apps::build_bigsum();
   prep::PrepOptions opts;
   opts.offload_handlers = true;
   prep::PrepReport rep = prep::preprocess_program(p, opts);
   EXPECT_GE(rep.offload_handlers, 1);
 
-  SodNode::Config dev_cfg;
-  dev_cfg.heap_limit_bytes = 64 << 10;  // 64 KB device heap
-  SodNode device("device", p, dev_cfg);
-  SodNode cloud("cloud", p, {});  // unlimited
-
-  mig::OffloadGuard guard;
-  guard.install(device);
-  mig::ObjectManager om;
-  om.install(device);  // keeps objman.* bound for fault handlers
-
+  ElasticPair nodes(p, 64 << 10);  // 64 KB device heap
   // n = 64k elements = 512 KB array: cannot fit on the device.
   const int64_t n = 64 << 10;
-  int tid = device.vm().spawn(p.find_method("Big.sum"), std::vector<Value>{Value::of_i64(n)});
-  auto out = mig::run_elastic(device, tid, cloud, sim::Link::gigabit(), guard);
+  auto out = nodes.run(nodes.spawn(p, "Big.sum", {Value::of_i64(n)}));
   EXPECT_TRUE(out.offloaded);
+  EXPECT_FALSE(out.shortfall);  // the array died in the cloud
   EXPECT_EQ(out.result.as_i64(), n * (n - 1) / 2);
 }
 
 TEST(Elastic, SmallAllocationStaysOnDevice) {
-  bc::Program p = bigalloc_program();
-  prep::PrepOptions opts;
-  opts.offload_handlers = true;
-  prep::preprocess_program(p, opts);
-
-  SodNode::Config dev_cfg;
-  dev_cfg.heap_limit_bytes = 64 << 10;
-  SodNode device("device", p, dev_cfg);
-  SodNode cloud("cloud", p, {});
-  mig::OffloadGuard guard;
-  guard.install(device);
-  mig::ObjectManager om;
-  om.install(device);
-
-  int tid = device.vm().spawn(p.find_method("Big.sum"), std::vector<Value>{Value::of_i64(100)});
-  auto out = mig::run_elastic(device, tid, cloud, sim::Link::gigabit(), guard);
+  bc::Program p = offload_prepped(apps::build_bigsum());
+  ElasticPair nodes(p, 64 << 10);
+  auto out = nodes.run(nodes.spawn(p, "Big.sum", {Value::of_i64(100)}));
   EXPECT_FALSE(out.offloaded);  // fits locally: no migration
   EXPECT_EQ(out.result.as_i64(), 100 * 99 / 2);
 }
 
+TEST(Elastic, WriteBackThatDoesNotFitTheDeviceIsRefusedWhole) {
+  // FFT's arrays outgrow a 4 KB device.  The cloud finishes the run, but
+  // the arrays it made would not fit the device heap: the device applies
+  // none of the write-back and reports the shortfall.
+  apps::AppSpec fft = apps::fft_app();
+  bc::Program p = offload_prepped(fft.build());
+  const int64_t expected = SodNode("ref", p, {}).call_guest(fft.entry, fft.bench_args).as_i64();
+
+  // The device's heap as the trap left it, from an identical run stopped there.
+  ElasticPair at_trap(p, 4 << 10);
+  int t0 = at_trap.spawn(p, fft.entry, fft.bench_args);
+  ASSERT_EQ(at_trap.device.run_guest(t0).reason, StopReason::SafePoint);
+  ASSERT_TRUE(at_trap.guard.trapped());
+  const size_t used_at_trap = at_trap.device.vm().heap().used_bytes();
+
+  ElasticPair nodes(p, 4 << 10);
+  int tid = nodes.spawn(p, fft.entry, fft.bench_args);
+  auto out = nodes.run(tid);
+  EXPECT_TRUE(out.offloaded);
+  ASSERT_TRUE(out.shortfall);
+  EXPECT_GT(out.shortfall->needed, out.shortfall->free);
+  EXPECT_EQ(nodes.device.vm().heap().used_bytes(), used_at_trap);
+  EXPECT_NE(nodes.device.vm().thread(tid).status, svm::ThreadStatus::Done);
+  EXPECT_EQ(out.result.as_i64(), expected);
+}
+
+TEST(Elastic, FullHeapRaisesOutOfMemoryForTheOffloadHandler) {
+  // TSP on a 700 B device fills the heap so far that even the exception
+  // object has no room: the guest still gets OutOfMemory, its handler
+  // traps, and the cloud computes the reference result.
+  apps::AppSpec tsp = apps::tsp_app();
+  bc::Program p = offload_prepped(tsp.build());
+  const int64_t expected = SodNode("ref", p, {}).call_guest(tsp.entry, tsp.bench_args).as_i64();
+  ElasticPair nodes(p, 700);
+  auto out = nodes.run(nodes.spawn(p, tsp.entry, tsp.bench_args));
+  EXPECT_TRUE(out.offloaded);
+  EXPECT_EQ(out.result.as_i64(), expected);
+  // The row the cloud built cannot come back to a device that is already full.
+  EXPECT_TRUE(out.shortfall);
+}
+
 TEST(Elastic, UnguardedOomStillCrashes) {
   // Without offload handlers, the OOM is a plain crash (no silent magic).
-  bc::Program p = bigalloc_program();
+  bc::Program p = apps::build_bigsum();
   prep::preprocess_program(p);  // no offload handlers
   SodNode::Config dev_cfg;
   dev_cfg.heap_limit_bytes = 64 << 10;

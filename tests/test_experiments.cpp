@@ -85,7 +85,7 @@ TEST(Baselines, ProcessMigrationCarriesHeapEagerly) {
   }
   int tid = home.vm().spawn(sum_m, std::vector<Value>{Value::of_i64(200)});
   home.run_guest(tid, total / 2);
-  ASSERT_TRUE(mig::pause_at_next_msp(home, tid));
+  ASSERT_TRUE(testing::pause_at_next_msp(home, tid));
   home.ti().set_debug_enabled(false);
   int dtid = -1;
   auto t = baselines::process_migrate(home, tid, dest, sim::Link::gigabit(), &dtid);

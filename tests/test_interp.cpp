@@ -408,12 +408,27 @@ TEST(Interp, HeapLimitTriggersOutOfMemory) {
   f.stmt().iconst(1 << 20).newarray(Ty::I64).astore(a);
   f.stmt().aload(a).arraylen().iret();
   auto p = pb.build();
-  svm::VM::Config cfg;
-  cfg.heap_limit_bytes = 1024;  // tiny device heap
-  svm::VM vm(p, nullptr, cfg);
+  svm::VM vm(p, nullptr, /*heap_limit_bytes=*/1024);  // tiny device heap
   int tid = vm.spawn(p.find_method("M.big"), {});
   EXPECT_EQ(vm.run(tid).reason, StopReason::Crashed);
   EXPECT_EQ(vm.class_of(vm.thread(tid).uncaught), bc::builtin::kOutOfMemory);
+}
+
+TEST(Interp, FullHeapRaisesOutOfMemoryNotAnAbort) {
+  // The array fills the 48-byte heap: the string literal cannot be
+  // interned, and the OutOfMemory object has no room either, yet the guest
+  // still gets the exception.
+  ProgramBuilder pb;
+  auto& f = pb.cls("M").method("s", {}, Ty::Ref);
+  uint16_t a = f.local("a", Ty::Ref);
+  f.stmt().iconst(4).newarray(Ty::I64).astore(a);
+  f.stmt().ldc_str("hello").aret();
+  auto p = pb.build();
+  svm::VM vm(p, nullptr, /*heap_limit_bytes=*/48);
+  int tid = vm.spawn(p.find_method("M.s"), {});
+  EXPECT_EQ(vm.run(tid).reason, StopReason::Crashed);
+  EXPECT_EQ(vm.class_of(vm.thread(tid).uncaught), bc::builtin::kOutOfMemory);
+  EXPECT_EQ(vm.heap().used_bytes(), 48u + 16);  // the array + the OutOfMemory object
 }
 
 TEST(Interp, InstructionCounting) {

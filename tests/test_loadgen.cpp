@@ -9,6 +9,7 @@
 #include "cluster/loadgen.h"
 #include "support/rng.h"
 #include "support/stats.h"
+#include "testlib.h"
 
 namespace {
 
@@ -153,7 +154,7 @@ TEST(TraceTest, FilterTenantKeepsIdsAndArrivals) {
   cfg.tenants = 3;
   cfg.churn = 0.1;
   Trace tr = sod::cluster::make_trace(cfg);
-  Trace alone = sod::cluster::filter_tenant(tr, 1);
+  Trace alone = sod::testing::filter_tenant(tr, 1);
   EXPECT_TRUE(alone.injections.empty());
   ASSERT_FALSE(alone.sessions.empty());
   size_t j = 0;
@@ -436,7 +437,7 @@ TEST_P(TenantIsolation, SharedRunMatchesAloneRuns) {
   ASSERT_TRUE(shared.exactly_once) << "seed " << seed;
 
   for (int t = 0; t < cfg.tenants; ++t) {
-    Trace alone_tr = sod::cluster::filter_tenant(tr, t);
+    Trace alone_tr = sod::testing::filter_tenant(tr, t);
     if (alone_tr.sessions.empty()) continue;
     auto alone = sod::cluster::run_loadgen(alone_tr, opts);
     ASSERT_TRUE(alone.all_ok) << "seed " << seed << " tenant " << t;

@@ -290,7 +290,7 @@ TEST(Migrate, HopShipsTheStateAndRestoresTheCapturedFrames) {
       EXPECT_EQ(back.frames[i].pending_callee, cs.frames[i].pending_callee) << "frame " << i;
       ASSERT_EQ(back.frames[i].locals.size(), cs.frames[i].locals.size()) << "frame " << i;
       for (size_t k = 0; k < cs.frames[i].locals.size(); ++k)
-        EXPECT_TRUE(back.frames[i].locals[k].same_as(cs.frames[i].locals[k]))
+        EXPECT_TRUE(same_value(back.frames[i].locals[k], cs.frames[i].locals[k]))
             << "frame " << i << " local " << k;
     }
   }
@@ -379,7 +379,7 @@ TEST(Migrate, PauseAtNextMspAndOffload) {
   int tid = home.vm().spawn(fib, std::vector<Value>{Value::of_i64(14)});
   // Run a random-ish amount, then pause at the next MSP.
   home.run_guest(tid, 3000);
-  ASSERT_TRUE(mig::pause_at_next_msp(home, tid));
+  ASSERT_TRUE(testing::pause_at_next_msp(home, tid));
   int depth = static_cast<int>(home.vm().thread(tid).frames.size());
   int nframes = std::max(1, depth / 2);
   mig::offload_and_return(home, tid, nframes, dest, sim::Link::gigabit());
@@ -409,7 +409,7 @@ TEST(Migrate, CapturedStateSerializationRoundTrip) {
     EXPECT_EQ(cs2.frames[i].pending_callee, cs.frames[i].pending_callee);
     ASSERT_EQ(cs2.frames[i].locals.size(), cs.frames[i].locals.size());
     for (size_t k = 0; k < cs.frames[i].locals.size(); ++k)
-      EXPECT_TRUE(cs2.frames[i].locals[k].same_as(cs.frames[i].locals[k]));
+      EXPECT_TRUE(same_value(cs2.frames[i].locals[k], cs.frames[i].locals[k]));
   }
   ASSERT_EQ(cs2.statics.size(), cs.statics.size());
 }

@@ -104,7 +104,7 @@ TEST(Flatten, ExtractsNestedCalls) {
   auto p = nested_fib_program();
   const bc::Method& before = p.method(p.find_method("Main.fib"));
   size_t stmts_before = before.stmt_starts.size();
-  prep::FlattenStats st = prep::flatten_program(p);
+  prep::FlattenStats st = flatten_program(p);
   EXPECT_GE(st.calls_extracted, 1);
   EXPECT_GE(st.temps_added, 1);
   const bc::Method& after = p.method(p.find_method("Main.fib"));
@@ -115,7 +115,7 @@ TEST(Flatten, ExtractsNestedCalls) {
 
 TEST(Flatten, EveryStatementHasEmptyStack) {
   auto p = nested_fib_program();
-  prep::flatten_program(p);
+  flatten_program(p);
   // verify_method with MSP enforcement passes for every method.
   for (const auto& m : p.methods) {
     if (m.code.empty()) continue;
@@ -125,7 +125,7 @@ TEST(Flatten, EveryStatementHasEmptyStack) {
 
 TEST(Flatten, GeometryExampleMatchesPaperShape) {
   auto p = geometry_program();
-  prep::FlattenStats st = prep::flatten_program(p);
+  prep::FlattenStats st = flatten_program(p);
   // The paper's example extracts two temps out of displaceX.
   EXPECT_GE(st.calls_extracted, 2);
   EXPECT_EQ(run1(p, "M.go", {}).as_i64(), geometry_expected());
@@ -133,7 +133,7 @@ TEST(Flatten, GeometryExampleMatchesPaperShape) {
 
 TEST(Flatten, IdempotentOnFlatCode) {
   auto p = fib_program();  // already three-address style
-  prep::FlattenStats s1 = prep::flatten_program(p);
+  prep::FlattenStats s1 = flatten_program(p);
   EXPECT_EQ(s1.calls_extracted, 0);
   EXPECT_EQ(run1(p, "Main.fib", {Value::of_i64(12)}).as_i64(), fib_ref(12));
 }
@@ -336,8 +336,9 @@ uint64_t fnv1a(std::span<const uint8_t> bytes) {
 }
 
 TEST(Images, PreprocessedProgramDigestsArePinned) {
-  // FNV-1a of Program::serialize() after preprocessing.  The Fig. 5 golden
-  // pins only image sizes; this pins every byte every pass writes.
+  // FNV-1a of every class image, in class order, after preprocessing.  The
+  // Fig. 5 golden pins only image sizes; this pins every byte every pass
+  // writes into a class.
   PrepOptions checks;
   checks.miss = MissDetection::StatusChecking;
   PrepOptions none;
@@ -348,24 +349,29 @@ TEST(Images, PreprocessedProgramDigestsArePinned) {
   const char* const variant_names[] = {"default", "checks", "none", "offload"};
   // Rows follow kPrograms; columns follow variants.
   const uint64_t expected[6][4] = {
-      {0xe354c7edee2aa06full, 0xd3360e822ba45bf0ull,  // fib
-       0xe354c7edee2aa06full, 0xe354c7edee2aa06full},
-      {0x9af0f95696850806ull, 0xd8fdf9b8a87ca97full,  // nqueens
-       0x9af0f95696850806ull, 0x9af0f95696850806ull},
-      {0x1995f7b0b004cb66ull, 0x2a25221db144ff80ull,  // fft
-       0xe43a149b20fa40a9ull, 0xa69aa8df5e53be94ull},
-      {0x4289d50b101e742cull, 0x6a871e2f0bbbb6b1ull,  // tsp
-       0x0e267954d9396de9ull, 0x8dddebfd32a30229ull},
-      {0x26c984edeed12ca8ull, 0x8cb6fa90bf4435e3ull,  // docsearch
-       0xca11fc28c701c542ull, 0xa79ec8b891028c25ull},
-      {0xa8d1458493812decull, 0x5d5a8d2682c59d7aull,  // photoshare
-       0x59c1d5d296719ff9ull, 0xd7177a39bf82a120ull},
+      {0x7897a7047ff078c0ull, 0x96916ea7f799090eull,  // fib
+       0x7897a7047ff078c0ull, 0x7897a7047ff078c0ull},
+      {0x6cfced4eb9f7ced7ull, 0xa96f8ebf1499db1bull,  // nqueens
+       0x6cfced4eb9f7ced7ull, 0x6cfced4eb9f7ced7ull},
+      {0x1210c0997dfe3404ull, 0x00c75724dc6c9efbull,  // fft
+       0x5c285a450c341861ull, 0x38a6278daadc1b82ull},
+      {0x96435ded3306c48eull, 0x31746e839ea65240ull,  // tsp
+       0x33dfce68973f70d9ull, 0xe268cdbc978299d1ull},
+      {0x0222f8dc2ea26b83ull, 0x260e4141e5de2e17ull,  // docsearch
+       0xf37cfe96879118bdull, 0xabb57c436bbd7e4aull},
+      {0x890d5d1f854e1d75ull, 0x6f3c8a6576e69d36ull,  // photoshare
+       0x3dd02d31c43f72eeull, 0xf3ae768c3ee73691ull},
   };
   for (size_t i = 0; i < std::size(kPrograms); ++i) {
     for (size_t v = 0; v < std::size(variants); ++v) {
       bc::Program p = kPrograms[i].build();
       prep::preprocess_program(p, variants[v]);
-      uint64_t got = fnv1a(p.serialize());
+      std::vector<uint8_t> images;
+      for (const bc::Class& c : p.classes) {
+        std::vector<uint8_t> img = p.class_image(c.id);
+        images.insert(images.end(), img.begin(), img.end());
+      }
+      uint64_t got = fnv1a(images);
       EXPECT_EQ(got, expected[i][v])
           << kPrograms[i].name << " / " << variant_names[v] << ": 0x" << std::hex << got;
     }

@@ -48,7 +48,7 @@ TEST_P(MigrationSweep, ResumeEquivalence) {
   SodNode dest("dest", p, {});
   int tid = home.vm().spawn(entry, spec.bench_args);
   home.run_guest(tid, total * static_cast<uint64_t>(g.pause_pct) / 100);
-  if (!mig::pause_at_next_msp(home, tid)) {
+  if (!testing::pause_at_next_msp(home, tid)) {
     // Thread finished before the pause point (tiny apps at high %).
     EXPECT_EQ(home.vm().thread(tid).result.as_i64(), expected);
     return;
@@ -107,12 +107,12 @@ TEST_P(DoubleMigration, TwoHopsPreserveResult) {
   SodNode d2("dest2", p, {});
   int tid = home.vm().spawn(entry, spec.bench_args);
   home.run_guest(tid, total / 4);
-  if (mig::pause_at_next_msp(home, tid))
+  if (testing::pause_at_next_msp(home, tid))
     mig::offload_and_return(home, tid, 1, d1, sim::Link::gigabit());
   home.ti().set_debug_enabled(false);
   home.run_guest(tid, total / 4);
   if (home.vm().thread(tid).status == svm::ThreadStatus::Ready &&
-      mig::pause_at_next_msp(home, tid))
+      testing::pause_at_next_msp(home, tid))
     mig::offload_and_return(home, tid, 1, d2, sim::Link::gigabit());
   home.ti().set_debug_enabled(false);
   home.run_guest(tid);

@@ -97,7 +97,7 @@ TEST_P(RandomExpr, FlattenPreservesSemantics) {
   ExprGen gen(seed, f, args);
   int64_t expected = gen.generate(10 + GetParam() % 25);
   auto p = pb.build();
-  prep::flatten_program(p);
+  flatten_program(p);
 
   std::vector<Value> vargs;
   for (int64_t a : args) vargs.push_back(Value::of_i64(a));
@@ -142,7 +142,7 @@ TEST_P(RandomCalls, NestedCallsSurviveFlatten) {
       .iadd()
       .iret();
   auto p = pb.build();
-  prep::FlattenStats st = prep::flatten_program(p);
+  prep::FlattenStats st = flatten_program(p);
   EXPECT_GE(st.calls_extracted, 2);  // nested calls forced into temps
 
   int64_t x = rng.range(-20, 20);

@@ -1,9 +1,14 @@
-// Shared helpers for SODEE tests: tiny guest programs built on demand.
+// Shared helpers for SODEE tests: tiny guest programs built on demand
+// (inline, so bench scenarios can build them too) and the test oracles of
+// testlib.cpp, which only the test binaries link.
 #pragma once
 
 #include <gtest/gtest.h>
 
 #include "bytecode/builder.h"
+#include "cluster/loadgen.h"
+#include "prep/flatten.h"
+#include "sod/node.h"
 #include "svm/natives.h"
 #include "svm/vm.h"
 
@@ -73,5 +78,26 @@ inline Value run1(const bc::Program& p, std::string_view method,
   svm::VM vm(p, reg);
   return vm.call(method, args);
 }
+
+// ---------------------------------------------------------- oracles (testlib.cpp)
+
+/// Same tag and bit-equal payload (a ref compares by id).
+bool same_value(const Value& a, const Value& b);
+
+/// Whether the graphs reachable from `ra` in `a` and `rb` in `b` have the
+/// same shape and payloads (refs compared by pairing, not by id).
+bool deep_equal(const svm::Heap& a, bc::Ref ra, const svm::Heap& b, bc::Ref rb);
+
+/// Runs `tid` until the next migration-safe point; false if it finished
+/// first.  Leaves the debug interpreter on.
+bool pause_at_next_msp(mig::SodNode& node, int tid);
+
+/// Flattens every method with a body; the sum of the per-method stats.
+prep::FlattenStats flatten_program(bc::Program& p);
+
+/// The sessions of one tenant, arrival instants and ids preserved;
+/// injections are dropped (the alone-run baseline of the isolation
+/// property tests).
+cluster::Trace filter_tenant(const cluster::Trace& t, int tenant);
 
 }  // namespace sod::testing

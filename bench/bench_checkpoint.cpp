@@ -24,17 +24,14 @@
 // The bench fails unless resume beats restart on mean completion, unless
 // speculation beats no-speculation on the heterogeneous topology, and
 // unless every mode's trace passes the attempt-aware exactly-once check.
-#include <algorithm>
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "apps/apps.h"
 #include "cli/scenario.h"
-#include "cluster/cluster.h"
+#include "cluster/drive.h"
 #include "cluster/placement.h"
-#include "cluster/scheduler.h"
 #include "prep/prep.h"
 #include "support/table.h"
 
@@ -62,17 +59,15 @@ const char* mode_name(Mode m) {
 bool hetero_mode(Mode m) { return m == Mode::NoSpeculation || m == Mode::Speculation; }
 
 struct ModeResult {
-  int segments = 0;
+  cluster::Tally rounds;
+  cluster::Finish fin;
   int checkpoints = 0;
   size_t checkpoint_bytes = 0;
   int redispatched = 0;
   int resumed = 0;
   int speculated = 0;
   int cancelled = 0;
-  double mean_completion_ms = 0;
   double total_ms = 0;
-  bool ok = false;
-  bool exactly_once = true;
 };
 
 ModeResult run_mode(Mode mode, int rounds, uint64_t every, int fail_at_ckpt) {
@@ -82,11 +77,7 @@ ModeResult run_mode(Mode mode, int rounds, uint64_t every, int fail_at_ckpt) {
 
   cluster::Cluster c(p);
   if (hetero_mode(mode)) {
-    c.add_worker({"xeon1", {}, sim::Link::gigabit()});
-    c.add_worker({"xeon2", {}, sim::Link::gigabit()});
-    mig::SodNode::Config dev;
-    dev.cpu_scale = 25.0;  // iPhone-3G-like device profile
-    c.add_worker({"wifi-device", dev, sim::Link::wifi_kbps(2000)});
+    for (const cluster::WorkerSpec& ws : cluster::straggler_topology()) c.add_worker(ws);
   } else {
     c.add_uniform_workers(3);
   }
@@ -106,30 +97,16 @@ ModeResult run_mode(Mode mode, int rounds, uint64_t every, int fail_at_ckpt) {
   int tid = c.home().vm().spawn(p.find_method(spec.entry), spec.bench_args);
 
   ModeResult res;
-  double completion_sum_ms = 0;
-  for (int r = 0; r < rounds; ++r) {
-    if (!mig::pause_at_depth(c.home(), tid, trigger, kSegmentsPerRound + 4)) break;
-    VDur round_start = c.home_now();
-    auto out = sched.run(tid, cluster::split_top_frames(kSegmentsPerRound));
-    c.home().ti().set_debug_enabled(false);
-    res.redispatched += out.redispatched;
-    res.resumed += out.resumed;
-    res.speculated += out.speculated;
-    res.cancelled += out.cancelled;
-    for (const auto& pl : out.placements) {
-      ++res.segments;
-      completion_sum_ms += (pl.completed_at - round_start).ms();
-    }
-  }
-  c.home().ti().set_debug_enabled(false);
-  auto rr = c.home().run_guest(tid);
-  res.ok = rr.reason == svm::StopReason::Done &&
-           c.home().vm().thread(tid).result.as_i64() == spec.bench_expected;
-  res.exactly_once = sched.exactly_once();
+  std::vector<int> plan(static_cast<size_t>(rounds), kSegmentsPerRound);
+  res.rounds = cluster::run_rounds(sched, tid, trigger, kSegmentsPerRound + 4, plan);
+  res.fin = cluster::finish(sched, tid, spec.bench_expected);
+  res.redispatched = sched.redispatches();
+  res.resumed = sched.resumes();
+  res.speculated = sched.speculations();
+  res.cancelled = sched.cancellations();
   res.checkpoints = sched.checkpoints();
   res.checkpoint_bytes = sched.store().total_bytes();
-  if (res.segments > 0) res.mean_completion_ms = completion_sum_ms / res.segments;
-  res.total_ms = c.home().node().clock.now().ms();
+  res.total_ms = c.home_now().ms();
   return res;
 }
 
@@ -153,8 +130,8 @@ int run(const cli::ScenarioOptions& opt) {
   for (Mode mode : {Mode::RestartFromCapture, Mode::ResumeFromCheckpoint, Mode::NoSpeculation,
                     Mode::Speculation}) {
     ModeResult r = run_mode(mode, rounds, every, fail_at_ckpt);
-    all_ok = all_ok && r.ok;
-    if (!r.exactly_once) {
+    all_ok = all_ok && r.fin.ok;
+    if (!r.fin.exactly_once) {
       std::fprintf(stderr, "checkpoint: %s trace violates attempt-aware exactly-once\n",
                    mode_name(mode));
       all_ok = false;
@@ -178,15 +155,15 @@ int run(const cli::ScenarioOptions& opt) {
                    r.speculated, r.cancelled);
       all_ok = false;
     }
-    t.row({mode_name(mode), std::to_string(r.segments), std::to_string(r.checkpoints),
+    t.row({mode_name(mode), std::to_string(r.rounds.segments), std::to_string(r.checkpoints),
            fmt("%.1f", static_cast<double>(r.checkpoint_bytes) / 1024.0),
            std::to_string(r.redispatched), std::to_string(r.resumed),
            std::to_string(r.speculated), std::to_string(r.cancelled),
-           fmt("%.3f", r.mean_completion_ms), fmt("%.3f", r.total_ms)});
-    if (mode == Mode::RestartFromCapture) restart_mean = r.mean_completion_ms;
-    if (mode == Mode::ResumeFromCheckpoint) resume_mean = r.mean_completion_ms;
-    if (mode == Mode::NoSpeculation) nospec_mean = r.mean_completion_ms;
-    if (mode == Mode::Speculation) spec_mean = r.mean_completion_ms;
+           fmt("%.3f", r.rounds.mean_completion_ms()), fmt("%.3f", r.total_ms)});
+    if (mode == Mode::RestartFromCapture) restart_mean = r.rounds.mean_completion_ms();
+    if (mode == Mode::ResumeFromCheckpoint) resume_mean = r.rounds.mean_completion_ms();
+    if (mode == Mode::NoSpeculation) nospec_mean = r.rounds.mean_completion_ms();
+    if (mode == Mode::Speculation) spec_mean = r.rounds.mean_completion_ms();
   }
   t.print();
   if (!all_ok) std::fprintf(stderr, "checkpoint: a mode run failed\n");

@@ -24,9 +24,8 @@
 
 #include "apps/apps.h"
 #include "cli/scenario.h"
-#include "cluster/cluster.h"
+#include "cluster/drive.h"
 #include "cluster/placement.h"
-#include "cluster/scheduler.h"
 #include "prep/prep.h"
 #include "support/table.h"
 
@@ -61,7 +60,8 @@ ChurnSchedule make_schedule(double churn, int rounds) {
 }
 
 struct ElasticResult {
-  int segments = 0;
+  cluster::Tally rounds;
+  cluster::Finish fin;
   int device_segments = 0;
   int joins = 0;
   int leaves = 0;
@@ -70,10 +70,7 @@ struct ElasticResult {
   int auto_joins = 0;
   int checkpoints = 0;
   int speculated = 0;
-  double mean_completion_ms = 0;
   double total_ms = 0;
-  bool ok = false;
-  bool exactly_once = true;
 };
 
 ElasticResult run_policy(cluster::PolicyKind kind, const ChurnSchedule& sched, int rounds,
@@ -83,17 +80,11 @@ ElasticResult run_policy(cluster::PolicyKind kind, const ChurnSchedule& sched, i
   prep::preprocess_program(p);
 
   cluster::Cluster c(p);
-  c.add_worker({"xeon1", {}, sim::Link::gigabit()});
-  c.add_worker({"xeon2", {}, sim::Link::gigabit()});
-  mig::SodNode::Config dev;
-  dev.cpu_scale = 25.0;  // iPhone-3G-like device profile
-  int device_id = c.add_worker({"wifi-device", dev, sim::Link::wifi_kbps(2000)});
+  for (const cluster::WorkerSpec& ws : cluster::straggler_topology()) c.add_worker(ws);
+  const int device_id = c.size() - 1;
 
   auto policy = cluster::make_policy(kind);
-  cluster::DispatchOptions dopt;
-  dopt.checkpoint_every = static_cast<uint64_t>(std::max<int64_t>(opt.checkpoint_every, 0));
-  dopt.speculate = opt.speculate;
-  cluster::Scheduler sched_loop(c, *policy, dopt);
+  cluster::Scheduler sched_loop(c, *policy, cli::dispatch_options(opt));
   if (opt.fail_at >= 0) sched_loop.fail_after(opt.fail_at);
   if (opt.autoscale) {
     std::vector<cluster::WorkerSpec> standby{{"standby1", {}, sim::Link::gigabit()},
@@ -106,7 +97,6 @@ ElasticResult run_policy(cluster::PolicyKind kind, const ChurnSchedule& sched, i
 
   ElasticResult res;
   std::vector<int> joiner_ids(sched.join_round.size(), -1);
-  double completion_sum_ms = 0;
   for (int r = 0; r < rounds; ++r) {
     // Membership events fire between dispatch rounds: drains first (the
     // worker finished its queued work inside the previous dispatch), then
@@ -128,28 +118,20 @@ ElasticResult run_policy(cluster::PolicyKind kind, const ChurnSchedule& sched, i
     }
     // Pause four frames deeper than the split so residual recursion
     // survives the round and the next pause can fire again.
-    if (!mig::pause_at_depth(c.home(), tid, trigger, kSegmentsPerRound + 4)) break;
-    VDur round_start = c.home_now();
-    auto out = sched_loop.run(tid, cluster::split_top_frames(kSegmentsPerRound));
-    c.home().ti().set_debug_enabled(false);
-    res.redispatched += out.redispatched;
-    for (const auto& pl : out.placements) {
-      ++res.segments;
+    auto round = cluster::run_round(sched_loop, tid, trigger, kSegmentsPerRound + 4,
+                                    kSegmentsPerRound);
+    if (!round) break;
+    res.rounds.add(*round);
+    for (const auto& pl : round->out.placements)
       if (pl.worker == device_id) ++res.device_segments;
-      completion_sum_ms += (pl.completed_at - round_start).ms();
-    }
   }
-  c.home().ti().set_debug_enabled(false);
-  auto rr = c.home().run_guest(tid);
-  res.ok = rr.reason == svm::StopReason::Done &&
-           c.home().vm().thread(tid).result.as_i64() == spec.bench_expected;
-  res.exactly_once = sched_loop.exactly_once();
+  res.fin = cluster::finish(sched_loop, tid, spec.bench_expected);
+  res.redispatched = sched_loop.redispatches();
   res.workers_lost = sched_loop.workers_lost();
   res.checkpoints = sched_loop.checkpoints();
   res.speculated = sched_loop.speculations();
   if (sched_loop.autoscaler()) res.auto_joins = sched_loop.autoscaler()->joins();
-  if (res.segments > 0) res.mean_completion_ms = completion_sum_ms / res.segments;
-  res.total_ms = c.home().node().clock.now().ms();
+  res.total_ms = c.home_now().ms();
   return res;
 }
 
@@ -182,7 +164,7 @@ int run(const cli::ScenarioOptions& opt) {
   double learned_mean = -1;
   for (cluster::PolicyKind kind : kinds) {
     ElasticResult r = run_policy(kind, sched, rounds, opt);
-    all_ok = all_ok && r.ok;
+    all_ok = all_ok && r.fin.ok;
     // With an injected failure a joiner may crash instead of leaving
     // gracefully, so zero leaves is legitimate there.
     if (churn > 0 && (r.joins == 0 || (r.leaves == 0 && opt.fail_at < 0))) {
@@ -190,7 +172,7 @@ int run(const cli::ScenarioOptions& opt) {
                    cluster::policy_name(kind), r.joins, r.leaves);
       all_ok = false;
     }
-    if (!r.exactly_once) {
+    if (!r.fin.exactly_once) {
       std::fprintf(stderr, "elastic: %s trace violates exactly-once execution\n",
                    cluster::policy_name(kind));
       all_ok = false;
@@ -203,15 +185,15 @@ int run(const cli::ScenarioOptions& opt) {
     std::printf("%s trace: %d segment(s), %d re-dispatch(es), %d worker(s) lost, "
                 "%d autoscale join(s), %d checkpoint(s), %d speculation(s) — "
                 "exactly-once %s\n",
-                cluster::policy_name(kind), r.segments, r.redispatched, r.workers_lost,
+                cluster::policy_name(kind), r.rounds.segments, r.redispatched, r.workers_lost,
                 r.auto_joins, r.checkpoints, r.speculated,
-                r.exactly_once ? "OK" : "VIOLATED");
-    t.row({cluster::policy_name(kind), std::to_string(r.segments),
+                r.fin.exactly_once ? "OK" : "VIOLATED");
+    t.row({cluster::policy_name(kind), std::to_string(r.rounds.segments),
            std::to_string(r.device_segments), std::to_string(r.joins),
-           std::to_string(r.leaves), fmt("%.3f", r.mean_completion_ms),
+           std::to_string(r.leaves), fmt("%.3f", r.rounds.mean_completion_ms()),
            fmt("%.3f", r.total_ms), std::to_string(r.redispatched)});
-    if (kind == cluster::PolicyKind::LeastLoaded) least_mean = r.mean_completion_ms;
-    if (kind == cluster::PolicyKind::Learned) learned_mean = r.mean_completion_ms;
+    if (kind == cluster::PolicyKind::LeastLoaded) least_mean = r.rounds.mean_completion_ms();
+    if (kind == cluster::PolicyKind::Learned) learned_mean = r.rounds.mean_completion_ms();
   }
   t.print();
   if (!all_ok) std::fprintf(stderr, "elastic: a policy run failed\n");

@@ -15,7 +15,6 @@
 // standby pool must not cost throughput: the bench fails unless the
 // fail_autoscale mean completion time is <= the fixed-membership mean,
 // and unless every mode's trace shows each segment executed exactly once.
-#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -23,9 +22,8 @@
 
 #include "apps/apps.h"
 #include "cli/scenario.h"
-#include "cluster/cluster.h"
+#include "cluster/drive.h"
 #include "cluster/placement.h"
-#include "cluster/scheduler.h"
 #include "prep/prep.h"
 #include "support/table.h"
 
@@ -47,13 +45,11 @@ const char* mode_name(Mode m) {
 }
 
 struct ModeResult {
-  int segments = 0;
+  cluster::Tally rounds;
+  cluster::Finish fin;
   int redispatched = 0;
   int auto_joins = 0;
-  double mean_completion_ms = 0;
   double total_ms = 0;
-  bool ok = false;
-  bool exactly_once = true;
 };
 
 ModeResult run_mode(Mode mode, int rounds, int fail_at, const cli::ScenarioOptions& opt) {
@@ -62,17 +58,11 @@ ModeResult run_mode(Mode mode, int rounds, int fail_at, const cli::ScenarioOptio
   prep::preprocess_program(p);
 
   cluster::Cluster c(p);
-  c.add_worker({"xeon1", {}, sim::Link::gigabit()});
-  c.add_worker({"xeon2", {}, sim::Link::gigabit()});
-  mig::SodNode::Config dev;
-  dev.cpu_scale = 25.0;  // iPhone-3G-like device profile
-  int device_id = c.add_worker({"wifi-device", dev, sim::Link::wifi_kbps(2000)});
+  for (const cluster::WorkerSpec& ws : cluster::straggler_topology()) c.add_worker(ws);
+  const int device_id = c.size() - 1;
 
   auto policy = cluster::make_policy(cluster::PolicyKind::LeastLoaded);
-  cluster::DispatchOptions dopt;
-  dopt.checkpoint_every = static_cast<uint64_t>(std::max<int64_t>(opt.checkpoint_every, 0));
-  dopt.speculate = opt.speculate;
-  cluster::Scheduler sched(c, *policy, dopt);
+  cluster::Scheduler sched(c, *policy, cli::dispatch_options(opt));
   if (mode != Mode::Fixed) sched.fail_after(fail_at, device_id);
   if (mode == Mode::FailAutoscale) {
     std::vector<cluster::WorkerSpec> standby{{"standby1", {}, sim::Link::gigabit()}};
@@ -83,26 +73,12 @@ ModeResult run_mode(Mode mode, int rounds, int fail_at, const cli::ScenarioOptio
   int tid = c.home().vm().spawn(p.find_method(spec.entry), spec.bench_args);
 
   ModeResult res;
-  double completion_sum_ms = 0;
-  for (int r = 0; r < rounds; ++r) {
-    if (!mig::pause_at_depth(c.home(), tid, trigger, kSegmentsPerRound + 4)) break;
-    VDur round_start = c.home_now();
-    auto out = sched.run(tid, cluster::split_top_frames(kSegmentsPerRound));
-    c.home().ti().set_debug_enabled(false);
-    res.redispatched += out.redispatched;
-    for (const auto& pl : out.placements) {
-      ++res.segments;
-      completion_sum_ms += (pl.completed_at - round_start).ms();
-    }
-  }
-  c.home().ti().set_debug_enabled(false);
-  auto rr = c.home().run_guest(tid);
-  res.ok = rr.reason == svm::StopReason::Done &&
-           c.home().vm().thread(tid).result.as_i64() == spec.bench_expected;
-  res.exactly_once = sched.exactly_once();
+  std::vector<int> plan(static_cast<size_t>(rounds), kSegmentsPerRound);
+  res.rounds = cluster::run_rounds(sched, tid, trigger, kSegmentsPerRound + 4, plan);
+  res.fin = cluster::finish(sched, tid, spec.bench_expected);
+  res.redispatched = sched.redispatches();
   if (sched.autoscaler()) res.auto_joins = sched.autoscaler()->joins();
-  if (res.segments > 0) res.mean_completion_ms = completion_sum_ms / res.segments;
-  res.total_ms = c.home().node().clock.now().ms();
+  res.total_ms = c.home_now().ms();
   return res;
 }
 
@@ -119,8 +95,8 @@ int run(const cli::ScenarioOptions& opt) {
   double autoscale_mean = -1;
   for (Mode mode : {Mode::Fixed, Mode::FailRedispatch, Mode::FailAutoscale}) {
     ModeResult r = run_mode(mode, rounds, fail_at, opt);
-    all_ok = all_ok && r.ok;
-    if (!r.exactly_once) {
+    all_ok = all_ok && r.fin.ok;
+    if (!r.fin.exactly_once) {
       std::fprintf(stderr, "failover: %s trace violates exactly-once execution\n",
                    mode_name(mode));
       all_ok = false;
@@ -134,11 +110,11 @@ int run(const cli::ScenarioOptions& opt) {
       std::fprintf(stderr, "failover: autoscaler never joined the standby worker\n");
       all_ok = false;
     }
-    t.row({mode_name(mode), std::to_string(r.segments), std::to_string(r.redispatched),
-           std::to_string(r.auto_joins), fmt("%.3f", r.mean_completion_ms),
+    t.row({mode_name(mode), std::to_string(r.rounds.segments), std::to_string(r.redispatched),
+           std::to_string(r.auto_joins), fmt("%.3f", r.rounds.mean_completion_ms()),
            fmt("%.3f", r.total_ms)});
-    if (mode == Mode::Fixed) fixed_mean = r.mean_completion_ms;
-    if (mode == Mode::FailAutoscale) autoscale_mean = r.mean_completion_ms;
+    if (mode == Mode::Fixed) fixed_mean = r.rounds.mean_completion_ms();
+    if (mode == Mode::FailAutoscale) autoscale_mean = r.rounds.mean_completion_ms();
   }
   t.print();
   if (!all_ok) std::fprintf(stderr, "failover: a mode run failed\n");

@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "cli/scenario.h"
+#include "cluster/drive.h"
 #include "cluster/loadgen.h"
 #include "cluster/placement.h"
 #include "support/table.h"
@@ -43,14 +44,6 @@ constexpr double kHomeDilation = 400.0;
 /// Shrinks the simulated-network sleeps (wifi transfers are tens of
 /// virtual ms) so transfer time does not drown the home-side signal.
 constexpr double kCommDilation = 0.02;
-
-std::vector<cluster::WorkerSpec> straggler_topology() {
-  mig::SodNode::Config dev;
-  dev.cpu_scale = 25.0;  // iPhone-3G-like device profile
-  return {{"xeon1", {}, sim::Link::gigabit()},
-          {"xeon2", {}, sim::Link::gigabit()},
-          {"wifi-device", dev, sim::Link::wifi_kbps(2000)}};
-}
 
 int run(const cli::ScenarioOptions& opt) {
   cluster::TraceConfig cfg;
@@ -83,7 +76,7 @@ int run(const cli::ScenarioOptions& opt) {
     for (int shards : shard_counts) {
       cluster::LoadGenOptions lg;
       lg.policy = cluster::PolicyKind::LeastLoaded;
-      lg.workers = straggler_topology();
+      lg.workers = cluster::straggler_topology();
       lg.segments_per_round = 3;  // the third placement must pick the device
       lg.wallclock = true;
       lg.threads = threads;

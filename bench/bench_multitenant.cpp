@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "cli/scenario.h"
+#include "cluster/drive.h"
 #include "cluster/loadgen.h"
 #include "cluster/placement.h"
 #include "support/table.h"
@@ -44,14 +45,6 @@ namespace {
 /// backup starts close to where it stalled (the checkpoint bench's
 /// cadence).
 constexpr uint64_t kCheckpointEvery = 20000;
-
-std::vector<cluster::WorkerSpec> straggler_topology() {
-  mig::SodNode::Config dev;
-  dev.cpu_scale = 25.0;  // iPhone-3G-like device profile
-  return {{"xeon1", {}, sim::Link::gigabit()},
-          {"xeon2", {}, sim::Link::gigabit()},
-          {"wifi-device", dev, sim::Link::wifi_kbps(2000)}};
-}
 
 std::string row_label(cluster::ArrivalKind arrival, cluster::PolicyKind policy, bool spec) {
   std::string s = cluster::arrival_name(arrival);
@@ -127,7 +120,7 @@ int run(const cli::ScenarioOptions& opt) {
       for (bool spec : {false, true}) {
         cluster::LoadGenOptions lg;
         lg.policy = policy;
-        lg.workers = straggler_topology();
+        lg.workers = cluster::straggler_topology();
         lg.segments_per_round = 3;  // the third placement must pick the device
         lg.wallclock = opt.wallclock;
         lg.threads = opt.threads;
@@ -187,7 +180,7 @@ int run(const cli::ScenarioOptions& opt) {
     for (bool skip : {true, false}) {
       cluster::LoadGenOptions lg;
       lg.policy = cluster::PolicyKind::LeastLoaded;
-      lg.workers = straggler_topology();
+      lg.workers = cluster::straggler_topology();
       lg.segments_per_round = 3;
       lg.wallclock = opt.wallclock;
       lg.threads = opt.threads;

@@ -5,12 +5,12 @@
 // additionally skips re-shipping class images, so locality_aware must
 // never be slower than round_robin on this topology.
 #include <cstdio>
+#include <vector>
 
 #include "apps/apps.h"
 #include "cli/scenario.h"
-#include "cluster/cluster.h"
+#include "cluster/drive.h"
 #include "cluster/placement.h"
-#include "cluster/scheduler.h"
 #include "prep/prep.h"
 #include "support/table.h"
 
@@ -33,11 +33,8 @@ PolicyResult run_policy(cluster::PolicyKind kind, int rounds, int segments_per_r
   prep::preprocess_program(p);
 
   cluster::Cluster c(p);
-  c.add_worker({"xeon1", {}, sim::Link::gigabit()});
-  c.add_worker({"xeon2", {}, sim::Link::gigabit()});
-  mig::SodNode::Config dev;
-  dev.cpu_scale = 25.0;  // iPhone-3G-like device profile
-  int device_id = c.add_worker({"wifi-device", dev, sim::Link::wifi_kbps(2000)});
+  for (const cluster::WorkerSpec& ws : cluster::straggler_topology()) c.add_worker(ws);
+  const int device_id = c.size() - 1;
 
   auto policy = cluster::make_policy(kind);
   uint16_t trigger = p.find_method(spec.trigger_method);
@@ -45,24 +42,20 @@ PolicyResult run_policy(cluster::PolicyKind kind, int rounds, int segments_per_r
 
   cluster::Scheduler sched(c, *policy);
   PolicyResult res;
-  for (int r = 0; r < rounds; ++r) {
-    // Pause four frames deeper than the split so residual recursion
-    // survives the round and the next pause can fire again.
-    if (!mig::pause_at_depth(c.home(), tid, trigger, segments_per_round + 4)) break;
-    auto out = sched.run(tid, cluster::split_top_frames(segments_per_round));
-    c.home().ti().set_debug_enabled(false);
-    for (const auto& pl : out.placements) {
-      ++res.segments;
-      if (pl.worker == device_id) ++res.device_segments;
-      res.shipped_bytes += pl.shipped_bytes;
-    }
-  }
-  c.home().ti().set_debug_enabled(false);
-  auto rr = c.home().run_guest(tid);
-  res.ok = rr.reason == svm::StopReason::Done &&
-           c.home().vm().thread(tid).result.as_i64() == spec.bench_expected;
+  // Pause four frames deeper than the split so residual recursion
+  // survives the round and the next pause can fire again.
+  std::vector<int> plan(static_cast<size_t>(rounds), segments_per_round);
+  cluster::Tally tally = cluster::run_rounds(
+      sched, tid, trigger, segments_per_round + 4, plan, [&](int, const cluster::Round& round) {
+        for (const auto& pl : round.out.placements) {
+          if (pl.worker == device_id) ++res.device_segments;
+          res.shipped_bytes += pl.shipped_bytes;
+        }
+      });
+  res.segments = tally.segments;
+  res.ok = cluster::finish(sched, tid, spec.bench_expected).ok;
   for (int w = 0; w < c.size(); ++w) res.class_bytes += c.worker(w).class_bytes_fetched();
-  res.total_ms = c.home().node().clock.now().ms();
+  res.total_ms = c.home_now().ms();
   return res;
 }
 

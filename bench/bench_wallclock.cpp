@@ -19,18 +19,15 @@
 // Each engine row also reports the home stripe-lock telemetry (lock_acq
 // is deterministic for a failure-free run; the wait-side counters are
 // wall-side) — see the home_shards bench for the full sweep.
-#include <chrono>
 #include <cstdio>
-#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "apps/apps.h"
 #include "cli/scenario.h"
-#include "cluster/cluster.h"
+#include "cluster/drive.h"
 #include "cluster/placement.h"
-#include "cluster/scheduler.h"
-#include "cluster/wallclock.h"
 #include "prep/prep.h"
 #include "support/table.h"
 
@@ -41,16 +38,13 @@ namespace {
 constexpr int kSegmentsPerRound = 3;
 
 struct RunRec {
-  int segments = 0;
+  cluster::Tally rounds;
+  cluster::Finish fin;
   std::vector<int64_t> virt_completed_ns;  // per segment, all rounds, in order
-  double virt_mean_ms = 0;
   double virt_total_ms = 0;
   double wall_mean_ms = 0;   // wall engine only; 0 for the virtual reference
   double wall_total_ms = 0;
-  size_t writeback_bytes = 0;
   mig::ShardContention lock;  // home stripe telemetry, wall engine only
-  bool ok = false;
-  bool exactly_once = true;
 };
 
 /// Runs the fib rounds once: threads == 0 on the virtual-time Scheduler,
@@ -70,53 +64,30 @@ RunRec run_once(int threads, int rounds) {
   c.add_worker({"device", dev, sim::Link::wifi_kbps(2000)});
 
   auto policy = cluster::make_policy(cluster::PolicyKind::LeastLoaded);
-  std::unique_ptr<cluster::Scheduler> engine;
-  cluster::WallClockEngine* wall = nullptr;
-  if (threads > 0) {
-    cluster::WallClockOptions wopt;
-    wopt.threads = threads;
-    auto w = std::make_unique<cluster::WallClockEngine>(c, *policy, wopt);
-    wall = w.get();
-    engine = std::move(w);
-  } else {
-    engine = std::make_unique<cluster::Scheduler>(c, *policy);
-  }
-  cluster::Scheduler& sched = *engine;
+  std::optional<cluster::WallClockOptions> wopt;
+  if (threads > 0) wopt = cluster::WallClockOptions{.threads = threads};
+  auto engine = cluster::make_engine(c, *policy, {}, wopt);
+  auto* wall = dynamic_cast<cluster::WallClockEngine*>(engine.get());
 
   uint16_t trigger = p.find_method(spec.trigger_method);
   int tid = c.home().vm().spawn(p.find_method(spec.entry), spec.bench_args);
 
   RunRec rec;
-  double virt_sum_ms = 0;
   double wall_sum_ms = 0;
-  for (int r = 0; r < rounds; ++r) {
-    if (!mig::pause_at_depth(c.home(), tid, trigger, kSegmentsPerRound + 4)) break;
-    VDur round_start = c.home_now();
-    auto specs = cluster::split_top_frames(kSegmentsPerRound);
-    auto out = sched.run(tid, specs);
-    c.home().ti().set_debug_enabled(false);
-    rec.writeback_bytes += out.writeback_bytes;
-    for (const auto& pl : out.placements) {
-      ++rec.segments;
-      virt_sum_ms += (pl.completed_at - round_start).ms();
-      rec.virt_completed_ns.push_back(pl.completed_at.ns);
-    }
-    if (wall) {
-      for (double w : wall->last_completed_wall_ms()) wall_sum_ms += w;
-      rec.wall_total_ms += wall->last_round_wall_ms();
-    }
-  }
-  c.home().ti().set_debug_enabled(false);
-  auto rr = c.home().run_guest(tid);
-  rec.ok = rr.reason == svm::StopReason::Done &&
-           c.home().vm().thread(tid).result.as_i64() == spec.bench_expected;
-  rec.exactly_once = sched.exactly_once();
+  std::vector<int> plan(static_cast<size_t>(rounds), kSegmentsPerRound);
+  rec.rounds = cluster::run_rounds(
+      *engine, tid, trigger, kSegmentsPerRound + 4, plan, [&](int, const cluster::Round& round) {
+        for (const auto& pl : round.out.placements)
+          rec.virt_completed_ns.push_back(pl.completed_at.ns);
+        if (wall) {
+          for (double w : wall->last_completed_wall_ms()) wall_sum_ms += w;
+          rec.wall_total_ms += wall->last_round_wall_ms();
+        }
+      });
+  if (rec.rounds.segments > 0) rec.wall_mean_ms = wall_sum_ms / rec.rounds.segments;
+  rec.fin = cluster::finish(*engine, tid, spec.bench_expected);
   if (wall) rec.lock = wall->total_contention();
-  rec.virt_total_ms = c.home().node().clock.now().ms();
-  if (rec.segments > 0) {
-    rec.virt_mean_ms = virt_sum_ms / rec.segments;
-    rec.wall_mean_ms = wall_sum_ms / rec.segments;
-  }
+  rec.virt_total_ms = c.home_now().ms();
   return rec;
 }
 
@@ -129,34 +100,36 @@ int run(const cli::ScenarioOptions& opt) {
            "wall_total_ms", "lock_acq", "wall_contended", "lock_wait_ns",
            "lock_max_wait_ns", "wall_max_queue"});
   RunRec ref = run_once(0, rounds);
-  t.row({"virtual", std::to_string(ref.segments), fmt("%.3f", ref.virt_mean_ms),
-         fmt("%.3f", ref.virt_total_ms), "-", "-", "-", "-", "-", "-", "-"});
+  t.row({"virtual", std::to_string(ref.rounds.segments),
+         fmt("%.3f", ref.rounds.mean_completion_ms()), fmt("%.3f", ref.virt_total_ms), "-", "-",
+         "-", "-", "-", "-", "-"});
 
-  bool all_ok = ref.ok && ref.exactly_once;
-  if (!ref.ok) std::fprintf(stderr, "wallclock: virtual reference run failed\n");
+  bool all_ok = ref.fin.ok && ref.fin.exactly_once;
+  if (!ref.fin.ok) std::fprintf(stderr, "wallclock: virtual reference run failed\n");
 
   double wall_mean_1 = -1;
   double wall_mean_4 = -1;
   for (int threads : {1, 2, 4}) {
     RunRec r = run_once(threads, rounds);
-    t.row({"threads-" + std::to_string(threads), std::to_string(r.segments),
-           fmt("%.3f", r.virt_mean_ms), fmt("%.3f", r.virt_total_ms),
+    t.row({"threads-" + std::to_string(threads), std::to_string(r.rounds.segments),
+           fmt("%.3f", r.rounds.mean_completion_ms()), fmt("%.3f", r.virt_total_ms),
            fmt("%.3f", r.wall_mean_ms), fmt("%.3f", r.wall_total_ms),
            std::to_string(r.lock.acquisitions), std::to_string(r.lock.contended),
            std::to_string(r.lock.wait_ns), std::to_string(r.lock.max_wait_ns),
            std::to_string(r.lock.max_queue)});
-    if (!r.ok) {
+    if (!r.fin.ok) {
       std::fprintf(stderr, "wallclock: threads-%d run failed\n", threads);
       all_ok = false;
     }
-    if (!r.exactly_once) {
+    if (!r.fin.exactly_once) {
       std::fprintf(stderr, "wallclock: threads-%d log violates exactly-once\n", threads);
       all_ok = false;
     }
     // The determinism contract: the wall run's virtual columns must be
     // bit-identical to the single-threaded virtual scheduler's.
     if (r.virt_completed_ns != ref.virt_completed_ns ||
-        r.writeback_bytes != ref.writeback_bytes || r.segments != ref.segments) {
+        r.rounds.writeback_bytes != ref.rounds.writeback_bytes ||
+        r.rounds.segments != ref.rounds.segments) {
       std::fprintf(stderr,
                    "wallclock: threads-%d diverged from the virtual scheduler "
                    "(virtual completions or write-back bytes differ)\n",

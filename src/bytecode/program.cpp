@@ -234,6 +234,12 @@ std::vector<uint8_t> Program::class_image(uint16_t class_id) const {
   return w.take();
 }
 
+size_t Program::class_image_size(uint16_t class_id) const {
+  size_t n = cls(class_id).image_bytes;
+  SOD_CHECK(n > 0, "class image size read before preprocessing");
+  return n;
+}
+
 size_t Program::total_image_size() const {
   size_t sz = 0;
   for (const auto& c : classes) sz += class_image(c.id).size();

@@ -92,6 +92,9 @@ struct Class {
   uint16_t num_inst_slots = 0;
   uint16_t num_static_slots = 0;
   bool is_exception = false;  ///< throwable
+  /// Byte size of its class image; set by prep::preprocess_program, after
+  /// which images do not change (read it through class_image_size).
+  size_t image_bytes = 0;
 };
 
 /// Declared signature of a native (host) function; natives run inline in
@@ -155,6 +158,9 @@ class Program {
   /// transfer costs in the experiments (cf. Fig. 5 class-file sizes and
   /// the Table VII class-transfer column).
   std::vector<uint8_t> class_image(uint16_t class_id) const;
+  /// class_image(class_id).size(), computed once by preprocessing: what
+  /// shipping or fetching the class costs.
+  size_t class_image_size(uint16_t class_id) const;
 
   /// Total image size of all classes (whole-program code size).
   size_t total_image_size() const;

@@ -146,6 +146,11 @@ bool parse_int_flag(const std::vector<std::string>& args, size_t& i, const char*
 
 }  // namespace
 
+cluster::DispatchOptions dispatch_options(const ScenarioOptions& opt) {
+  return {.checkpoint_every = static_cast<uint64_t>(opt.checkpoint_every),
+          .speculate = opt.speculate};
+}
+
 bool parse_scenario_flags(const std::vector<std::string>& args, ScenarioOptions& opt,
                           const std::string& default_json_name) {
   for (size_t i = 0; i < args.size(); ++i) {

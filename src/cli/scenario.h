@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "bytecode/program.h"
+#include "cluster/scheduler.h"
 
 namespace sod {
 class Table;
@@ -144,6 +145,10 @@ struct ScenarioRegistrar {
 /// not be written.
 bool maybe_write_json(const ScenarioOptions& opt, const std::string& bench_name,
                       const Table& t);
+
+/// The cluster dispatch options the flags set: --checkpoint-every and
+/// --speculate.
+cluster::DispatchOptions dispatch_options(const ScenarioOptions& opt);
 
 /// Flag parsing for `sodctl run|bench`.
 /// Understands --smoke, --nodes N, --policy P, --churn X, --fail-at N,

@@ -3,16 +3,14 @@
 // a real load-aware cluster dispatch without a dedicated main().
 #include <cstdint>
 #include <cstdio>
-#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "apps/apps.h"
 #include "cli/scenario.h"
-#include "cluster/cluster.h"
+#include "cluster/drive.h"
 #include "cluster/placement.h"
-#include "cluster/scheduler.h"
-#include "cluster/wallclock.h"
 #include "prep/prep.h"
 #include "sod/migrate.h"
 
@@ -59,62 +57,39 @@ int run_table1_app(const AppSpec& spec, const ScenarioOptions& opt) {
   c.add_uniform_workers(nodes - 1);
   if (opt.home_shards > 0) c.set_home_shards(opt.home_shards);
   auto policy = sod::cluster::make_policy(*kind);
-  SodNode& home = c.home();
-
-  sod::cluster::DispatchOptions dopt;
-  dopt.checkpoint_every = static_cast<uint64_t>(opt.checkpoint_every);
-  dopt.speculate = opt.speculate;
-  std::unique_ptr<sod::cluster::Scheduler> engine;
-  sod::cluster::WallClockEngine* wall = nullptr;
-  if (opt.wallclock) {
-    sod::cluster::WallClockOptions wopt;
-    wopt.threads = opt.threads;
-    auto w = std::make_unique<sod::cluster::WallClockEngine>(c, *policy, wopt, dopt);
-    wall = w.get();
-    engine = std::move(w);
-  } else {
-    engine = std::make_unique<sod::cluster::Scheduler>(c, *policy, dopt);
-  }
+  std::optional<sod::cluster::WallClockOptions> wopt;
+  if (opt.wallclock) wopt = sod::cluster::WallClockOptions{.threads = opt.threads};
+  auto engine =
+      sod::cluster::make_engine(c, *policy, sod::cli::dispatch_options(opt), wopt);
+  auto* wall = dynamic_cast<sod::cluster::WallClockEngine*>(engine.get());
   sod::cluster::Scheduler& sched = *engine;
   if (opt.fail_at >= 0) sched.fail_after(opt.fail_at);
 
   uint16_t trigger = p.find_method(spec.trigger_method);
   int depth = std::min(spec.paper_depth, 4);
-  int tid = home.vm().spawn(p.find_method(spec.entry), spec.bench_args);
+  int tid = c.home().vm().spawn(p.find_method(spec.entry), spec.bench_args);
 
   // One concurrent dispatch round per pause until every worker has been
-  // offered a segment; a round takes at most depth-1 frames (the residual
-  // bottom frame stays home) and keeps the recursion alive for the next
-  // round while workers remain.
-  int segments = 0;
-  int rounds = 0;
-  int remaining = c.size();
-  while (remaining > 0 && sod::mig::pause_at_depth(home, tid, trigger, depth)) {
-    int k = std::min(remaining, depth - 1);
-    if (remaining > k) k = std::max(1, depth - 2);
-    auto out = sched.run(tid, sod::cluster::split_top_frames(k));
-    home.ti().set_debug_enabled(false);
-    for (const auto& pl : out.placements)
-      std::printf("round %d: segment [%d,%d) -> %s, restored %.3f ms, done %.3f ms\n", rounds,
-                  pl.spec.depth_lo, pl.spec.depth_hi, pl.worker_name.c_str(), pl.restored_at.ms(),
-                  pl.completed_at.ms());
-    if (out.faults > 0) std::printf("round %d: %d object faults\n", rounds, out.faults);
-    if (wall) std::printf("round %d: %.3f ms wall\n", rounds, wall->last_round_wall_ms());
-    segments += k;
-    remaining -= k;
-    ++rounds;
-  }
-  home.ti().set_debug_enabled(false);
-  auto rr = home.run_guest(tid);
-  if (rr.reason != sod::svm::StopReason::Done) {
+  // offered a segment (see spread_plan).
+  std::vector<int> plan = sod::cluster::spread_plan(c.size(), depth);
+  sod::cluster::Tally tally = sod::cluster::run_rounds(
+      sched, tid, trigger, depth, plan, [&](int r, const sod::cluster::Round& round) {
+        for (const auto& pl : round.out.placements)
+          std::printf("round %d: segment [%d,%d) -> %s, restored %.3f ms, done %.3f ms\n", r,
+                      pl.spec.depth_lo, pl.spec.depth_hi, pl.worker_name.c_str(),
+                      pl.restored_at.ms(), pl.completed_at.ms());
+        if (round.out.faults > 0) std::printf("round %d: %d object faults\n", r, round.out.faults);
+        if (wall) std::printf("round %d: %.3f ms wall\n", r, wall->last_round_wall_ms());
+      });
+  sod::cluster::Finish fin = sod::cluster::finish(sched, tid, spec.bench_expected);
+  if (!fin.done) {
     std::fprintf(stderr, "%s: guest did not run to completion\n", name);
     return 1;
   }
-  if (!sched.exactly_once()) {
+  if (!fin.exactly_once) {
     std::fprintf(stderr, "%s: event log violates exactly-once\n", name);
     return 1;
   }
-  int64_t got = home.vm().thread(tid).result.as_i64();
   std::string mode = wall ? " [wall-clock, " +
                                 std::to_string(opt.threads > 0 ? opt.threads : c.size()) +
                                 " thread(s)]"
@@ -122,12 +97,12 @@ int run_table1_app(const AppSpec& spec, const ScenarioOptions& opt) {
   std::printf("%s(%s) = %lld over %d node(s), %d segment(s) in %d round(s) [%s]%s, "
               "%d checkpoint(s), %d worker(s) lost, %d re-dispatch(es), %.3f ms virtual\n",
               name, std::to_string(spec.bench_args[0].as_i64()).c_str(),
-              static_cast<long long>(got), nodes, segments, rounds,
+              static_cast<long long>(fin.result), nodes, tally.segments, tally.rounds,
               sod::cluster::policy_name(*kind), mode.c_str(), sched.checkpoints(),
-              sched.workers_lost(), sched.redispatches(), home.node().clock.now().ms());
+              sched.workers_lost(), sched.redispatches(), c.home_now().ms());
   // FFT/TSP use INT64_MIN as "no closed-form expectation" (the tests check
   // them against host-side references instead).
-  if (spec.bench_expected != INT64_MIN && got != spec.bench_expected) {
+  if (!fin.ok) {
     std::fprintf(stderr, "%s: expected %lld\n", name,
                  static_cast<long long>(spec.bench_expected));
     return 1;

@@ -11,8 +11,8 @@
 #include <vector>
 
 #include "apps/apps.h"
+#include "cluster/drive.h"
 #include "cluster/placement.h"
-#include "cluster/wallclock.h"
 #include "prep/prep.h"
 #include "sod/migrate.h"
 #include "support/hash.h"
@@ -223,19 +223,12 @@ LoadGenResult run_loadgen(const Trace& trace, const LoadGenOptions& opts) {
   if (opts.home_shards > 0) c.set_home_shards(opts.home_shards);
   res.home_shards = c.home_shards();
   auto policy = make_policy(opts.policy);
-  std::unique_ptr<Scheduler> engine;
-  WallClockEngine* wall = nullptr;
-  if (opts.wallclock) {
-    WallClockOptions wopt;
-    wopt.threads = opts.threads;
-    wopt.dilation = opts.dilation;
-    wopt.home_dilation = opts.home_dilation;
-    auto w = std::make_unique<WallClockEngine>(c, *policy, wopt, opts.dispatch);
-    wall = w.get();
-    engine = std::move(w);
-  } else {
-    engine = std::make_unique<Scheduler>(c, *policy, opts.dispatch);
-  }
+  std::optional<WallClockOptions> wopt;
+  if (opts.wallclock)
+    wopt = {.threads = opts.threads, .dilation = opts.dilation,
+            .home_dilation = opts.home_dilation};
+  std::unique_ptr<Scheduler> engine = make_engine(c, *policy, opts.dispatch, wopt);
+  auto* wall = dynamic_cast<WallClockEngine*>(engine.get());
   Scheduler& sched = *engine;
 
   // Admission gate: no session spawns and no class image ships unless the
@@ -396,10 +389,7 @@ LoadGenResult run_loadgen(const Trace& trace, const LoadGenOptions& opts) {
       const int depth = std::min(la.spec.paper_depth, opts.segments_per_round + 4);
       const int k = std::min(opts.segments_per_round, depth - 1);
       const uint16_t trig = p.find_method(pfx + la.spec.trigger_method);
-      if (k >= 1 && mig::pause_at_depth(home, ss.tid, trig, depth)) {
-        auto specs = split_top_frames(k);
-        sched.run(ss.tid, specs);
-        home.ti().set_debug_enabled(false);
+      if (k >= 1 && run_round(sched, ss.tid, trig, depth, k)) {
         ss.segments += k;
         res.segments += k;
         res.tenants[static_cast<size_t>(ts.tenant)].segments += k;

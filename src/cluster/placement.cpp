@@ -115,13 +115,7 @@ class Learned final : public PlacementPolicy {
   const char* name() const override { return "learned"; }
 
   int choose(const Cluster& c, const PlacementRequest& req) override {
-    auto key = [&](int w) {
-      bool holds = c.holds_class(w, req.cls);
-      size_t bytes = req.state_bytes + (holds ? 0 : req.class_image_bytes);
-      return std::tuple(arrival_estimate(c, w, bytes) + estimate(c, w, req), c.inflight(w),
-                        c.load(w));
-    };
-    return choose_min(c, key);
+    return choose_backup(*this, c, req, /*exclude=*/-1);
   }
 };
 

@@ -72,8 +72,10 @@ class PlacementPolicy {
 /// worker other than `exclude` (the straggler's host) with the earliest
 /// predicted completion — arrival estimate plus the policy's learned
 /// per-class execution estimate, so a 25x-slower device prices itself out
-/// of hosting its own backup.  Returns -1 when no other accepting worker
-/// exists (speculation is then skipped).
+/// of hosting its own backup — then the fewest in flight, the lowest load
+/// front and the lowest id.  Returns -1 when no other accepting worker
+/// exists (speculation is then skipped).  With `exclude` -1 it is the
+/// learned policy's choice.
 int choose_backup(const PlacementPolicy& policy, const Cluster& c, const PlacementRequest& req,
                   int exclude);
 

@@ -111,7 +111,6 @@ struct Scheduler::Task {
   bc::Value home_result{};  ///< home-translated result (ref-forwarding entry)
   mig::CheckpointDeltas deltas;  ///< incremental-transfer state of the live attempt
   VDur est_cost{};        ///< queue estimate recorded with the live attempt
-  bool resumed = false;   ///< current attempt restored from a checkpoint
   bool partial = false;   ///< winning span did not cover a full execution
   int faults_accum = 0;   ///< faults of attempts that were replaced or lost
 };
@@ -172,6 +171,9 @@ void Scheduler::emit(EventKind kind, VDur at, int segment, int worker, int attem
   e.worker = worker;
   e.attempt = attempt;
   log_.push_back(e);
+  // A later attempt of a segment is a re-dispatch, from its capture or a
+  // checkpoint (a speculative backup is logged as its own kind).
+  if (kind == EventKind::SegmentDispatched && attempt > 1) ++redispatched_total_;
 }
 
 int Scheduler::pick_failure_target() const {
@@ -213,8 +215,6 @@ void Scheduler::do_fail(int worker) {
     }
     emit(EventKind::SegmentFailed, c_->home_now(), static_cast<int>(i), worker, t.attempts);
     dispatch(i);
-    ++out_->redispatched;
-    ++redispatched_total_;
     ++requeued;
   }
   if (race_ != nullptr && race_->backup_live && race_->backup_pl.worker == worker) ++racing;
@@ -289,7 +289,6 @@ void Scheduler::dispatch(size_t i) {
 
   if (t.seg) t.faults_accum += t.seg->objman().stats().faults;
   t.deltas = {};
-  t.resumed = false;
   t.partial = false;  // a restart re-executes the full segment
   t.seg = ship(i, w, t.state, t.pl);
   t.dispatched = true;
@@ -321,16 +320,12 @@ void Scheduler::resume_dispatch(size_t i, const CheckpointStore::Entry& ck) {
   // The new attempt starts from the checkpoint's heap flush: its delta
   // tracker starts empty against its fresh object-manager maps.
   t.deltas = {};
-  t.resumed = true;
   t.partial = true;
   CheckpointRestore r = restore_from_checkpoint(i, w, ck);
   t.seg = std::move(r.seg);
   t.pl = r.pl;
   t.est_cost = r.est;
   ++resumed_total_;
-  ++out_->resumed;
-  ++out_->redispatched;
-  ++redispatched_total_;
   emit(EventKind::SegmentDispatched, t.pl.restored_at, static_cast<int>(i), w, t.attempts);
 }
 
@@ -350,7 +345,6 @@ bool Scheduler::launch_backup(size_t i) {
   r.backup_id = t.attempts;
   r.backup_live = true;
   ++speculated_total_;
-  ++out_->speculated;
   emit(EventKind::SpeculativeDispatched, r.backup_pl.restored_at, static_cast<int>(i), w,
        r.backup_id);
   return true;
@@ -362,7 +356,6 @@ bool Scheduler::take_checkpoint(size_t i) {
   auto ck = mig::checkpoint_segment(*t.seg, home, c_->link(t.pl.worker), t.deltas,
                                   /*apply_at_home=*/opt_.resume_from_checkpoint);
   VDur at = home.node().clock.now();
-  ++out_->checkpoints;
   store_.record(round_, static_cast<int>(i), std::move(ck), t.attempts, at);
   emit(EventKind::CheckpointTaken, at, static_cast<int>(i), t.pl.worker, t.attempts);
   process_checkpoint_plans(t.pl.worker);
@@ -386,7 +379,6 @@ void Scheduler::cancel_attempt(size_t i, int loser_worker, int loser_attempt, VD
        loser_attempt);
   c_->note_completed(loser_worker, loser_est);
   ++cancelled_total_;
-  ++out_->cancelled;
 }
 
 void Scheduler::prepare(size_t i, const std::function<void()>& then) {
@@ -436,7 +428,6 @@ void Scheduler::prepare(size_t i, const std::function<void()>& then) {
         v_in = bc::Value::of_ref(stub);
         forwards_.push_back(RefForward{round_, static_cast<int>(i) - 1, up.pl.worker, pl.worker,
                                        up.home_result.r});
-        ++out_->ref_forwards;
       }
     }
     if (stat_bytes > 0) sim::deliver(home.node(), dst.node(), c_->link(pl.worker), stat_bytes);
@@ -495,8 +486,6 @@ void Scheduler::run_attempts(size_t i) {
         resume_dispatch(i, *ck);
       } else {
         dispatch(i);
-        ++out_->redispatched;
-        ++redispatched_total_;
         // The restarted attempt re-executes from the original capture on
         // its new worker; its span restarts with it.
         prepare(i, [&] { t.pl.executed_at = c_->worker(t.pl.worker).node().clock.now(); });
@@ -689,7 +678,7 @@ DispatchOutcome Scheduler::run(int home_tid, const std::vector<mig::SegmentSpec>
     t.state = cs.wire();
     t.req.cls = P.method(cs.frames[0].method).owner;
     t.req.state_bytes = t.state.size();
-    t.req.class_image_bytes = P.class_image(t.req.cls).size();
+    t.req.class_image_bytes = P.class_image_size(t.req.cls);
     t.req.msp_state_slots = c_->facts().class_msp_state_slots(t.req.cls);
     tasks_.push_back(std::move(t));
   }
@@ -720,7 +709,6 @@ DispatchOutcome Scheduler::run(int home_tid, const std::vector<mig::SegmentSpec>
     out.faults += t.faults_accum + t.seg->objman().stats().faults;
     out.placements.push_back(t.pl);
   }
-  out.result = tasks_.back().result;
   out_ = nullptr;
   return out;
 }

@@ -160,27 +160,11 @@ struct Placement {
 
 struct DispatchOutcome {
   std::vector<Placement> placements;
-  /// Bottom segment's raw result (worker-local refs for Ref results; the
-  /// home-translated value lands in the resumed home frame via write-back).
-  bc::Value result{};
   int faults = 0;
   size_t writeback_bytes = 0;
   /// True when at least one lower segment finished restoring before the
   /// segment above it finished executing (freeze time hidden).
   bool overlapped = false;
-  /// Segments re-dispatched to a survivor after their worker was lost.
-  int redispatched = 0;
-  /// Ref-typed results forwarded worker -> worker via home-mediated
-  /// handles (the cross-worker ref chain).
-  int ref_forwards = 0;
-  /// Checkpoints shipped home this round.
-  int checkpoints = 0;
-  /// Re-dispatches that resumed from a checkpoint instead of the capture.
-  int resumed = 0;
-  /// Speculative backup attempts launched.
-  int speculated = 0;
-  /// Losing attempts cancelled (their write-backs suppressed).
-  int cancelled = 0;
 };
 
 /// Splits the top `k` home frames into k single-frame segments, top first.
@@ -223,7 +207,6 @@ class Autoscaler {
 
   int joins() const { return joins_; }
   int drains() const { return drains_; }
-  int standby_left() const { return static_cast<int>(standby_.size() - next_standby_); }
 
  private:
   std::vector<WorkerSpec> standby_;  ///< consumed front to back
@@ -289,6 +272,10 @@ class Scheduler {
   bool exactly_once() const;
   /// Rounds run so far (the `round` stamped on events).
   int rounds() const { return round_ + 1; }
+  /// Lifetime counts, each kept beside its event in the log: completions,
+  /// losses, re-dispatches (SegmentDispatched with attempt > 1; resumes()
+  /// are those restored from a checkpoint), checkpoints, speculations and
+  /// cancellations.
   int completions() const { return completed_total_; }
   int workers_lost() const { return lost_total_; }
   int redispatches() const { return redispatched_total_; }
@@ -300,8 +287,6 @@ class Scheduler {
   const StaticsRefreshStats& statics_stats() const { return statics_stats_; }
   /// Home-side checkpoint store (newest resumable state per segment).
   const CheckpointStore& store() const { return store_; }
-  /// Straggler detector driving speculative re-dispatch.
-  const AttemptTracker& tracker() const { return tracker_; }
 
   /// All home-mediated ref forwards so far, in append order.
   const std::vector<RefForward>& ref_forwards() const { return forwards_; }

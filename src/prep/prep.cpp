@@ -31,7 +31,10 @@ PrepReport preprocess_program(bc::Program& p, const PrepOptions& opts) {
     if (opts.restore_handlers) inject_restore_handler(p, m);
   }
 
-  rep.image_size_after = p.total_image_size();
+  for (auto& c : p.classes) {
+    c.image_bytes = p.class_image(c.id).size();
+    rep.image_size_after += c.image_bytes;
+  }
   return rep;
 }
 

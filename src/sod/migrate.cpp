@@ -713,7 +713,7 @@ MigrationTiming hop(SodNode& home, int home_tid, int depth_hi, std::span<const u
   if (ship_class) {
     uint16_t entry_cls = home.program().method(cs.frames[0].method).owner;
     dest.mark_class_shipped(entry_cls);
-    t.class_bytes = home.program().class_image(entry_cls).size();
+    t.class_bytes = home.program().class_image_size(entry_cls);
   }
   dest.enable_class_fetch(&home, link, seg.objman().home_gate());
   sim::deliver(home.node(), dest.node(), link, t.state_bytes + t.class_bytes);

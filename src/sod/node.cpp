@@ -51,7 +51,7 @@ void SodNode::enable_class_fetch(SodNode* home, sim::Link link, HomeGate* gate) 
     GateSection section(gate, HomeShardMap::key_class(cls));
     if (class_shipped(cls)) return;
     shipped_.insert(cls);
-    size_t img = prog_->class_image(cls).size();
+    size_t img = prog_->class_image_size(cls);
     class_bytes_ += img;
     // Request/response round trip + home-side serialization cost.
     VDur before = node_.clock.now();

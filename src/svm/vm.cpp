@@ -333,7 +333,10 @@ vm_top:
 
   VM_LABEL(POP) : f->ostack.pop_back(); VM_NEXT();
   VM_LABEL(DUP) : push(f->ostack.back()); VM_NEXT();
-  VM_LABEL(SWAP) : std::swap(f->ostack[f->ostack.size() - 1], f->ostack[f->ostack.size() - 2]); VM_NEXT();
+  VM_LABEL(SWAP) : {
+    std::swap(f->ostack[f->ostack.size() - 1], f->ostack[f->ostack.size() - 2]);
+    VM_NEXT();
+  }
 
   VM_LABEL(IADD) : { int64_t b = pop().i, a = pop().i; push(Value::of_i64(a + b)); VM_NEXT(); }
   VM_LABEL(ISUB) : { int64_t b = pop().i, a = pop().i; push(Value::of_i64(a - b)); VM_NEXT(); }
@@ -354,9 +357,21 @@ vm_top:
   }
   // Negate via unsigned so INT64_MIN wraps to itself (Java semantics)
   // instead of being signed-overflow UB.
-  VM_LABEL(INEG) : { int64_t a = pop().i; push(Value::of_i64(static_cast<int64_t>(-static_cast<uint64_t>(a)))); VM_NEXT(); }
-  VM_LABEL(ISHL) : { int64_t b = pop().i, a = pop().i; push(Value::of_i64(a << (b & 63))); VM_NEXT(); }
-  VM_LABEL(ISHR) : { int64_t b = pop().i, a = pop().i; push(Value::of_i64(a >> (b & 63))); VM_NEXT(); }
+  VM_LABEL(INEG) : {
+    int64_t a = pop().i;
+    push(Value::of_i64(static_cast<int64_t>(-static_cast<uint64_t>(a))));
+    VM_NEXT();
+  }
+  VM_LABEL(ISHL) : {
+    int64_t b = pop().i, a = pop().i;
+    push(Value::of_i64(a << (b & 63)));
+    VM_NEXT();
+  }
+  VM_LABEL(ISHR) : {
+    int64_t b = pop().i, a = pop().i;
+    push(Value::of_i64(a >> (b & 63)));
+    VM_NEXT();
+  }
   VM_LABEL(IAND) : { int64_t b = pop().i, a = pop().i; push(Value::of_i64(a & b)); VM_NEXT(); }
   VM_LABEL(IOR) : { int64_t b = pop().i, a = pop().i; push(Value::of_i64(a | b)); VM_NEXT(); }
   VM_LABEL(IXOR) : { int64_t b = pop().i, a = pop().i; push(Value::of_i64(a ^ b)); VM_NEXT(); }
@@ -382,12 +397,28 @@ vm_top:
   VM_LABEL(IFLE) : { if (pop().i <= 0) VM_JUMP(in.arg); VM_NEXT(); }
   VM_LABEL(IFGT) : { if (pop().i > 0) VM_JUMP(in.arg); VM_NEXT(); }
   VM_LABEL(IFGE) : { if (pop().i >= 0) VM_JUMP(in.arg); VM_NEXT(); }
-  VM_LABEL(IF_ICMPEQ) : { int64_t b = pop().i, a = pop().i; if (a == b) VM_JUMP(in.arg); VM_NEXT(); }
-  VM_LABEL(IF_ICMPNE) : { int64_t b = pop().i, a = pop().i; if (a != b) VM_JUMP(in.arg); VM_NEXT(); }
+  VM_LABEL(IF_ICMPEQ) : {
+    int64_t b = pop().i, a = pop().i;
+    if (a == b) VM_JUMP(in.arg);
+    VM_NEXT();
+  }
+  VM_LABEL(IF_ICMPNE) : {
+    int64_t b = pop().i, a = pop().i;
+    if (a != b) VM_JUMP(in.arg);
+    VM_NEXT();
+  }
   VM_LABEL(IF_ICMPLT) : { int64_t b = pop().i, a = pop().i; if (a < b) VM_JUMP(in.arg); VM_NEXT(); }
-  VM_LABEL(IF_ICMPLE) : { int64_t b = pop().i, a = pop().i; if (a <= b) VM_JUMP(in.arg); VM_NEXT(); }
+  VM_LABEL(IF_ICMPLE) : {
+    int64_t b = pop().i, a = pop().i;
+    if (a <= b) VM_JUMP(in.arg);
+    VM_NEXT();
+  }
   VM_LABEL(IF_ICMPGT) : { int64_t b = pop().i, a = pop().i; if (a > b) VM_JUMP(in.arg); VM_NEXT(); }
-  VM_LABEL(IF_ICMPGE) : { int64_t b = pop().i, a = pop().i; if (a >= b) VM_JUMP(in.arg); VM_NEXT(); }
+  VM_LABEL(IF_ICMPGE) : {
+    int64_t b = pop().i, a = pop().i;
+    if (a >= b) VM_JUMP(in.arg);
+    VM_NEXT();
+  }
   VM_LABEL(IFNULL) : { if (pop().r == bc::kNull) VM_JUMP(in.arg); VM_NEXT(); }
   VM_LABEL(IFNONNULL) : { if (pop().r != bc::kNull) VM_JUMP(in.arg); VM_NEXT(); }
 

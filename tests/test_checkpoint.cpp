@@ -8,15 +8,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <optional>
 #include <tuple>
 #include <vector>
 
 #include "apps/apps.h"
 #include "cluster/checkpoint.h"
-#include "cluster/cluster.h"
+#include "cluster/drive.h"
 #include "cluster/placement.h"
-#include "cluster/scheduler.h"
 #include "prep/prep.h"
 #include "sod/migrate.h"
 #include "testlib.h"
@@ -279,17 +280,15 @@ TEST(Scheduler, WorkerLossAtACheckpointResumesFromIt) {
   Scheduler s(c, *pol, opt);
   s.fail_after_checkpoints(2);  // kill the worker taking the 2nd checkpoint
   int tid = c.home().vm().spawn(fib, std::vector<Value>{Value::of_i64(24)});
-  ASSERT_TRUE(mig::pause_at_depth(c.home(), tid, fib, 3 + 4));
-  auto out = s.run(tid, split_top_frames(3));
-  c.home().ti().set_debug_enabled(false);
-  ASSERT_EQ(c.home().run_guest(tid).reason, svm::StopReason::Done);
-  EXPECT_EQ(c.home().vm().thread(tid).result.as_i64(), sod::testing::fib_ref(24));
+  DispatchOutcome out = run_round(s, tid, fib, 3 + 4, 3).value().out;
+  Finish fin = finish(s, tid, sod::testing::fib_ref(24));
+  EXPECT_TRUE(fin.ok);
+  EXPECT_TRUE(fin.exactly_once);
 
-  EXPECT_GE(out.checkpoints, 2);
-  EXPECT_EQ(out.resumed, 1);
-  EXPECT_EQ(out.redispatched, 1);
+  EXPECT_GE(s.checkpoints(), 2);
+  EXPECT_EQ(s.resumes(), 1);
+  EXPECT_EQ(s.redispatches(), 1);
   EXPECT_EQ(s.workers_lost(), 1);
-  EXPECT_TRUE(s.exactly_once());
   // The resumed segment was dispatched twice; its completing attempt is
   // the second one, and the first is the one that failed.
   int failed = 0, dispatched = 0;
@@ -326,15 +325,10 @@ TEST(Scheduler, AutoscalerDrainDuringCheckpointedRoundIsNotAFailure) {
   // must *finish* that segment under checkpoints — a drain is not a loss
   // (regression: take_checkpoint treated Draining like Lost, fabricating
   // SegmentFailed events and leaking the queue entry).
-  for (int k : {4, 5, 1}) {
-    ASSERT_TRUE(mig::pause_at_depth(c.home(), tid, fib, k + 4));
-    s.run(tid, split_top_frames(k));
-    c.home().ti().set_debug_enabled(false);
-  }
-  c.home().ti().set_debug_enabled(false);
-  ASSERT_EQ(c.home().run_guest(tid).reason, svm::StopReason::Done);
-  EXPECT_EQ(c.home().vm().thread(tid).result.as_i64(), sod::testing::fib_ref(26));
-  EXPECT_TRUE(s.exactly_once());
+  for (int k : {4, 5, 1}) ASSERT_TRUE(run_round(s, tid, fib, k + 4, k));
+  Finish fin = finish(s, tid, sod::testing::fib_ref(26));
+  EXPECT_TRUE(fin.ok);
+  EXPECT_TRUE(fin.exactly_once);
   EXPECT_EQ(s.workers_lost(), 0);
   EXPECT_EQ(s.redispatches(), 0);
   for (const Event& e : s.log()) EXPECT_NE(e.kind, EventKind::SegmentFailed);
@@ -355,15 +349,13 @@ TEST(Scheduler, ResumeBeatsRestartFromCapture) {
     Scheduler s(c, *pol, opt);
     s.fail_after_checkpoints(3);
     int tid = c.home().vm().spawn(fib, std::vector<Value>{Value::of_i64(24)});
-    EXPECT_TRUE(mig::pause_at_depth(c.home(), tid, fib, 3 + 4));
-    auto out = s.run(tid, split_top_frames(3));
-    c.home().ti().set_debug_enabled(false);
-    EXPECT_EQ(c.home().run_guest(tid).reason, svm::StopReason::Done);
-    EXPECT_EQ(c.home().vm().thread(tid).result.as_i64(), sod::testing::fib_ref(24));
-    EXPECT_EQ(out.resumed, resume ? 1 : 0);
-    EXPECT_EQ(out.redispatched, 1);
-    EXPECT_TRUE(s.exactly_once());
-    return c.home().node().clock.now();
+    EXPECT_TRUE(run_round(s, tid, fib, 3 + 4, 3));
+    Finish fin = finish(s, tid, sod::testing::fib_ref(24));
+    EXPECT_TRUE(fin.ok);
+    EXPECT_TRUE(fin.exactly_once);
+    EXPECT_EQ(s.resumes(), resume ? 1 : 0);
+    EXPECT_EQ(s.redispatches(), 1);
+    return c.home_now();
   };
   VDur resumed = total_with(true);
   VDur restarted = total_with(false);
@@ -388,38 +380,24 @@ SpecResult run_hetero(bool speculate) {
   auto p = prepped_fib();
   uint16_t fib = p.find_method("Main.fib");
   Cluster c(p);
-  c.add_worker({"xeon1", {}, sim::Link::gigabit()});
-  c.add_worker({"xeon2", {}, sim::Link::gigabit()});
-  mig::SodNode::Config dev;
-  dev.cpu_scale = 25.0;
-  c.add_worker({"wifi-device", dev, sim::Link::wifi_kbps(2000)});
+  for (const WorkerSpec& ws : straggler_topology()) c.add_worker(ws);
   auto pol = make_policy(PolicyKind::LeastLoaded);
   DispatchOptions opt;
   opt.checkpoint_every = kEvery;
   opt.speculate = speculate;
   Scheduler s(c, *pol, opt);
   int tid = c.home().vm().spawn(fib, std::vector<Value>{Value::of_i64(26)});
+  Tally tally = run_rounds(s, tid, fib, 3 + 4, std::vector<int>(3, 3));
+  EXPECT_EQ(tally.rounds, 3);
+  Finish fin = finish(s, tid);
   SpecResult res;
-  double sum_ms = 0;
-  int segments = 0;
-  for (int r = 0; r < 3; ++r) {
-    EXPECT_TRUE(mig::pause_at_depth(c.home(), tid, fib, 3 + 4));
-    VDur round_start = c.home_now();
-    auto out = s.run(tid, split_top_frames(3));
-    c.home().ti().set_debug_enabled(false);
-    res.speculated += out.speculated;
-    res.cancelled += out.cancelled;
-    for (const auto& pl : out.placements) {
-      ++segments;
-      sum_ms += (pl.completed_at - round_start).ms();
-    }
-  }
-  c.home().ti().set_debug_enabled(false);
-  EXPECT_EQ(c.home().run_guest(tid).reason, svm::StopReason::Done);
-  res.result = c.home().vm().thread(tid).result.as_i64();
-  res.mean_completion_ms = sum_ms / segments;
-  res.total = c.home().node().clock.now();
-  EXPECT_TRUE(s.exactly_once());
+  EXPECT_TRUE(fin.done);
+  EXPECT_TRUE(fin.exactly_once);
+  res.result = fin.result;
+  res.speculated = s.speculations();
+  res.cancelled = s.cancellations();
+  res.mean_completion_ms = tally.mean_completion_ms();
+  res.total = c.home_now();
   for (const Event& e : s.log())
     res.events.emplace_back(static_cast<int>(e.kind), e.at.ns, e.round, e.segment, e.worker,
                             e.attempt);
@@ -477,6 +455,50 @@ TEST(Scheduler, CheckpointAndSpeculationLogsAreDeterministic) {
   EXPECT_EQ(a.result, b.result);
 }
 
+TEST(Scheduler, CountersMatchTheEventLog) {
+  // Every lifetime count is kept at one site, beside the event it counts:
+  // a resume, a restart, speculative races and their losers all show up
+  // the same in the counters and in the log, on both engines.
+  for (bool on_lanes : {false, true}) {
+    SCOPED_TRACE(on_lanes ? "wall-clock engine" : "virtual engine");
+    auto p = prepped_fib();
+    uint16_t fib = p.find_method("Main.fib");
+    Cluster c(p);
+    for (const WorkerSpec& ws : straggler_topology()) c.add_worker(ws);
+    auto pol = make_policy(PolicyKind::LeastLoaded);
+    DispatchOptions opt;
+    opt.checkpoint_every = kEvery;
+    opt.speculate = true;
+    std::optional<WallClockOptions> wall;
+    if (on_lanes) wall = WallClockOptions{.threads = 3};
+    auto s = make_engine(c, *pol, opt, wall);
+    s->fail_after_checkpoints(2);  // resumed from that checkpoint
+    s->fail_after(8);              // the last segment's worker: restarted
+    int tid = c.home().vm().spawn(fib, std::vector<Value>{Value::of_i64(26)});
+    ASSERT_EQ(run_rounds(*s, tid, fib, 3 + 4, std::vector<int>(3, 3)).rounds, 3);
+    Finish fin = finish(*s, tid, sod::testing::fib_ref(26));
+    EXPECT_TRUE(fin.ok);
+    EXPECT_TRUE(fin.exactly_once);
+
+    std::map<EventKind, int> events;
+    int redispatched = 0;
+    for (const Event& e : s->log()) {
+      ++events[e.kind];
+      if (e.kind == EventKind::SegmentDispatched && e.attempt > 1) ++redispatched;
+    }
+    auto expect = [](const char* what, int count, int logged) {
+      EXPECT_GT(count, 0) << what;
+      EXPECT_EQ(count, logged) << what;
+    };
+    expect("completions", s->completions(), events[EventKind::SegmentCompleted]);
+    expect("workers_lost", s->workers_lost(), events[EventKind::WorkerLost]);
+    expect("checkpoints", s->checkpoints(), events[EventKind::CheckpointTaken]);
+    expect("speculations", s->speculations(), events[EventKind::SpeculativeDispatched]);
+    expect("cancellations", s->cancellations(), events[EventKind::AttemptCancelled]);
+    expect("redispatches", s->redispatches(), redispatched);
+  }
+}
+
 // --- all four Table I apps: resume produces bit-identical results ---
 
 enum class AppMode { Clean, Resume, Restart };
@@ -496,22 +518,15 @@ int64_t run_app(const apps::AppSpec& spec, AppMode mode) {
   uint16_t trigger = p.find_method(spec.trigger_method);
   int depth = std::min(spec.paper_depth, 4);
   int tid = c.home().vm().spawn(p.find_method(spec.entry), spec.bench_args);
-  int remaining = c.size();
-  while (remaining > 0 && mig::pause_at_depth(c.home(), tid, trigger, depth)) {
-    int k = std::min(remaining, depth - 1);
-    if (remaining > k) k = std::max(1, depth - 2);
-    s.run(tid, split_top_frames(k));
-    c.home().ti().set_debug_enabled(false);
-    remaining -= k;
-  }
-  c.home().ti().set_debug_enabled(false);
-  EXPECT_EQ(c.home().run_guest(tid).reason, svm::StopReason::Done) << spec.name;
-  EXPECT_TRUE(s.exactly_once()) << spec.name;
+  run_rounds(s, tid, trigger, depth, spread_plan(c.size(), depth));
+  Finish fin = finish(s, tid);
+  EXPECT_TRUE(fin.done) << spec.name;
+  EXPECT_TRUE(fin.exactly_once) << spec.name;
   if (checkpoint_and_fail) {
     EXPECT_GE(s.checkpoints(), 1) << spec.name;
     EXPECT_EQ(s.workers_lost(), 1) << spec.name;
   }
-  return c.home().vm().thread(tid).result.as_i64();
+  return fin.result;
 }
 
 TEST(Scheduler, RecoveryIsBitIdenticalOnAllTableIApps) {

@@ -11,9 +11,8 @@
 #include <tuple>
 #include <vector>
 
-#include "cluster/cluster.h"
+#include "cluster/drive.h"
 #include "cluster/placement.h"
-#include "cluster/scheduler.h"
 #include "prep/prep.h"
 #include "sod/migrate.h"
 #include "testlib.h"
@@ -147,14 +146,10 @@ TEST(Dispatch, ConcurrentSplitPreservesTheResultAndHidesFreezeTime) {
   Cluster c(p);
   c.add_uniform_workers(3);
   int tid = c.home().vm().spawn(fib, std::vector<Value>{Value::of_i64(22)});
-  ASSERT_TRUE(mig::pause_at_depth(c.home(), tid, fib, 4));
   auto pol = make_policy(PolicyKind::RoundRobin);
   Scheduler s(c, *pol);
-  auto out = s.run(tid, split_top_frames(3));
-  c.home().ti().set_debug_enabled(false);
-  auto rr = c.home().run_guest(tid);
-  ASSERT_EQ(rr.reason, svm::StopReason::Done);
-  EXPECT_EQ(c.home().vm().thread(tid).result.as_i64(), sod::testing::fib_ref(22));
+  DispatchOutcome out = run_round(s, tid, fib, 4, 3).value().out;
+  EXPECT_TRUE(finish(s, tid, sod::testing::fib_ref(22)).ok);
   ASSERT_EQ(out.placements.size(), 3u);
   // Every lower segment finished restoring inside the window in which the
   // segment above it was still executing: its freeze time was hidden.
@@ -335,14 +330,11 @@ TEST(Dispatch, ChainedSegmentsRunInFastModeDespiteSharedWorkerRestores) {
     Cluster c(p);
     c.add_uniform_workers(nworkers);
     int tid = c.home().vm().spawn(fib, std::vector<Value>{Value::of_i64(22)});
-    EXPECT_TRUE(mig::pause_at_depth(c.home(), tid, fib, 4));
     auto pol = make_policy(PolicyKind::RoundRobin);
     Scheduler s(c, *pol);
-    auto out = s.run(tid, split_top_frames(3));
-    c.home().ti().set_debug_enabled(false);
-    EXPECT_EQ(c.home().run_guest(tid).reason, svm::StopReason::Done);
-    EXPECT_EQ(c.home().vm().thread(tid).result.as_i64(), sod::testing::fib_ref(22));
-    return out.placements[0].completed_at - out.placements[0].restored_at;
+    Placement top = run_round(s, tid, fib, 4, 3).value().out.placements.at(0);
+    EXPECT_TRUE(finish(s, tid, sod::testing::fib_ref(22)).ok);
+    return top.completed_at - top.restored_at;
   };
   VDur clean = exec_span_of_top(3);    // top segment alone on its worker
   VDur shared = exec_span_of_top(2);   // segment 2 also restores on worker 0
@@ -360,12 +352,7 @@ TEST(Dispatch, JoinAndDrainBetweenRounds) {
   auto pol = make_policy(PolicyKind::RoundRobin);
   Scheduler s(c, *pol);
 
-  auto round = [&](int k) {
-    EXPECT_TRUE(mig::pause_at_depth(c.home(), tid, fib, k + 2));
-    auto out = s.run(tid, split_top_frames(k));
-    c.home().ti().set_debug_enabled(false);
-    return out;
-  };
+  auto round = [&](int k) { return run_round(s, tid, fib, k + 2, k).value().out; };
 
   auto r1 = round(2);
   ASSERT_EQ(r1.placements.size(), 2u);
@@ -384,9 +371,7 @@ TEST(Dispatch, JoinAndDrainBetweenRounds) {
   auto r3 = round(2);
   for (const auto& pl : r3.placements) EXPECT_NE(pl.worker, 0);
 
-  c.home().ti().set_debug_enabled(false);
-  ASSERT_EQ(c.home().run_guest(tid).reason, svm::StopReason::Done);
-  EXPECT_EQ(c.home().vm().thread(tid).result.as_i64(), sod::testing::fib_ref(24));
+  EXPECT_TRUE(finish(s, tid, sod::testing::fib_ref(24)).ok);
 }
 
 TEST(Dispatch, MultiFrameSegmentsChainAcrossWorkers) {
@@ -400,9 +385,7 @@ TEST(Dispatch, MultiFrameSegmentsChainAcrossWorkers) {
   auto pol = make_policy(PolicyKind::RoundRobin);
   Scheduler s(c, *pol);
   auto out = s.run(tid, specs);
-  c.home().ti().set_debug_enabled(false);
-  ASSERT_EQ(c.home().run_guest(tid).reason, svm::StopReason::Done);
-  EXPECT_EQ(c.home().vm().thread(tid).result.as_i64(), sod::testing::fib_ref(20));
+  EXPECT_TRUE(finish(s, tid, sod::testing::fib_ref(20)).ok);
   ASSERT_EQ(out.placements.size(), 2u);
   EXPECT_EQ(out.placements[0].worker, 0);
   EXPECT_EQ(out.placements[1].worker, 1);
@@ -435,24 +418,22 @@ TEST(Scheduler, WorkerLossRedispatchesOutstandingSegmentsExactlyOnce) {
   Cluster c(p);
   c.add_uniform_workers(3);
   int tid = c.home().vm().spawn(fib, std::vector<Value>{Value::of_i64(22)});
-  ASSERT_TRUE(mig::pause_at_depth(c.home(), tid, fib, 3 + 4));
   auto pol = make_policy(PolicyKind::RoundRobin);
   Scheduler s(c, *pol);
   s.fail_after(1, 2);  // lose worker 2 right after the first completion
-  auto out = s.run(tid, split_top_frames(3));
-  c.home().ti().set_debug_enabled(false);
-  ASSERT_EQ(c.home().run_guest(tid).reason, svm::StopReason::Done);
-  EXPECT_EQ(c.home().vm().thread(tid).result.as_i64(), sod::testing::fib_ref(22));
+  DispatchOutcome out = run_round(s, tid, fib, 3 + 4, 3).value().out;
+  Finish fin = finish(s, tid, sod::testing::fib_ref(22));
+  EXPECT_TRUE(fin.ok);
 
   // Round-robin put segment 2 on worker 2; its assignment died with the
   // worker and was re-dispatched to a survivor.
   EXPECT_EQ(c.state(2), WorkerState::Lost);
-  EXPECT_EQ(out.redispatched, 1);
+  EXPECT_EQ(s.redispatches(), 1);
   ASSERT_EQ(out.placements.size(), 3u);
   for (const auto& pl : out.placements) EXPECT_NE(pl.worker, 2);
   EXPECT_EQ(out.placements[2].attempts, 2);
   EXPECT_EQ(out.placements[0].attempts, 1);
-  EXPECT_TRUE(s.exactly_once());
+  EXPECT_TRUE(fin.exactly_once);
   EXPECT_EQ(s.workers_lost(), 1);
   EXPECT_EQ(s.completions(), 3);
 
@@ -483,18 +464,16 @@ TEST(Scheduler, RedispatchIsDeterministic) {
     std::vector<WorkerSpec> standby{{"standby1", {}, sim::Link::gigabit()}};
     s.set_autoscaler(std::make_unique<Autoscaler>(standby));
     int tid = c.home().vm().spawn(fib, std::vector<Value>{Value::of_i64(26)});
-    for (int r = 0; r < 3; ++r) {
-      ASSERT_TRUE(mig::pause_at_depth(c.home(), tid, fib, 4 + 4));
-      auto out = s.run(tid, split_top_frames(4));
-      c.home().ti().set_debug_enabled(false);
-      for (const auto& pl : out.placements)
-        rows.emplace_back(pl.worker, pl.attempts, pl.restored_at.ns, pl.executed_at.ns,
-                          pl.completed_at.ns);
-    }
-    c.home().ti().set_debug_enabled(false);
-    ASSERT_EQ(c.home().run_guest(tid).reason, svm::StopReason::Done);
-    EXPECT_EQ(c.home().vm().thread(tid).result.as_i64(), sod::testing::fib_ref(26));
-    EXPECT_TRUE(s.exactly_once());
+    Tally tally = run_rounds(s, tid, fib, 4 + 4, std::vector<int>(3, 4),
+                             [&](int, const Round& round) {
+                               for (const auto& pl : round.out.placements)
+                                 rows.emplace_back(pl.worker, pl.attempts, pl.restored_at.ns,
+                                                   pl.executed_at.ns, pl.completed_at.ns);
+                             });
+    ASSERT_EQ(tally.rounds, 3);
+    Finish fin = finish(s, tid, sod::testing::fib_ref(26));
+    EXPECT_TRUE(fin.ok);
+    EXPECT_TRUE(fin.exactly_once);
     EXPECT_EQ(s.workers_lost(), 1);
     EXPECT_GE(s.redispatches(), 1);
     for (const Event& e : s.log())
@@ -518,17 +497,14 @@ TEST(Scheduler, CrossWorkerRefChainsThroughHomeForwarding) {
   Cluster c(p);
   c.add_uniform_workers(2);
   int tid = c.home().vm().spawn(mk, std::vector<Value>{Value::of_i64(6)});
-  ASSERT_TRUE(mig::pause_at_depth(c.home(), tid, mk, 4));
   auto pol = make_policy(PolicyKind::RoundRobin);
   Scheduler s(c, *pol);
-  auto out = s.run(tid, split_top_frames(2));
-  c.home().ti().set_debug_enabled(false);
+  DispatchOutcome out = run_round(s, tid, mk, 4, 2).value().out;
   // Round-robin put the two chained segments on different workers: the
   // upper segment's Node went home with its completion write-back and its
   // handle was forwarded; the lower worker faulted the body in lazily.
   ASSERT_EQ(out.placements.size(), 2u);
   EXPECT_NE(out.placements[0].worker, out.placements[1].worker);
-  EXPECT_EQ(out.ref_forwards, 1);
   ASSERT_EQ(s.ref_forwards().size(), 1u);
   EXPECT_EQ(s.ref_forwards()[0].src_worker, out.placements[0].worker);
   EXPECT_EQ(s.ref_forwards()[0].dst_worker, out.placements[1].worker);
@@ -554,18 +530,14 @@ TEST(Scheduler, AutoscalerJoinsOnHighWaterAndDrainsIdleJoinerImmediately) {
 
   // Round 1: four segments over two workers — the placement-phase tick
   // sees mean depth 2.0 > high water and promotes the standby worker.
-  ASSERT_TRUE(mig::pause_at_depth(c.home(), tid, fib, 4 + 4));
-  s.run(tid, split_top_frames(4));
-  c.home().ti().set_debug_enabled(false);
+  ASSERT_TRUE(run_round(s, tid, fib, 4 + 4, 4));
   ASSERT_EQ(c.size(), 3);
   int joiner = 2;
   EXPECT_EQ(c.state(joiner), WorkerState::Active);
   EXPECT_EQ(s.autoscaler()->joins(), 1);
 
   // Round 2: the joiner is a full member and receives work.
-  ASSERT_TRUE(mig::pause_at_depth(c.home(), tid, fib, 4 + 4));
-  auto r2 = s.run(tid, split_top_frames(4));
-  c.home().ti().set_debug_enabled(false);
+  DispatchOutcome r2 = run_round(s, tid, fib, 4 + 4, 4).value().out;
   bool joiner_used = false;
   for (const auto& pl : r2.placements) joiner_used = joiner_used || pl.worker == joiner;
   EXPECT_TRUE(joiner_used);
@@ -573,10 +545,8 @@ TEST(Scheduler, AutoscalerJoinsOnHighWaterAndDrainsIdleJoinerImmediately) {
   // Round 3: one segment over three workers — mean depth 0.33 < low
   // water, so the idle joiner is drained and retires in the same tick
   // (regression guard: no one-round retirement lag).
-  ASSERT_TRUE(mig::pause_at_depth(c.home(), tid, fib, 1 + 4));
-  auto r3 = s.run(tid, split_top_frames(1));
-  c.home().ti().set_debug_enabled(false);
-  EXPECT_EQ(r3.placements[0].worker, 1);  // round-robin cursor, joiner idle
+  DispatchOutcome r3 = run_round(s, tid, fib, 1 + 4, 1).value().out;
+  EXPECT_EQ(r3.placements.at(0).worker, 1);  // round-robin cursor, joiner idle
   EXPECT_EQ(c.state(joiner), WorkerState::Retired);
   EXPECT_EQ(s.autoscaler()->drains(), 1);
   bool joined = false, draining = false;
@@ -587,9 +557,7 @@ TEST(Scheduler, AutoscalerJoinsOnHighWaterAndDrainsIdleJoinerImmediately) {
   EXPECT_TRUE(joined);
   EXPECT_TRUE(draining);
 
-  c.home().ti().set_debug_enabled(false);
-  ASSERT_EQ(c.home().run_guest(tid).reason, svm::StopReason::Done);
-  EXPECT_EQ(c.home().vm().thread(tid).result.as_i64(), sod::testing::fib_ref(26));
+  EXPECT_TRUE(finish(s, tid, sod::testing::fib_ref(26)).ok);
 }
 
 TEST(Scheduler, CustomPolicyFailoverLogsEveryAttempt) {
@@ -606,14 +574,12 @@ TEST(Scheduler, CustomPolicyFailoverLogsEveryAttempt) {
   Cluster c(p);
   c.add_uniform_workers(2);
   int tid = c.home().vm().spawn(fib, std::vector<Value>{Value::of_i64(22)});
-  ASSERT_TRUE(mig::pause_at_depth(c.home(), tid, fib, 3 + 4));
   Probe probe;
   Scheduler s(c, probe);
   s.fail_after(1, 0);  // the probe stacks everything on worker 0; lose it
-  auto out = s.run(tid, split_top_frames(3));
-  c.home().ti().set_debug_enabled(false);
-  ASSERT_EQ(c.home().run_guest(tid).reason, svm::StopReason::Done);
-  EXPECT_EQ(out.redispatched, 2);
+  ASSERT_TRUE(run_round(s, tid, fib, 3 + 4, 3));
+  ASSERT_TRUE(finish(s, tid).done);
+  EXPECT_EQ(s.redispatches(), 2);
   auto count = [&](EventKind k) {
     int n = 0;
     for (const Event& e : s.log())

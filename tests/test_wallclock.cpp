@@ -13,6 +13,7 @@
 #include <memory>
 #include <mutex>
 #include <numeric>
+#include <optional>
 #include <set>
 #include <thread>
 #include <tuple>
@@ -20,14 +21,11 @@
 #include <vector>
 
 #include "apps/apps.h"
-#include "cluster/cluster.h"
+#include "cluster/drive.h"
 #include "cluster/loadgen.h"
 #include "cluster/placement.h"
-#include "cluster/scheduler.h"
 #include "cluster/threadpool.h"
-#include "cluster/wallclock.h"
 #include "prep/prep.h"
-#include "sod/migrate.h"
 #include "testlib.h"
 
 namespace sod::cluster {
@@ -107,27 +105,25 @@ struct AppOutcome {
 
 /// threads < 0 = virtual-time Scheduler, threads >= 0 = WallClockEngine
 /// (0 = one pool thread per worker).
-std::unique_ptr<Scheduler> make_engine(Cluster& c, PlacementPolicy& pol, int threads,
-                                       const DispatchOptions& dopt = {}) {
-  if (threads < 0) return std::make_unique<Scheduler>(c, pol, dopt);
-  WallClockOptions wopt;
-  wopt.threads = threads;
-  return std::make_unique<WallClockEngine>(c, pol, wopt, dopt);
+std::unique_ptr<Scheduler> engine_for(Cluster& c, PlacementPolicy& pol, int threads,
+                                      const DispatchOptions& dopt = {}) {
+  std::optional<WallClockOptions> wopt;
+  if (threads >= 0) wopt = WallClockOptions{.threads = threads};
+  return make_engine(c, pol, dopt, wopt);
 }
 
 /// Finishes the home thread and records what the engine left behind.
-AppOutcome finish(Cluster& c, Scheduler& s, int tid) {
+AppOutcome finish_app(Scheduler& s, int tid) {
   AppOutcome o;
-  c.home().ti().set_debug_enabled(false);
-  auto rr = c.home().run_guest(tid);
-  o.done = rr.reason == svm::StopReason::Done;
-  if (o.done) o.result = c.home().vm().thread(tid).result.as_i64();
+  Finish fin = finish(s, tid);
+  o.done = fin.done;
+  o.result = fin.result;
+  o.exactly_once = fin.exactly_once;
   for (const Event& e : s.log()) {
     if (e.kind == EventKind::SegmentCompleted) o.completions.emplace(e.round, e.segment, e.at.ns);
     o.events.emplace_back(static_cast<int>(e.kind), e.at.ns, e.round, e.segment, e.worker,
                           e.attempt);
   }
-  o.exactly_once = s.exactly_once();
   o.checkpoints = s.checkpoints();
   o.speculations = s.speculations();
   o.cancellations = s.cancellations();
@@ -139,8 +135,8 @@ AppOutcome finish(Cluster& c, Scheduler& s, int tid) {
   return o;
 }
 
-/// The run_table1_app round loop from the CLI driver, on either engine
-/// (see make_engine).  `shards` > 0 stripes the home state.
+/// The `run <app>` scenario's rounds (spread_plan), on either engine (see
+/// engine_for).  `shards` > 0 stripes the home state.
 AppOutcome run_app(const apps::AppSpec& spec, int threads, int shards = 0) {
   bc::Program p = spec.build();
   prep::preprocess_program(p);
@@ -148,24 +144,15 @@ AppOutcome run_app(const apps::AppSpec& spec, int threads, int shards = 0) {
   c.add_uniform_workers(3);
   if (shards > 0) c.set_home_shards(shards);
   auto pol = make_policy(PolicyKind::LeastLoaded);
-  auto engine = make_engine(c, *pol, threads);
+  auto engine = engine_for(c, *pol, threads);
 
   uint16_t trigger = p.find_method(spec.trigger_method);
   int depth = std::min(spec.paper_depth, 4);
   int tid = c.home().vm().spawn(p.find_method(spec.entry), spec.bench_args);
 
-  size_t writeback_bytes = 0;
-  int remaining = c.size();
-  while (remaining > 0 && mig::pause_at_depth(c.home(), tid, trigger, depth)) {
-    int k = std::min(remaining, depth - 1);
-    if (remaining > k) k = std::max(1, depth - 2);
-    auto out = engine->run(tid, split_top_frames(k));
-    c.home().ti().set_debug_enabled(false);
-    writeback_bytes += out.writeback_bytes;
-    remaining -= k;
-  }
-  AppOutcome o = finish(c, *engine, tid);
-  o.writeback_bytes = writeback_bytes;
+  Tally tally = run_rounds(*engine, tid, trigger, depth, spread_plan(c.size(), depth));
+  AppOutcome o = finish_app(*engine, tid);
+  o.writeback_bytes = tally.writeback_bytes;
   return o;
 }
 
@@ -246,16 +233,6 @@ TEST(WallClock, ShardContentionCountersSumAcrossStripes) {
 
 // ------------------------------------------------- beyond the fault-free path
 
-/// Two Xeons on gigabit plus a 25x-slower wifi device (the multitenant
-/// bench's straggler topology).
-std::vector<WorkerSpec> straggler_topology() {
-  mig::SodNode::Config dev;
-  dev.cpu_scale = 25.0;
-  return {{"xeon1", {}, sim::Link::gigabit()},
-          {"xeon2", {}, sim::Link::gigabit()},
-          {"wifi-device", dev, sim::Link::wifi_kbps(2000)}};
-}
-
 TEST(WallClock, PostLossReplayMatchesTheVirtualScheduler) {
   // Two mid-round worker losses: both engines re-dispatch through the
   // policy on the home thread, so every session latency and every event
@@ -317,15 +294,11 @@ TEST(WallClock, CheckpointsAndSpeculativeRacesRunOnLanes) {
     DispatchOptions dopt;
     dopt.checkpoint_every = 20000;
     dopt.speculate = true;
-    auto s = make_engine(c, *pol, threads, dopt);
+    auto s = engine_for(c, *pol, threads, dopt);
     s->fail_after_checkpoints(2);  // kill the worker taking the 2nd checkpoint
     int tid = c.home().vm().spawn(fib, std::vector<Value>{Value::of_i64(26)});
-    for (int r = 0; r < 3; ++r) {
-      EXPECT_TRUE(mig::pause_at_depth(c.home(), tid, fib, 3 + 4));
-      s->run(tid, split_top_frames(3));
-      c.home().ti().set_debug_enabled(false);
-    }
-    return finish(c, *s, tid);
+    EXPECT_EQ(run_rounds(*s, tid, fib, 3 + 4, std::vector<int>(3, 3)).rounds, 3);
+    return finish_app(*s, tid);
   };
   AppOutcome ref = run(-1, 1);
   ASSERT_TRUE(ref.done);
@@ -362,12 +335,9 @@ TEST(WallClock, CrossWorkerRefForwardsMatchTheVirtualScheduler) {
     c.add_uniform_workers(2);
     c.set_home_shards(shards);
     auto pol = make_policy(PolicyKind::RoundRobin);
-    auto s = make_engine(c, *pol, threads);
+    auto s = engine_for(c, *pol, threads);
     int tid = c.home().vm().spawn(mk, std::vector<Value>{Value::of_i64(6)});
-    EXPECT_TRUE(mig::pause_at_depth(c.home(), tid, mk, 4));
-    auto out = s->run(tid, split_top_frames(2));
-    c.home().ti().set_debug_enabled(false);
-    EXPECT_EQ(out.ref_forwards, 1);
+    EXPECT_TRUE(run_round(*s, tid, mk, 4, 2));
     EXPECT_EQ(c.home().run_guest(tid).reason, svm::StopReason::Done);
     Value r = c.home().vm().thread(tid).result;
     uint16_t val_slot = p.field(p.find_field("Node.val")).slot;
@@ -399,18 +369,15 @@ TEST(WallClock, ChurnAndMidRoundLossStillExecuteExactlyOnce) {
   int tid = c.home().vm().spawn(fib, std::vector<Value>{Value::of_i64(26)});
   int joiner = -1;
   for (int r = 0; r < 3; ++r) {
-    ASSERT_TRUE(mig::pause_at_depth(c.home(), tid, fib, 4 + 4));
-    auto out = eng.run(tid, split_top_frames(4));
-    c.home().ti().set_debug_enabled(false);
-    ASSERT_EQ(out.placements.size(), 4u);
+    auto round = run_round(eng, tid, fib, 4 + 4, 4);
+    ASSERT_TRUE(round);
+    ASSERT_EQ(round->out.placements.size(), 4u);
     if (r == 0) joiner = eng.add_worker({"joiner", {}, sim::Link::gigabit()});
     if (r == 1) eng.drain_worker(joiner);
   }
-  c.home().ti().set_debug_enabled(false);
-  ASSERT_EQ(c.home().run_guest(tid).reason, svm::StopReason::Done);
-  EXPECT_EQ(c.home().vm().thread(tid).result.as_i64(), sod::testing::fib_ref(26));
-
-  EXPECT_TRUE(eng.exactly_once());
+  Finish fin = finish(eng, tid, sod::testing::fib_ref(26));
+  EXPECT_TRUE(fin.ok);
+  EXPECT_TRUE(fin.exactly_once);
   EXPECT_EQ(eng.workers_lost(), 1);
   EXPECT_GE(eng.redispatches(), 1);
   EXPECT_EQ(eng.completions(), 12);

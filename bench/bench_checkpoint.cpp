@@ -16,10 +16,11 @@
 // round on the 25x-slower device):
 //
 //   no_speculation         the device segment stalls its round
-//   speculation            the AttemptTracker flags the device attempt as
-//                          a straggler; a backup copy launches from the
-//                          newest checkpoint on a Xeon, the first
-//                          completion wins and the loser is cancelled
+//   speculation            the policy's span model flags the device
+//                          attempt as a straggler; a backup copy
+//                          launches from the newest checkpoint on a
+//                          Xeon, the first completion wins and the
+//                          loser is cancelled
 //
 // The bench fails unless resume beats restart on mean completion, unless
 // speculation beats no-speculation on the heterogeneous topology, and

@@ -23,17 +23,4 @@ void CheckpointStore::drop(int round, int segment) {
   entries_.erase(std::pair(round, segment));
 }
 
-void AttemptTracker::observe(uint16_t cls, VDur ref_span) {
-  if (ref_span.ns < 0) return;
-  double observed = static_cast<double>(ref_span.ns);
-  auto [it, fresh] = ewma_ns_.try_emplace(cls, observed);
-  if (!fresh) it->second = kAlpha * observed + (1.0 - kAlpha) * it->second;
-}
-
-bool AttemptTracker::straggler(uint16_t cls, VDur age) const {
-  auto it = ewma_ns_.find(cls);
-  if (it == ewma_ns_.end()) return false;
-  return static_cast<double>(age.ns) > kStragglerFactor * it->second;
-}
-
 }  // namespace sod::cluster

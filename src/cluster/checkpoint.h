@@ -1,5 +1,4 @@
-// Checkpoint & speculation support — the recovery half of the cluster
-// scheduler.
+// Checkpoint support — the recovery half of the cluster scheduler.
 //
 // A CheckpointStore lives on the home node: workers periodically
 // re-capture a running segment's state at migration-safe points
@@ -9,19 +8,10 @@
 // speculative backup attempt starts from the same state on another
 // worker.  Boxer (arXiv:2407.00832) argues elasticity pays off only when
 // recovery latency is small — resuming is what makes it small.
-//
-// An AttemptTracker detects stragglers: it learns a per-class EWMA of
-// reference-CPU execution spans from completed attempts (mirroring the
-// learned placement policy, but scheduler-owned so speculation works
-// under every policy) and flags an attempt whose age exceeds
-// straggler_factor x the learned span — the heterogeneous-fleet signal of
-// Huang et al. (arXiv:2403.00585), where slow workers dominate completion
-// time unless their work is re-dispatched speculatively.
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <unordered_map>
 
 #include "sod/migrate.h"
 
@@ -61,29 +51,6 @@ class CheckpointStore {
   std::map<std::pair<int, int>, Entry> entries_;
   int total_recorded_ = 0;
   size_t total_bytes_ = 0;
-};
-
-/// Scheduler-owned straggler detector: per-class EWMA of reference-CPU
-/// execution spans, trained from clean (non-resumed, non-speculative)
-/// attempt completions.
-class AttemptTracker {
- public:
-  /// An attempt is a straggler once its age exceeds this multiple of the
-  /// learned reference-CPU span for its class.
-  static constexpr double kStragglerFactor = 1.75;
-  static constexpr double kAlpha = 0.4;  ///< EWMA smoothing weight for new observations
-
-  /// Trains the per-class EWMA with an observed execution span already
-  /// normalized to the reference CPU (span / cpu_scale).
-  void observe(uint16_t cls, VDur ref_span);
-
-  /// Whether an attempt of `cls` that has been executing for `age` is a
-  /// straggler.  Never true before the first observation of the class —
-  /// with nothing learned there is no baseline to be slow against.
-  bool straggler(uint16_t cls, VDur age) const;
-
- private:
-  std::unordered_map<uint16_t, double> ewma_ns_;
 };
 
 }  // namespace sod::cluster

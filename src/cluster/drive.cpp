@@ -22,12 +22,10 @@ std::unique_ptr<Scheduler> make_engine(Cluster& c, PlacementPolicy& policy,
 }
 
 std::optional<Round> run_round(Scheduler& s, int tid, uint16_t trigger, int depth, int k) {
-  mig::SodNode& home = s.cluster().home();
-  if (!mig::pause_at_depth(home, tid, trigger, depth)) return std::nullopt;
+  if (!mig::pause_at_depth(s.cluster().home(), tid, trigger, depth)) return std::nullopt;
   Round r;
   r.start = s.cluster().home_now();
   r.out = s.run(tid, split_top_frames(k));
-  home.ti().set_debug_enabled(false);
   return r;
 }
 

@@ -33,10 +33,10 @@ struct Round {
   VDur start{};  ///< home instant the round started at
 };
 
-/// Pauses home thread `tid` when `trigger` runs at stack depth `depth`,
-/// dispatches its top `k` frames as single-frame segments, and turns
-/// home's debug interface off.  nullopt once the recursion no longer
-/// reaches `depth`.
+/// Pauses home thread `tid` when `trigger` runs at stack depth `depth`
+/// and dispatches its top `k` frames as single-frame segments; home's
+/// debug interface is off again when it returns.  nullopt once the
+/// recursion no longer reaches `depth`.
 std::optional<Round> run_round(Scheduler& s, int tid, uint16_t trigger, int depth, int k);
 
 /// Sums over the rounds of one thread.

@@ -283,7 +283,6 @@ LoadGenResult run_loadgen(const Trace& trace, const LoadGenOptions& opts) {
         auto it = surge_ids.find(inj.surge);
         if (it == surge_ids.end() || c.state(it->second) != WorkerState::Active) break;
         sched.drain_worker(it->second);
-        ++res.surge_drains;
         break;
       }
       case Injection::Kind::Fail:
@@ -401,13 +400,12 @@ LoadGenResult run_loadgen(const Trace& trace, const LoadGenOptions& opts) {
     }
 
     if (!offloaded) {
-      home.ti().set_debug_enabled(false);
-      auto rr = home.run_guest(ss.tid);
+      // The residual run retires the session even when it does not reach
+      // Done; such a session counts as not ok.
+      Finish f = finish(sched, ss.tid, expected[static_cast<size_t>(ts.app)]);
       ss.done = true;
-      if (rr.reason == svm::StopReason::Done) {
-        ss.result = home.vm().thread(ss.tid).result.as_i64();
-        ss.ok = ss.result == expected[static_cast<size_t>(ts.app)];
-      }
+      ss.result = f.result;
+      ss.ok = f.ok;
     }
     ++ss.steps;
     ss.at = home_node.clock.now();

@@ -186,7 +186,6 @@ struct LoadGenResult {
   int checkpoints = 0;
   int workers_lost = 0;
   int surge_joins = 0;
-  int surge_drains = 0;
   int failures_armed = 0;
   /// Statics-refresh traffic over the replay: per-class scans performed,
   /// scans skipped because the analyzer proved the class statics-pure,

@@ -159,6 +159,11 @@ void PlacementPolicy::observe(const Cluster& c, const PlacementRequest& req,
   if (!fresh) it->second = kAlpha * observed + (1.0 - kAlpha) * it->second;
 }
 
+bool PlacementPolicy::straggler(uint16_t cls, VDur age) const {
+  auto it = ewma_ns_.find(cls);
+  return it != ewma_ns_.end() && static_cast<double>(age.ns) > kStragglerFactor * it->second;
+}
+
 std::unique_ptr<PlacementPolicy> make_policy(PolicyKind kind) {
   switch (kind) {
     case PolicyKind::RoundRobin: return std::make_unique<RoundRobin>();

@@ -14,6 +14,7 @@
 // turns the model into per-worker predicted execution costs — recorded
 // with each assignment so queued-work costs are real for every policy —
 // and the learned policy additionally *places* by predicted completion.
+// The same model flags stragglers for the Scheduler's speculation.
 #pragma once
 
 #include <cstdint>
@@ -55,15 +56,25 @@ class PlacementPolicy {
   /// VDur{} before the first observation of the class.  The Scheduler
   /// records it with the assignment (Cluster::note_assigned) so
   /// queued-but-not-yet-run work is visible in later arrival estimates.
-  virtual VDur estimate(const Cluster& c, int w, const PlacementRequest& req) const;
+  VDur estimate(const Cluster& c, int w, const PlacementRequest& req) const;
   /// Feedback after a placement ran to completion: trains the per-class
   /// EWMA from the executed_at -> completed_at span (execution only — the
   /// wait for upstream results in a chained dispatch is excluded),
   /// normalized to the reference CPU via the worker's cpu_scale.
-  virtual void observe(const Cluster& c, const PlacementRequest& req, const Placement& pl);
+  void observe(const Cluster& c, const PlacementRequest& req, const Placement& pl);
+
+  /// Whether an attempt of `cls` that has been executing for `age` is a
+  /// straggler: older than kStragglerFactor x the class's learned
+  /// reference-CPU span — the heterogeneous-fleet signal of Huang et al.
+  /// (arXiv:2403.00585), where slow workers dominate completion time
+  /// unless their work is re-dispatched speculatively.  Never true before
+  /// the class's first observation: with nothing learned there is no
+  /// baseline to be slow against.
+  bool straggler(uint16_t cls, VDur age) const;
 
  private:
   static constexpr double kAlpha = 0.4;
+  static constexpr double kStragglerFactor = 1.75;
   /// Per-class EWMA of reference-CPU execution time, in nanoseconds.
   std::unordered_map<uint16_t, double> ewma_ns_;
 };

@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <bit>
-#include <map>
-#include <set>
 #include <span>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -69,6 +66,48 @@ std::vector<mig::SegmentSpec> split_top_frames(int k) {
   return specs;
 }
 
+// ---------------------------------------------------------- exactly-once
+
+bool ExactlyOnce::settled(const Seg& s) {
+  if (s.completions == 0) return s.launched.empty();
+  auto has_completer = [&s](const std::vector<int>& ids) {
+    return std::find(ids.begin(), ids.end(), s.completer) != ids.end();
+  };
+  return s.completions == 1 && has_completer(s.launched) && !has_completer(s.killed);
+}
+
+void ExactlyOnce::add(const Event& e) {
+  switch (e.kind) {
+    case EventKind::SegmentDispatched:
+    case EventKind::SpeculativeDispatched:
+    case EventKind::SegmentFailed:
+    case EventKind::AttemptCancelled:
+    case EventKind::SegmentCompleted: break;
+    default: return;
+  }
+  SOD_CHECK(e.segment >= 0, "segment event without a segment");
+  if (e.round != round_) {
+    violated_ = violated_ || unsettled_ > 0;
+    segs_.clear();
+    unsettled_ = 0;
+    round_ = e.round;
+  }
+  const auto seg = static_cast<size_t>(e.segment);
+  if (segs_.size() <= seg) segs_.resize(seg + 1);
+  Seg& s = segs_[seg];
+  const bool was = settled(s);
+  switch (e.kind) {
+    case EventKind::SegmentDispatched:
+    case EventKind::SpeculativeDispatched: s.launched.push_back(e.attempt); break;
+    case EventKind::SegmentCompleted:
+      ++s.completions;
+      s.completer = e.attempt;
+      break;
+    default: s.killed.push_back(e.attempt); break;
+  }
+  unsettled_ += static_cast<int>(was) - static_cast<int>(settled(s));
+}
+
 // ---------------------------------------------------------------- autoscaler
 
 std::optional<Autoscaler::Action> Autoscaler::tick(Cluster& c, bool placement_phase) {
@@ -97,35 +136,28 @@ std::optional<Autoscaler::Action> Autoscaler::tick(Cluster& c, bool placement_ph
 
 // ---------------------------------------------------------------- scheduler
 
-/// Per-segment lifecycle state for the current round.
+/// One dispatch of a segment, restored on a worker from the segment's
+/// capture or from a checkpoint.  Its id is pl.attempts.
+struct Scheduler::Attempt {
+  std::unique_ptr<mig::Segment> seg;  ///< released once the attempt retires
+  Placement pl{};
+  VDur est{};                    ///< queue estimate recorded with the assignment
+  mig::CheckpointDeltas deltas;  ///< incremental-transfer state of its checkpoints
+  bool partial = false;          ///< started from a checkpoint: its span is not a
+                                 ///< full execution
+};
+
+/// Per-segment lifecycle state for the current round.  A task whose live
+/// attempt holds a segment is dispatched and not yet written back.
 struct Scheduler::Task {
   mig::SegmentSpec spec{};
   std::vector<uint8_t> state;  ///< the captured state as shipped, serialized once
-  std::unique_ptr<mig::Segment> seg;
   PlacementRequest req{};
-  Placement pl{};
-  bool dispatched = false;
-  bool completed = false;
+  Attempt live;                   ///< the attempt that writes back
+  std::optional<Attempt> backup;  ///< speculative backup racing `live`
   int attempts = 0;
   bc::Value result{};       ///< worker-local result after execution
   bc::Value home_result{};  ///< home-translated result (ref-forwarding entry)
-  mig::CheckpointDeltas deltas;  ///< incremental-transfer state of the live attempt
-  VDur est_cost{};        ///< queue estimate recorded with the live attempt
-  bool partial = false;   ///< winning span did not cover a full execution
-  int faults_accum = 0;   ///< faults of attempts that were replaced or lost
-};
-
-/// In-flight attempt race of the executing task.  The primary attempt
-/// lives in the Task itself (seg/pl); the speculative backup lives here.
-/// do_fail consults this so it never re-dispatches an attempt the chunk
-/// loop is about to handle itself.
-struct Scheduler::Race {
-  size_t task = 0;
-  std::unique_ptr<mig::Segment> backup_seg;
-  Placement backup_pl{};
-  VDur backup_est{};
-  int backup_id = 0;
-  bool backup_live = false;
 };
 
 Scheduler::Scheduler(Cluster& c, PlacementPolicy& policy, DispatchOptions opt)
@@ -171,6 +203,7 @@ void Scheduler::emit(EventKind kind, VDur at, int segment, int worker, int attem
   e.worker = worker;
   e.attempt = attempt;
   log_.push_back(e);
+  verdict_.add(e);
   // A later attempt of a segment is a re-dispatch, from its capture or a
   // checkpoint (a speculative backup is logged as its own kind).
   if (kind == EventKind::SegmentDispatched && attempt > 1) ++redispatched_total_;
@@ -201,24 +234,26 @@ void Scheduler::do_fail(int worker) {
   // entry), so re-running each from its captured state keeps every
   // segment executed exactly once; the re-dispatch re-ships the class
   // image when the survivor lacks it, and the delivery-time statics
-  // refresh replays earlier write-backs idempotently.  Attempts the chunk
-  // loop is racing right now are skipped — it notices the loss at the
-  // checkpoint boundary and resumes (or cancels) them itself.
+  // refresh replays earlier write-backs idempotently.  The attempt the
+  // chunk loop is running is skipped: it notices the loss at the
+  // checkpoint boundary and resumes or restarts it itself.  No backup is
+  // ever live here: losses fire only at checkpoints and completions, and
+  // a race takes no checkpoints.
   int requeued = 0;
-  int racing = 0;
+  int running = 0;
   for (size_t i = 0; i < tasks_.size(); ++i) {
     Task& t = tasks_[i];
-    if (!t.dispatched || t.completed || t.pl.worker != worker) continue;
-    if (race_ != nullptr && race_->task == i) {
-      ++racing;
+    if (!t.live.seg || t.live.pl.worker != worker) continue;
+    if (static_cast<int>(i) == running_) {
+      ++running;
       continue;
     }
-    emit(EventKind::SegmentFailed, c_->home_now(), static_cast<int>(i), worker, t.attempts);
+    emit(EventKind::SegmentFailed, c_->home_now(), static_cast<int>(i), worker,
+         t.live.pl.attempts);
     dispatch(i);
     ++requeued;
   }
-  if (race_ != nullptr && race_->backup_live && race_->backup_pl.worker == worker) ++racing;
-  SOD_CHECK(requeued + racing == dropped, "lost-worker queue out of sync with the task table");
+  SOD_CHECK(requeued + running == dropped, "lost-worker queue out of sync with the task table");
 }
 
 void Scheduler::process_failure_plans() {
@@ -256,136 +291,108 @@ int Scheduler::choose_worker(const PlacementRequest& req) {
   return w;
 }
 
-std::unique_ptr<mig::Segment> Scheduler::ship(size_t i, int w, std::span<const uint8_t> state,
-                                              Placement& pl) {
+PlacementRequest Scheduler::request(size_t i, const CheckpointStore::Entry* ck) const {
+  PlacementRequest req = tasks_[i].req;
+  if (ck != nullptr) req.state_bytes = ck->ckpt.state_bytes;
+  return req;
+}
+
+Scheduler::Attempt Scheduler::start_attempt(size_t i, int w, const CheckpointStore::Entry* ck) {
   Task& t = tasks_[i];
   mig::SodNode& dst = c_->worker(w);
-  pl = Placement{};
-  pl.worker = w;
-  pl.worker_name = dst.name();
-  pl.spec = t.spec;
-  pl.cls = t.req.cls;
-  pl.attempts = ++t.attempts;
+  Attempt a;
+  a.est = policy_->estimate(*c_, w, t.req);
+  c_->note_assigned(w, a.est);
+  a.partial = ck != nullptr;
+  a.pl.worker = w;
+  a.pl.worker_name = dst.name();
+  a.pl.spec = t.spec;
+  a.pl.cls = t.req.cls;
+  a.pl.attempts = ++t.attempts;
 
   // Home (re-)serializes the state and ships it from its current send
   // front: a re-dispatch's original copy died with the lost worker, and a
   // checkpoint lives at home.  The class image rides along when the
   // worker lacks it.
-  auto seg = std::make_unique<mig::Segment>(dst);
-  seg->objman().set_home_gate(home_gate());
-  mig::MigrationTiming hop = mig::hop(c_->home(), home_tid_, t.spec.depth_hi, state, *seg,
-                                      c_->link(w), /*ship_class=*/!dst.class_shipped(pl.cls));
-  pl.shipped_bytes = hop.state_bytes + hop.class_bytes;
-  pl.restored_at = dst.node().clock.now();
-  on_ship(static_cast<int>(i), w, hop.serde, c_->link(w).transfer_time(pl.shipped_bytes));
-  return seg;
-}
-
-void Scheduler::dispatch(size_t i) {
-  Task& t = tasks_[i];
-  int w = choose_worker(t.req);
-  t.est_cost = policy_->estimate(*c_, w, t.req);
-  c_->note_assigned(w, t.est_cost);
-
-  if (t.seg) t.faults_accum += t.seg->objman().stats().faults;
-  t.deltas = {};
-  t.partial = false;  // a restart re-executes the full segment
-  t.seg = ship(i, w, t.state, t.pl);
-  t.dispatched = true;
-  emit(EventKind::SegmentDispatched, t.pl.restored_at, static_cast<int>(i), w, t.attempts);
-}
-
-Scheduler::CheckpointRestore Scheduler::restore_from_checkpoint(
-    size_t i, int w, const CheckpointStore::Entry& ck) {
-  PlacementRequest req = tasks_[i].req;
-  req.state_bytes = ck.ckpt.state_bytes;
-  CheckpointRestore r;
-  r.est = policy_->estimate(*c_, w, req);
-  c_->note_assigned(w, r.est);
-  // Home re-serializes the checkpoint it keeps for every restore.
-  r.seg = ship(i, w, ck.ckpt.state.wire(), r.pl);
+  std::vector<uint8_t> ck_state = ck != nullptr ? ck->ckpt.state.wire() : std::vector<uint8_t>{};
+  a.seg = std::make_unique<mig::Segment>(dst);
+  a.seg->objman().set_home_gate(home_gate());
+  mig::MigrationTiming hop =
+      mig::hop(c_->home(), home_tid_, t.spec.depth_hi, ck != nullptr ? ck_state : t.state, *a.seg,
+               c_->link(w), /*ship_class=*/!dst.class_shipped(a.pl.cls));
+  a.pl.shipped_bytes = hop.state_bytes + hop.class_bytes;
+  a.pl.restored_at = dst.node().clock.now();
   // A checkpoint resumes mid-execution: no upstream delivery is pending,
   // the attempt starts executing right after its restore.
-  r.pl.executed_at = r.pl.restored_at;
-  return r;
+  if (ck != nullptr) a.pl.executed_at = a.pl.restored_at;
+  on_ship(static_cast<int>(i), w, hop.serde, c_->link(w).transfer_time(a.pl.shipped_bytes));
+  return a;
 }
 
-void Scheduler::resume_dispatch(size_t i, const CheckpointStore::Entry& ck) {
+void Scheduler::dispatch(size_t i, const CheckpointStore::Entry* ck) {
   Task& t = tasks_[i];
-  PlacementRequest req = t.req;
-  req.state_bytes = ck.ckpt.state_bytes;
-  int w = choose_worker(req);
-
-  if (t.seg) t.faults_accum += t.seg->objman().stats().faults;
-  // The new attempt starts from the checkpoint's heap flush: its delta
-  // tracker starts empty against its fresh object-manager maps.
-  t.deltas = {};
-  t.partial = true;
-  CheckpointRestore r = restore_from_checkpoint(i, w, ck);
-  t.seg = std::move(r.seg);
-  t.pl = r.pl;
-  t.est_cost = r.est;
-  ++resumed_total_;
-  emit(EventKind::SegmentDispatched, t.pl.restored_at, static_cast<int>(i), w, t.attempts);
+  int w = choose_worker(request(i, ck));
+  if (t.live.seg) retire(t.live);
+  t.live = start_attempt(i, w, ck);
+  if (ck != nullptr) ++resumed_total_;
+  emit(EventKind::SegmentDispatched, t.live.pl.restored_at, static_cast<int>(i), w,
+       t.live.pl.attempts);
 }
 
-bool Scheduler::launch_backup(size_t i) {
+void Scheduler::retire(Attempt& a) {
+  out_->faults += a.seg->objman().stats().faults;
+  a.seg.reset();
+}
+
+void Scheduler::launch_backup(size_t i) {
   Task& t = tasks_[i];
+  // The checkpoint the running attempt just took.
   const CheckpointStore::Entry* ck = store_.latest(round_, static_cast<int>(i));
-  if (ck == nullptr) return false;
-  PlacementRequest req = t.req;
-  req.state_bytes = ck->ckpt.state_bytes;
-  int w = choose_backup(*policy_, *c_, req, t.pl.worker);
-  if (w < 0) return false;
-  Race& r = *race_;
-  CheckpointRestore cr = restore_from_checkpoint(i, w, *ck);
-  r.backup_seg = std::move(cr.seg);
-  r.backup_pl = cr.pl;
-  r.backup_est = cr.est;
-  r.backup_id = t.attempts;
-  r.backup_live = true;
+  int w = choose_backup(*policy_, *c_, request(i, ck), t.live.pl.worker);
+  if (w < 0) return;
+  t.backup = start_attempt(i, w, ck);
   ++speculated_total_;
-  emit(EventKind::SpeculativeDispatched, r.backup_pl.restored_at, static_cast<int>(i), w,
-       r.backup_id);
-  return true;
+  emit(EventKind::SpeculativeDispatched, t.backup->pl.restored_at, static_cast<int>(i), w,
+       t.backup->pl.attempts);
 }
 
 bool Scheduler::take_checkpoint(size_t i) {
-  Task& t = tasks_[i];
+  Attempt& a = tasks_[i].live;
   mig::SodNode& home = c_->home();
-  auto ck = mig::checkpoint_segment(*t.seg, home, c_->link(t.pl.worker), t.deltas,
+  auto ck = mig::checkpoint_segment(*a.seg, home, c_->link(a.pl.worker), a.deltas,
                                   /*apply_at_home=*/opt_.resume_from_checkpoint);
   VDur at = home.node().clock.now();
-  store_.record(round_, static_cast<int>(i), std::move(ck), t.attempts, at);
-  emit(EventKind::CheckpointTaken, at, static_cast<int>(i), t.pl.worker, t.attempts);
-  process_checkpoint_plans(t.pl.worker);
+  store_.record(round_, static_cast<int>(i), std::move(ck), a.pl.attempts, at);
+  emit(EventKind::CheckpointTaken, at, static_cast<int>(i), a.pl.worker, a.pl.attempts);
+  process_checkpoint_plans(a.pl.worker);
   // Only an outright loss kills the attempt: a worker the autoscaler
   // started draining still finishes its queued work (completion is what
   // retires it).
-  return c_->state(t.pl.worker) != WorkerState::Lost;
+  return c_->state(a.pl.worker) != WorkerState::Lost;
 }
 
-void Scheduler::cancel_attempt(size_t i, int loser_worker, int loser_attempt, VDur loser_est,
-                               int winner_worker, VDur winner_completed) {
+void Scheduler::cancel(size_t i, Attempt& loser, const Attempt& winner) {
   // The winner's completion signal travels to home, home cancels the
   // loser; the loser stops at its current chunk boundary or the cancel
   // arrival, whichever is later, and never writes back.  Until then it is
   // still computing: its worker's core stays booked.
-  VDur arrival = winner_completed + c_->link(winner_worker).transfer_time(kResultMsgBytes) +
-                 c_->link(loser_worker).transfer_time(kResultMsgBytes);
-  auto& ln = c_->worker(loser_worker).node();
+  VDur arrival = winner.pl.completed_at +
+                 c_->link(winner.pl.worker).transfer_time(kResultMsgBytes) +
+                 c_->link(loser.pl.worker).transfer_time(kResultMsgBytes);
+  auto& ln = c_->worker(loser.pl.worker).node();
   if (ln.clock.now() < arrival) ln.busy(arrival - ln.clock.now());
-  emit(EventKind::AttemptCancelled, ln.clock.now(), static_cast<int>(i), loser_worker,
-       loser_attempt);
-  c_->note_completed(loser_worker, loser_est);
+  emit(EventKind::AttemptCancelled, ln.clock.now(), static_cast<int>(i), loser.pl.worker,
+       loser.pl.attempts);
+  c_->note_completed(loser.pl.worker, loser.est);
   ++cancelled_total_;
+  retire(loser);
 }
 
 void Scheduler::prepare(size_t i, const std::function<void()>& then) {
   Task& t = tasks_[i];
   mig::SodNode& home = c_->home();
-  Placement& pl = t.pl;
-  mig::Segment& seg = *t.seg;
+  Placement& pl = t.live.pl;
+  mig::Segment& seg = *t.live.seg;
   mig::SodNode& dst = c_->worker(pl.worker);
   // Re-bind the worker's objman.* natives to this segment: a later
   // segment restored on the same worker overwrote them.
@@ -394,6 +401,7 @@ void Scheduler::prepare(size_t i, const std::function<void()>& then) {
   VDur relay{};
   if (i > 0) {
     const Task& up = tasks_[i - 1];
+    const Placement& up_pl = up.live.pl;
     // The upper segment's updates reached home with its completion
     // write-back; resume with home's now-current primitive statics (TSP's
     // best-bound static is the canonical case).  Unchanged fields ship
@@ -402,13 +410,13 @@ void Scheduler::prepare(size_t i, const std::function<void()>& then) {
     size_t stat_bytes = refresh_primitive_statics(
         home, dst, opt_.statics_skip ? &c_->facts() : nullptr, &statics_stats_);
     v_in = up.result;
-    if (up.pl.worker != pl.worker) {
+    if (up_pl.worker != pl.worker) {
       // The result is relayed worker -> home -> worker (links are
       // home-anchored), so it pays both the source uplink and the
       // destination downlink; home only stores-and-forwards.
-      relay = c_->link(up.pl.worker).transfer_time(kResultMsgBytes) +
+      relay = c_->link(up_pl.worker).transfer_time(kResultMsgBytes) +
               c_->link(pl.worker).transfer_time(kResultMsgBytes);
-      dst.node().clock.wait_until(c_->worker(up.pl.worker).node().clock.now() + relay);
+      dst.node().clock.wait_until(c_->worker(up_pl.worker).node().clock.now() + relay);
       if (v_in.tag == bc::Ty::Ref && v_in.r != bc::kNull) {
         // Cross-worker ref chaining: the upstream worker's heap id would
         // alias or dangle here.  The upstream write-back already
@@ -420,18 +428,18 @@ void Scheduler::prepare(size_t i, const std::function<void()>& then) {
         // forwarding entry because the analyzer proved the class can leak
         // a ref, so a ref actually arriving from a "no-escape" class would
         // mean the analysis is unsound.
-        SOD_CHECK(c_->facts().class_ref_escape(up.pl.cls),
+        SOD_CHECK(c_->facts().class_ref_escape(up_pl.cls),
                   "ref result from a class the analyzer proved escape-free");
         SOD_CHECK(up.home_result.tag == bc::Ty::Ref && up.home_result.r != bc::kNull,
                   "cross-worker ref result missing from the forwarding table");
         bc::Ref stub = dst.vm().heap().alloc_stub(up.home_result.r);
         v_in = bc::Value::of_ref(stub);
-        forwards_.push_back(RefForward{round_, static_cast<int>(i) - 1, up.pl.worker, pl.worker,
+        forwards_.push_back(RefForward{round_, static_cast<int>(i) - 1, up_pl.worker, pl.worker,
                                        up.home_result.r});
       }
     }
     if (stat_bytes > 0) sim::deliver(home.node(), dst.node(), c_->link(pl.worker), stat_bytes);
-    out_->overlapped = out_->overlapped || pl.restored_at < up.pl.completed_at;
+    out_->overlapped = out_->overlapped || pl.restored_at < up_pl.completed_at;
     // A completed upper segment on this worker may have dropped debug
     // mode; deliver() needs its pending-call breakpoint to fire.
     dst.ti().set_debug_enabled(true);
@@ -448,19 +456,17 @@ void Scheduler::prepare(size_t i, const std::function<void()>& then) {
   });
 }
 
-svm::StopReason Scheduler::run_chunk(mig::Segment& seg, int worker) {
+svm::StopReason Scheduler::run_chunk(Attempt& a) {
   svm::StopReason sr{};
-  run_guest(worker, VDur{}, [&] { sr = seg.run_chunk(opt_.checkpoint_every); });
+  run_guest(a.pl.worker, VDur{}, [&] { sr = a.seg->run_chunk(opt_.checkpoint_every); });
+  if (sr == svm::StopReason::Done) a.pl.completed_at = c_->worker(a.pl.worker).node().clock.now();
   return sr;
 }
 
 void Scheduler::run_attempts(size_t i) {
   Task& t = tasks_[i];
-  Race race;
-  race.task = i;
-  race_ = &race;
-
-  auto clock_of = [&](int w) { return c_->worker(w).node().clock.now(); };
+  running_ = static_cast<int>(i);
+  auto clock_of = [&](const Attempt& a) { return c_->worker(a.pl.worker).node().clock.now(); };
 
   // --- single-attempt phase: chunked execution with checkpoints -------
   // Every checkpoint both bounds the work a failure can lose and is the
@@ -468,134 +474,87 @@ void Scheduler::run_attempts(size_t i) {
   // always use the *newest* checkpoint, whose heap flush is exactly
   // home's current object state, so a restarted computation can never
   // observe home running ahead of it.
-  bool primary_done = false;
-  while (!race.backup_live) {
-    if (run_chunk(*t.seg, t.pl.worker) == svm::StopReason::Done) {
-      primary_done = true;
-      break;
-    }
+  while (!t.backup) {
+    if (run_chunk(t.live) == svm::StopReason::Done) break;
     if (!take_checkpoint(i)) {
       // A checkpoint-triggered plan killed this attempt's worker.  Its
       // queue entry died with the worker; the newest checkpoint (just
       // taken) resumes the work, or the original capture restarts it
       // when resume is disabled (the restart-from-capture ablation).
-      emit(EventKind::SegmentFailed, c_->home_now(), static_cast<int>(i), t.pl.worker,
-           t.attempts);
-      const CheckpointStore::Entry* ck = store_.latest(round_, static_cast<int>(i));
-      if (opt_.resume_from_checkpoint && ck != nullptr) {
-        resume_dispatch(i, *ck);
-      } else {
-        dispatch(i);
-        // The restarted attempt re-executes from the original capture on
-        // its new worker; its span restarts with it.
-        prepare(i, [&] { t.pl.executed_at = c_->worker(t.pl.worker).node().clock.now(); });
-      }
+      emit(EventKind::SegmentFailed, c_->home_now(), static_cast<int>(i), t.live.pl.worker,
+           t.live.pl.attempts);
+      const CheckpointStore::Entry* ck =
+          opt_.resume_from_checkpoint ? store_.latest(round_, static_cast<int>(i)) : nullptr;
+      dispatch(i, ck);
+      // A restarted attempt re-executes from the original capture on its
+      // new worker; its span restarts with it.
+      if (ck == nullptr) prepare(i, [&] { t.live.pl.executed_at = clock_of(t.live); });
       continue;
     }
     // A checkpoint-triggered plan may have re-dispatched another task
     // onto this worker; the new Segment's construction rebound the
     // node's objman natives.  Re-claim them for the running attempt.
-    t.seg->objman().install(c_->worker(t.pl.worker));
-    if (opt_.speculate && !race.backup_live) {
-      VDur age = clock_of(t.pl.worker) - t.pl.executed_at;
-      if (tracker_.straggler(t.req.cls, age)) launch_backup(i);
-    }
+    t.live.seg->objman().install(c_->worker(t.live.pl.worker));
+    if (opt_.speculate && policy_->straggler(t.req.cls, clock_of(t.live) - t.live.pl.executed_at))
+      launch_backup(i);
   }
 
   // --- race phase: first completion wins ------------------------------
-  // Advance whichever attempt's virtual clock lags, one chunk at a time
-  // (no further checkpoints: a racing pair's flushes would let home run
-  // ahead of the eventual loser).  An attempt "completes first" only once
-  // the other's clock has provably passed its completion instant.
-  bc::Value primary_result{};
-  VDur primary_completed{};
-  if (primary_done) {
-    primary_result = t.seg->result();
-    primary_completed = clock_of(t.pl.worker);
-  }
-  bool backup_done = false;
-  bc::Value backup_result{};
-  VDur backup_completed{};
-  while (race.backup_live) {
-    VDur p_now = clock_of(t.pl.worker);
-    VDur b_now = clock_of(race.backup_pl.worker);
-    if (primary_done && (backup_done ? primary_completed <= backup_completed
-                                     : b_now >= primary_completed)) {
-      // Primary wins (ties go to the primary: it was dispatched first).
-      cancel_attempt(i, race.backup_pl.worker, race.backup_id, race.backup_est, t.pl.worker,
-                     primary_completed);
-      t.faults_accum += race.backup_seg->objman().stats().faults;
-      race.backup_live = false;
-      break;
-    }
-    if (backup_done &&
-        (primary_done ? backup_completed < primary_completed : p_now >= backup_completed)) {
-      // Backup wins: it becomes the task's attempt, the primary is
-      // cancelled and its write-back suppressed.
-      cancel_attempt(i, t.pl.worker, t.pl.attempts, t.est_cost, race.backup_pl.worker,
-                     backup_completed);
-      t.faults_accum += t.seg->objman().stats().faults;
-      t.seg = std::move(race.backup_seg);
-      t.pl = race.backup_pl;
-      t.est_cost = race.backup_est;
-      t.partial = true;
-      primary_done = true;
-      primary_result = backup_result;
-      primary_completed = backup_completed;
-      race.backup_live = false;
-      break;
-    }
-    bool advance_backup = !backup_done && (primary_done || b_now < p_now);
-    if (advance_backup) {
-      if (run_chunk(*race.backup_seg, race.backup_pl.worker) == svm::StopReason::Done) {
-        backup_done = true;
-        backup_result = race.backup_seg->result();
-        backup_completed = clock_of(race.backup_pl.worker);
+  // One loop over the two attempts, a[0] the primary and a[1] the backup.
+  // Each step advances the attempt that is not done and has the smaller
+  // (clock, index) by one chunk (no further checkpoints: a racing pair's
+  // flushes would let home run ahead of the eventual loser).  A done
+  // attempt wins once the other is done with a later (completion,
+  // index), or the other's clock has reached its completion; so ties go
+  // to the primary, which was dispatched first.
+  if (t.backup) {
+    Attempt* a[2] = {&t.live, &*t.backup};
+    bool done[2] = {false, false};
+    auto wins = [&](int k) {
+      const int o = 1 - k;
+      VDur at = a[k]->pl.completed_at;
+      return done[k] && (done[o] ? std::pair(at, k) < std::pair(a[o]->pl.completed_at, o)
+                                 : clock_of(*a[o]) >= at);
+    };
+    for (;;) {
+      if (wins(0)) break;
+      if (wins(1)) {
+        std::swap(t.live, *t.backup);
+        break;
       }
-    } else {
-      if (run_chunk(*t.seg, t.pl.worker) == svm::StopReason::Done) {
-        primary_done = true;
-        primary_result = t.seg->result();
-        primary_completed = clock_of(t.pl.worker);
-      }
+      auto lag = [&](int k) { return std::pair(clock_of(*a[k]), k); };
+      int k = done[0] || (!done[1] && lag(1) < lag(0)) ? 1 : 0;
+      done[k] = run_chunk(*a[k]) == svm::StopReason::Done;
     }
+    cancel(i, *t.backup, t.live);
+    t.backup.reset();
   }
-
-  t.result = primary_result;
-  t.pl.completed_at = primary_completed;
-  race_ = nullptr;
+  t.result = t.live.seg->result();
+  running_ = -1;
 }
 
 void Scheduler::execute(size_t i) {
   Task& t = tasks_[i];
-  Placement& pl = t.pl;
+  Placement& pl = t.live.pl;
   mig::SodNode& dst = c_->worker(pl.worker);
   prepare(i, [&] {
     pl.executed_at = dst.node().clock.now();
     if (opt_.checkpoint_every == 0) {
-      t.result = t.seg->run_to_completion();
+      t.result = t.live.seg->run_to_completion();
       pl.completed_at = dst.node().clock.now();
     }
   });
   if (opt_.checkpoint_every > 0) run_attempts(i);
-  c_->note_completed(t.pl.worker, t.est_cost);
-  t.completed = true;
+  c_->note_completed(t.live.pl.worker, t.live.est);
   ++completed_total_;
   // Partial spans (checkpoint resumes, winning backups) would train the
-  // estimators on less than a full execution; only clean attempts teach.
-  if (!t.partial) {
-    policy_->observe(*c_, t.req, t.pl);
-    double scale = c_->worker(t.pl.worker).config().cpu_scale;
-    if (scale > 0) {
-      VDur span = t.pl.completed_at - t.pl.executed_at;
-      tracker_.observe(t.req.cls,
-                       VDur::nanos(static_cast<int64_t>(static_cast<double>(span.ns) / scale)));
-    }
-  }
+  // span model on less than a full execution; only clean attempts teach.
+  if (!t.live.partial) policy_->observe(*c_, t.req, t.live.pl);
 }
 
 void Scheduler::write_back(size_t i) {
   Task& t = tasks_[i];
+  Attempt& a = t.live;
   bool bottom = i + 1 == tasks_.size();
   // Every segment's updates (and its result, translated into home refs)
   // go home eagerly at completion, so completed work survives any later
@@ -604,48 +563,17 @@ void Scheduler::write_back(size_t i) {
   // home thread runnable again.  Only the winning attempt ever reaches
   // this point — a cancelled or failed attempt's write-back is suppressed
   // by construction.
-  auto rep = mig::write_back(*t.seg, c_->home(), home_tid_, bottom ? t.spec.depth_hi : 0,
-                             t.result, c_->link(t.pl.worker));
+  auto rep = mig::write_back(*a.seg, c_->home(), home_tid_, bottom ? t.spec.depth_hi : 0,
+                             t.result, c_->link(a.pl.worker));
   out_->writeback_bytes += rep.bytes;
-  on_write_back(static_cast<int>(i), t.pl.worker, c_->home().serde().cost(rep.bytes));
+  on_write_back(static_cast<int>(i), a.pl.worker, c_->home().serde().cost(rep.bytes));
   // The ref-forwarding table only tracks classes the analyzer says can
   // actually chain a ref (return or statically store one); everyone else's
   // home-translated result is dropped here and prepare() checks none ever
   // arrives.
-  if (c_->facts().class_ref_escape(t.pl.cls)) t.home_result = rep.home_result;
+  if (c_->facts().class_ref_escape(a.pl.cls)) t.home_result = rep.home_result;
   store_.drop(round_, static_cast<int>(i));
-}
-
-bool Scheduler::exactly_once() const {
-  std::map<std::pair<int, int>, std::pair<int, int>> counts;  // key -> (dispatched, completed)
-  std::map<std::pair<int, int>, int> completing_attempt;
-  std::set<std::tuple<int, int, int>> launched, killed;
-  for (const Event& e : log_) {
-    auto rs = std::pair(e.round, e.segment);
-    switch (e.kind) {
-      case EventKind::SegmentDispatched:
-      case EventKind::SpeculativeDispatched:
-        ++counts[rs].first;
-        launched.insert({e.round, e.segment, e.attempt});
-        break;
-      case EventKind::SegmentFailed:
-      case EventKind::AttemptCancelled:
-        killed.insert({e.round, e.segment, e.attempt});
-        break;
-      case EventKind::SegmentCompleted:
-        ++counts[rs].second;
-        completing_attempt[rs] = e.attempt;
-        break;
-      default: break;
-    }
-  }
-  for (const auto& [key, c] : counts)
-    if (c.first < 1 || c.second != 1) return false;
-  for (const auto& [rs, attempt] : completing_attempt) {
-    std::tuple key(rs.first, rs.second, attempt);
-    if (launched.count(key) == 0 || killed.count(key) != 0) return false;
-  }
-  return true;
+  retire(a);
 }
 
 DispatchOutcome Scheduler::run(int home_tid, const std::vector<mig::SegmentSpec>& specs) {
@@ -698,17 +626,15 @@ DispatchOutcome Scheduler::run(int home_tid, const std::vector<mig::SegmentSpec>
   for (size_t i = 0; i < tasks_.size(); ++i) {
     execute(i);
     write_back(i);
-    emit(EventKind::SegmentCompleted, tasks_[i].pl.completed_at, static_cast<int>(i),
-         tasks_[i].pl.worker, tasks_[i].pl.attempts);
+    const Placement& pl = tasks_[i].live.pl;
+    emit(EventKind::SegmentCompleted, pl.completed_at, static_cast<int>(i), pl.worker,
+         pl.attempts);
     process_failure_plans();
     autoscale_tick(/*placement_phase=*/false);
   }
 
   out.placements.reserve(tasks_.size());
-  for (Task& t : tasks_) {
-    out.faults += t.faults_accum + t.seg->objman().stats().faults;
-    out.placements.push_back(t.pl);
-  }
+  for (const Task& t : tasks_) out.placements.push_back(t.live.pl);
   out_ = nullptr;
   return out;
 }

@@ -29,11 +29,11 @@
 //    CheckpointStore; a later worker loss re-dispatches from the newest
 //    checkpoint instead of the original capture, so completed partial
 //    work survives.
-//  - speculation: an AttemptTracker learns per-class execution spans and
-//    flags straggling attempts; a backup attempt is launched from the
-//    newest checkpoint on another worker and raced in virtual time —
-//    first completion wins, the loser is cancelled at its next
-//    chunk boundary and its write-back is suppressed.
+//  - speculation: the placement policy's per-class span model flags
+//    straggling attempts; a backup attempt is launched from the newest
+//    checkpoint on another worker and raced in virtual time — first
+//    completion wins, the loser is cancelled at its next chunk boundary
+//    and its write-back is suppressed.
 //
 // Every policy call, clock read, restore, checkpoint, and write-back runs
 // on the calling thread in one fixed order.  Four executor hooks (see the
@@ -48,7 +48,6 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -97,6 +96,37 @@ struct Event {
   int attempt = 0;   ///< attempt id (segment + checkpoint events)
 };
 
+/// The attempt-aware exactly-once invariant, kept event by event: every
+/// (round, segment) that was ever dispatched has exactly one
+/// SegmentCompleted.  Speculative duplicate *dispatches* are legal, but
+/// only one attempt per segment may complete (and write back), the
+/// completing attempt must itself have been dispatched, and no attempt
+/// that was cancelled or failed ever completes, whichever order the log
+/// puts the two in.  It holds only the current round's per-segment state:
+/// a round's verdict is final once a segment event of a later round
+/// arrives, so reading the verdict is O(1).
+class ExactlyOnce {
+ public:
+  void add(const Event& e);
+  bool holds() const { return !violated_ && unsettled_ == 0; }
+
+ private:
+  struct Seg {
+    std::vector<int> launched;  ///< dispatched attempt ids
+    std::vector<int> killed;    ///< failed or cancelled attempt ids
+    int completions = 0;
+    int completer = 0;  ///< attempt id of the last completion
+  };
+  /// Never dispatched nor completed, or completed once by a dispatched
+  /// attempt that was never killed.
+  static bool settled(const Seg& s);
+
+  int round_ = -1;
+  std::vector<Seg> segs_;  ///< the current round's, by segment index
+  int unsettled_ = 0;      ///< entries of segs_ that are not settled
+  bool violated_ = false;  ///< an earlier round ended unsettled
+};
+
 struct DispatchOptions {
   /// Guest instructions between checkpoints of an executing segment
   /// (0 = checkpointing off).  Each checkpoint pauses the worker at a
@@ -104,9 +134,9 @@ struct DispatchOptions {
   /// resumable state in the home-side CheckpointStore.
   uint64_t checkpoint_every = 0;
   /// Launch a speculative backup attempt from the newest checkpoint when
-  /// the running attempt's age exceeds the AttemptTracker's learned span
-  /// threshold; the first completion wins and the loser is cancelled.
-  /// Requires checkpoint_every > 0.
+  /// the running attempt is a straggler by the policy's learned span
+  /// (PlacementPolicy::straggler); the first completion wins and the
+  /// loser is cancelled.  Requires checkpoint_every > 0.
   bool speculate = false;
   /// On worker loss, re-dispatch the executing attempt from its newest
   /// checkpoint (resume) instead of the original capture (restart).  Only
@@ -258,18 +288,14 @@ class Scheduler {
   /// home thread runnable.  Worker losses and autoscale actions interleave
   /// with the segment lifecycle as events.  The home thread's top frame
   /// must be at a migration-safe point and its stack must be strictly
-  /// deeper than specs.back().depth_hi.
+  /// deeper than specs.back().depth_hi.  Home's debug interface is off
+  /// when run returns.
   virtual DispatchOutcome run(int home_tid, const std::vector<mig::SegmentSpec>& specs);
 
   /// Totally ordered event log across all rounds so far.
   const std::vector<Event>& log() const { return log_; }
-  /// The attempt-aware exactly-once invariant, checked against the log:
-  /// every (round, segment) that was ever dispatched has exactly one
-  /// SegmentCompleted — speculative duplicate *dispatches* are legal, but
-  /// only one attempt per segment may complete (and write back), the
-  /// completing attempt must itself have been dispatched, and no attempt
-  /// that was cancelled or failed ever completes.
-  bool exactly_once() const;
+  /// The exactly-once verdict (see ExactlyOnce) over the log so far.
+  bool exactly_once() const { return verdict_.holds(); }
   /// Rounds run so far (the `round` stamped on events).
   int rounds() const { return round_ + 1; }
   /// Lifetime counts, each kept beside its event in the log: completions,
@@ -314,7 +340,7 @@ class Scheduler {
 
  private:
   struct Task;
-  struct Race;
+  struct Attempt;
   struct FailurePlan {
     enum class Trigger { Completions, Checkpoints };
     Trigger trigger;
@@ -323,23 +349,22 @@ class Scheduler {
     bool fired = false;
   };
 
-  /// A fresh attempt restored from a checkpoint, ready to run (shared by
-  /// failure resume and speculative backup launch).
-  struct CheckpointRestore {
-    std::unique_ptr<mig::Segment> seg;
-    Placement pl{};
-    VDur est{};
-  };
-
   void emit(EventKind kind, VDur at, int segment, int worker, int attempt = 0);
   /// The policy's worker for `req`, checked to be an accepting member.
   int choose_worker(const PlacementRequest& req);
-  /// Hops the serialized `state` (plus segment i's class image if `w`
-  /// lacks it) from home to worker `w` as a new attempt of segment i,
-  /// filling `pl`.
-  std::unique_ptr<mig::Segment> ship(size_t i, int w, std::span<const uint8_t> state,
-                                     Placement& pl);
-  void dispatch(size_t i);
+  /// Segment i's placement request; from checkpoint `ck`, its state size.
+  PlacementRequest request(size_t i, const CheckpointStore::Entry* ck) const;
+  /// A new attempt of segment i on worker `w`: records its queue estimate,
+  /// then hops segment i's capture, or checkpoint `ck` when given (plus
+  /// the class image if `w` lacks it), from home to `w`.
+  Attempt start_attempt(size_t i, int w, const CheckpointStore::Entry* ck);
+  /// Places segment i's live attempt, replacing (and retiring) any earlier
+  /// one: from its capture, or resumed from checkpoint `ck` when given.
+  void dispatch(size_t i, const CheckpointStore::Entry* ck = nullptr);
+  /// Adds `a`'s object faults to the round's count and releases its
+  /// segment; every attempt retires once, replaced, cancelled or written
+  /// back.
+  void retire(Attempt& a);
   /// Home-side prelude of segment i's live attempt (natives, statics
   /// refresh, result relay, ref forward), then one guest job that delivers
   /// the upstream result and runs `then`.
@@ -347,12 +372,10 @@ class Scheduler {
   void execute(size_t i);
   void run_attempts(size_t i);
   bool take_checkpoint(size_t i);
-  CheckpointRestore restore_from_checkpoint(size_t i, int w, const CheckpointStore::Entry& ck);
-  void resume_dispatch(size_t i, const CheckpointStore::Entry& ck);
-  bool launch_backup(size_t i);
-  void cancel_attempt(size_t i, int loser_worker, int loser_attempt, VDur loser_est,
-                      int winner_worker, VDur winner_completed);
-  svm::StopReason run_chunk(mig::Segment& seg, int worker);
+  void launch_backup(size_t i);
+  /// Stops the race's `loser` once `winner`'s completion reaches it.
+  void cancel(size_t i, Attempt& loser, const Attempt& winner);
+  svm::StopReason run_chunk(Attempt& a);
   void write_back(size_t i);
   void do_fail(int worker);
   int pick_failure_target() const;
@@ -366,9 +389,9 @@ class Scheduler {
   std::unique_ptr<Autoscaler> autoscaler_;
   std::vector<FailurePlan> plans_;
   std::vector<Event> log_;
+  ExactlyOnce verdict_;
   std::vector<RefForward> forwards_;
   CheckpointStore store_;
-  AttemptTracker tracker_;
   StaticsRefreshStats statics_stats_;
   int seq_ = 0;
   int round_ = -1;
@@ -383,7 +406,9 @@ class Scheduler {
   int home_tid_ = -1;
   std::vector<Task> tasks_;
   DispatchOutcome* out_ = nullptr;
-  Race* race_ = nullptr;  ///< in-flight attempt race of the executing task
+  /// Task whose attempts run_attempts is running (-1: none): do_fail
+  /// leaves it to the chunk loop, which notices the loss itself.
+  int running_ = -1;
 };
 
 }  // namespace sod::cluster

@@ -12,10 +12,10 @@
 #include <memory>
 #include <optional>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "apps/apps.h"
-#include "cluster/checkpoint.h"
 #include "cluster/drive.h"
 #include "cluster/placement.h"
 #include "prep/prep.h"
@@ -39,7 +39,7 @@ bc::Program prepped_fib() {
   return p;
 }
 
-// --- store and tracker units ---
+// --- store and straggler units ---
 
 TEST(CheckpointStore, KeepsTheNewestEntryPerSegment) {
   CheckpointStore s;
@@ -66,20 +66,108 @@ TEST(CheckpointStore, KeepsTheNewestEntryPerSegment) {
   EXPECT_EQ(s.total_recorded(), 3);  // lifetime counters survive drops
 }
 
-TEST(AttemptTracker, FlagsStragglersOnlyAfterLearning) {
-  AttemptTracker t;
+TEST(Speculation, FlagsStragglersOnlyAfterLearning) {
+  // Straggler detection reads the placement policy's span model: the
+  // per-class EWMA of reference-CPU execution spans that also prices
+  // placements.
+  auto p = prepped_fib();
+  Cluster c(p);
+  mig::SodNode::Config half_speed;
+  half_speed.cpu_scale = 2.0;
+  c.add_worker({"half-speed", half_speed, sim::Link::gigabit()});
+  auto pol = make_policy(PolicyKind::RoundRobin);
+  PlacementRequest req;
+  req.cls = 7;
+  auto observe = [&](VDur span) {
+    Placement pl;
+    pl.worker = 0;
+    pl.cls = req.cls;
+    pl.executed_at = VDur::millis(1);
+    pl.completed_at = pl.executed_at + span;
+    pol->observe(c, req, pl);
+  };
   // Nothing learned: no baseline to be slow against.
-  EXPECT_FALSE(t.straggler(7, VDur::seconds(100)));
-  // The first observation is the span: stragglers run past 1.75 x 10 ms.
-  t.observe(7, VDur::millis(10));
-  EXPECT_FALSE(t.straggler(7, VDur::millis(17)));
-  EXPECT_TRUE(t.straggler(7, VDur::millis(18)));
-  // EWMA update: 0.4 * 30 + 0.6 * 10 = 18 ms, so the bar moves to 31.5 ms.
-  t.observe(7, VDur::millis(30));
-  EXPECT_FALSE(t.straggler(7, VDur::millis(31)));
-  EXPECT_TRUE(t.straggler(7, VDur::millis(32)));
+  EXPECT_FALSE(pol->straggler(7, VDur::seconds(100)));
+  // The first observation is the span, normalised to the reference CPU:
+  // 20 ms at cpu_scale 2 is 10 ms, so stragglers run past 1.75 x 10 ms.
+  observe(VDur::millis(20));
+  EXPECT_FALSE(pol->straggler(7, VDur::millis(17)));
+  EXPECT_TRUE(pol->straggler(7, VDur::millis(18)));
+  // 60 ms is 30 ms on the reference CPU; the EWMA update gives
+  // 0.4 * 30 + 0.6 * 10 = 18 ms, so the bar moves to 31.5 ms.
+  observe(VDur::millis(60));
+  EXPECT_FALSE(pol->straggler(7, VDur::millis(31)));
+  EXPECT_TRUE(pol->straggler(7, VDur::millis(32)));
   // Other classes stay unlearned.
-  EXPECT_FALSE(t.straggler(8, VDur::seconds(100)));
+  EXPECT_FALSE(pol->straggler(8, VDur::seconds(100)));
+}
+
+// --- exactly-once verdict ---
+
+/// A segment event of attempt `attempt`, the only fields the verdict reads.
+Event ev(EventKind kind, int round, int segment, int attempt) {
+  Event e;
+  e.kind = kind;
+  e.round = round;
+  e.segment = segment;
+  e.attempt = attempt;
+  return e;
+}
+
+bool streaming_verdict(const std::vector<Event>& log) {
+  ExactlyOnce v;
+  for (const Event& e : log) v.add(e);
+  return v.holds();
+}
+
+TEST(ExactlyOnce, AcceptsCleanRacesAndRecoveries) {
+  using K = EventKind;
+  const std::vector<std::vector<Event>> logs = {
+      {},
+      {ev(K::SegmentDispatched, 0, 0, 1), ev(K::SegmentCompleted, 0, 0, 1)},
+      // A lost attempt re-dispatched; then a race the backup wins.
+      {ev(K::SegmentDispatched, 0, 0, 1), ev(K::SegmentDispatched, 0, 1, 1),
+       ev(K::SegmentFailed, 0, 0, 1), ev(K::SegmentDispatched, 0, 0, 2),
+       ev(K::SegmentCompleted, 0, 0, 2), ev(K::SpeculativeDispatched, 0, 1, 2),
+       ev(K::AttemptCancelled, 0, 1, 1), ev(K::SegmentCompleted, 0, 1, 2)},
+      // Two rounds, the second reusing segment indices.
+      {ev(K::SegmentDispatched, 0, 0, 1), ev(K::SegmentCompleted, 0, 0, 1),
+       ev(K::SegmentDispatched, 1, 0, 1), ev(K::SegmentCompleted, 1, 0, 1)},
+  };
+  for (size_t i = 0; i < logs.size(); ++i) {
+    EXPECT_TRUE(sod::testing::exactly_once(logs[i])) << "log " << i;
+    EXPECT_TRUE(streaming_verdict(logs[i])) << "log " << i;
+  }
+}
+
+TEST(ExactlyOnce, DetectsEveryViolation) {
+  using K = EventKind;
+  const std::vector<std::pair<const char*, std::vector<Event>>> logs = {
+      {"second completion",
+       {ev(K::SegmentDispatched, 0, 0, 1), ev(K::SegmentCompleted, 0, 0, 1),
+        ev(K::SegmentCompleted, 0, 0, 1)}},
+      {"completion by a cancelled attempt",
+       {ev(K::SegmentDispatched, 0, 0, 1), ev(K::SpeculativeDispatched, 0, 0, 2),
+        ev(K::AttemptCancelled, 0, 0, 2), ev(K::SegmentCompleted, 0, 0, 2)}},
+      {"completion by a failed attempt",
+       {ev(K::SegmentDispatched, 0, 0, 1), ev(K::SegmentFailed, 0, 0, 1),
+        ev(K::SegmentDispatched, 0, 0, 2), ev(K::SegmentCompleted, 0, 0, 1)}},
+      {"completion by an attempt never dispatched",
+       {ev(K::SegmentDispatched, 0, 0, 1), ev(K::SegmentCompleted, 0, 0, 2)}},
+      {"kill logged after the completion",
+       {ev(K::SegmentDispatched, 0, 0, 1), ev(K::SpeculativeDispatched, 0, 0, 2),
+        ev(K::SegmentCompleted, 0, 0, 2), ev(K::AttemptCancelled, 0, 0, 2)}},
+      {"dispatched, never completed",
+       {ev(K::SegmentDispatched, 0, 0, 1), ev(K::SegmentDispatched, 0, 1, 1),
+        ev(K::SegmentCompleted, 0, 0, 1)}},
+      {"dispatched, never completed, in an earlier round",
+       {ev(K::SegmentDispatched, 0, 0, 1), ev(K::SegmentDispatched, 1, 0, 1),
+        ev(K::SegmentCompleted, 1, 0, 1)}},
+  };
+  for (const auto& [what, log] : logs) {
+    EXPECT_FALSE(sod::testing::exactly_once(log)) << what;
+    EXPECT_FALSE(streaming_verdict(log)) << what;
+  }
 }
 
 // --- migration-level checkpoint round trip ---
@@ -281,7 +369,7 @@ TEST(Scheduler, WorkerLossAtACheckpointResumesFromIt) {
   s.fail_after_checkpoints(2);  // kill the worker taking the 2nd checkpoint
   int tid = c.home().vm().spawn(fib, std::vector<Value>{Value::of_i64(24)});
   DispatchOutcome out = run_round(s, tid, fib, 3 + 4, 3).value().out;
-  Finish fin = finish(s, tid, sod::testing::fib_ref(24));
+  Finish fin = sod::testing::finish_checked(s, tid, sod::testing::fib_ref(24));
   EXPECT_TRUE(fin.ok);
   EXPECT_TRUE(fin.exactly_once);
 
@@ -326,7 +414,7 @@ TEST(Scheduler, AutoscalerDrainDuringCheckpointedRoundIsNotAFailure) {
   // (regression: take_checkpoint treated Draining like Lost, fabricating
   // SegmentFailed events and leaking the queue entry).
   for (int k : {4, 5, 1}) ASSERT_TRUE(run_round(s, tid, fib, k + 4, k));
-  Finish fin = finish(s, tid, sod::testing::fib_ref(26));
+  Finish fin = sod::testing::finish_checked(s, tid, sod::testing::fib_ref(26));
   EXPECT_TRUE(fin.ok);
   EXPECT_TRUE(fin.exactly_once);
   EXPECT_EQ(s.workers_lost(), 0);
@@ -350,7 +438,7 @@ TEST(Scheduler, ResumeBeatsRestartFromCapture) {
     s.fail_after_checkpoints(3);
     int tid = c.home().vm().spawn(fib, std::vector<Value>{Value::of_i64(24)});
     EXPECT_TRUE(run_round(s, tid, fib, 3 + 4, 3));
-    Finish fin = finish(s, tid, sod::testing::fib_ref(24));
+    Finish fin = sod::testing::finish_checked(s, tid, sod::testing::fib_ref(24));
     EXPECT_TRUE(fin.ok);
     EXPECT_TRUE(fin.exactly_once);
     EXPECT_EQ(s.resumes(), resume ? 1 : 0);
@@ -389,7 +477,7 @@ SpecResult run_hetero(bool speculate) {
   int tid = c.home().vm().spawn(fib, std::vector<Value>{Value::of_i64(26)});
   Tally tally = run_rounds(s, tid, fib, 3 + 4, std::vector<int>(3, 3));
   EXPECT_EQ(tally.rounds, 3);
-  Finish fin = finish(s, tid);
+  Finish fin = sod::testing::finish_checked(s, tid);
   SpecResult res;
   EXPECT_TRUE(fin.done);
   EXPECT_TRUE(fin.exactly_once);
@@ -408,9 +496,9 @@ TEST(Scheduler, SpeculationRescuesTheStragglerDevice) {
   SpecResult spec = run_hetero(true);
   SpecResult base = run_hetero(false);
   // least_loaded parks one segment per round on the 25x device; the
-  // tracker (trained by the Xeon completions earlier in the round) flags
-  // it, a backup launches from the newest checkpoint on a Xeon, wins, and
-  // the device attempt is cancelled.
+  // policy's span model (trained by the Xeon completions earlier in the
+  // round) flags it, a backup launches from the newest checkpoint on a
+  // Xeon, and the loser of each race is cancelled.
   EXPECT_GE(spec.speculated, 1);
   EXPECT_GE(spec.cancelled, 1);
   EXPECT_EQ(base.speculated, 0);
@@ -434,8 +522,8 @@ TEST(Scheduler, CancelledAttemptsNeverComplete) {
   }
   ASSERT_FALSE(cancelled.empty());
   EXPECT_EQ(completions, 9);  // 3 rounds x 3 segments, exactly once each
-  EXPECT_EQ(speculative, static_cast<int>(cancelled.size()) +
-                             0);  // every race ended with exactly one loser
+  // Every race ended with exactly one loser.
+  EXPECT_EQ(speculative, static_cast<int>(cancelled.size()));
   for (const auto& [round, segment, attempt] : cancelled) {
     for (const auto& [kind, at, r2, s2, w2, a2] : spec.events) {
       if (kind != static_cast<int>(EventKind::SegmentCompleted)) continue;
@@ -444,6 +532,43 @@ TEST(Scheduler, CancelledAttemptsNeverComplete) {
       }
     }
   }
+}
+
+TEST(Scheduler, RacesAreWonByEitherAttemptAndCompletedByTheWinner) {
+  SpecResult spec = run_hetero(true);
+  // Per (round, segment): the live attempt when the race began, the
+  // backup, the cancelled loser and the completing attempt.
+  struct Race {
+    int primary = 0, backup = 0, cancelled = 0, completed = 0;
+  };
+  std::map<std::pair<int, int>, Race> races;
+  std::map<std::pair<int, int>, int> live;
+  for (const auto& [kind, at, round, segment, worker, attempt] : spec.events) {
+    auto key = std::pair(round, segment);
+    switch (static_cast<EventKind>(kind)) {
+      case EventKind::SegmentDispatched: live[key] = attempt; break;
+      case EventKind::SpeculativeDispatched:
+        races[key].primary = live[key];
+        races[key].backup = attempt;
+        break;
+      case EventKind::AttemptCancelled: races[key].cancelled = attempt; break;
+      case EventKind::SegmentCompleted:
+        if (races.count(key) != 0) races[key].completed = attempt;
+        break;
+      default: break;
+    }
+  }
+  int primary_wins = 0, backup_wins = 0;
+  for (const auto& [key, r] : races) {
+    ASSERT_NE(r.primary, r.backup);
+    ASSERT_TRUE(r.cancelled == r.primary || r.cancelled == r.backup);
+    int winner = r.cancelled == r.backup ? r.primary : r.backup;
+    EXPECT_EQ(r.completed, winner) << "round " << key.first << " segment " << key.second;
+    ++(winner == r.primary ? primary_wins : backup_wins);
+  }
+  // The device attempt wins when its backup starts too late to pass it.
+  EXPECT_GE(primary_wins, 1);
+  EXPECT_GE(backup_wins, 1);
 }
 
 TEST(Scheduler, CheckpointAndSpeculationLogsAreDeterministic) {
@@ -475,8 +600,10 @@ TEST(Scheduler, CountersMatchTheEventLog) {
     s->fail_after_checkpoints(2);  // resumed from that checkpoint
     s->fail_after(8);              // the last segment's worker: restarted
     int tid = c.home().vm().spawn(fib, std::vector<Value>{Value::of_i64(26)});
-    ASSERT_EQ(run_rounds(*s, tid, fib, 3 + 4, std::vector<int>(3, 3)).rounds, 3);
-    Finish fin = finish(*s, tid, sod::testing::fib_ref(26));
+    // Scheduler::run leaves home's debug interface off.
+    auto debug_off = [&](int, const Round&) { EXPECT_FALSE(c.home().vm().debug_mode()); };
+    ASSERT_EQ(run_rounds(*s, tid, fib, 3 + 4, std::vector<int>(3, 3), debug_off).rounds, 3);
+    Finish fin = sod::testing::finish_checked(*s, tid, sod::testing::fib_ref(26));
     EXPECT_TRUE(fin.ok);
     EXPECT_TRUE(fin.exactly_once);
 
@@ -519,7 +646,7 @@ int64_t run_app(const apps::AppSpec& spec, AppMode mode) {
   int depth = std::min(spec.paper_depth, 4);
   int tid = c.home().vm().spawn(p.find_method(spec.entry), spec.bench_args);
   run_rounds(s, tid, trigger, depth, spread_plan(c.size(), depth));
-  Finish fin = finish(s, tid);
+  Finish fin = sod::testing::finish_checked(s, tid);
   EXPECT_TRUE(fin.done) << spec.name;
   EXPECT_TRUE(fin.exactly_once) << spec.name;
   if (checkpoint_and_fail) {

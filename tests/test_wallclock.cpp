@@ -115,7 +115,7 @@ std::unique_ptr<Scheduler> engine_for(Cluster& c, PlacementPolicy& pol, int thre
 /// Finishes the home thread and records what the engine left behind.
 AppOutcome finish_app(Scheduler& s, int tid) {
   AppOutcome o;
-  Finish fin = finish(s, tid);
+  Finish fin = sod::testing::finish_checked(s, tid);
   o.done = fin.done;
   o.result = fin.result;
   o.exactly_once = fin.exactly_once;
@@ -277,10 +277,10 @@ TEST(WallClock, PostLossReplayMatchesTheVirtualScheduler) {
 }
 
 TEST(WallClock, CheckpointsAndSpeculativeRacesRunOnLanes) {
-  // least_loaded parks a segment on the device every round; the tracker
-  // flags it and a backup races it from the newest checkpoint on a Xeon
-  // lane.  A worker loss at a checkpoint resumes the killed attempt from
-  // that checkpoint elsewhere.  The wall engine must take the same
+  // least_loaded parks a segment on the device every round; the policy's
+  // span model flags it and a backup races it from the newest checkpoint
+  // on a Xeon lane.  A worker loss at a checkpoint resumes the killed
+  // attempt from that checkpoint elsewhere.  The wall engine must take the same
   // checkpoints, launch and cancel the same attempts, and read the same
   // virtual instants at every thread and home stripe count.
   auto run = [](int threads, int shards) {
@@ -375,7 +375,7 @@ TEST(WallClock, ChurnAndMidRoundLossStillExecuteExactlyOnce) {
     if (r == 0) joiner = eng.add_worker({"joiner", {}, sim::Link::gigabit()});
     if (r == 1) eng.drain_worker(joiner);
   }
-  Finish fin = finish(eng, tid, sod::testing::fib_ref(26));
+  Finish fin = sod::testing::finish_checked(eng, tid, sod::testing::fib_ref(26));
   EXPECT_TRUE(fin.ok);
   EXPECT_TRUE(fin.exactly_once);
   EXPECT_EQ(eng.workers_lost(), 1);

@@ -3,7 +3,11 @@
 #include "testlib.h"
 
 #include <deque>
+#include <map>
+#include <set>
+#include <tuple>
 #include <unordered_map>
+#include <utility>
 
 namespace sod::testing {
 
@@ -96,6 +100,45 @@ cluster::Trace filter_tenant(const cluster::Trace& t, int tenant) {
   for (const auto& s : t.sessions)
     if (s.tenant == tenant) out.sessions.push_back(s);
   return out;
+}
+
+bool exactly_once(const std::vector<cluster::Event>& log) {
+  using cluster::EventKind;
+  std::map<std::pair<int, int>, std::pair<int, int>> counts;  // key -> (dispatched, completed)
+  std::map<std::pair<int, int>, int> completing_attempt;
+  std::set<std::tuple<int, int, int>> launched, killed;
+  for (const cluster::Event& e : log) {
+    auto rs = std::pair(e.round, e.segment);
+    switch (e.kind) {
+      case EventKind::SegmentDispatched:
+      case EventKind::SpeculativeDispatched:
+        ++counts[rs].first;
+        launched.insert({e.round, e.segment, e.attempt});
+        break;
+      case EventKind::SegmentFailed:
+      case EventKind::AttemptCancelled:
+        killed.insert({e.round, e.segment, e.attempt});
+        break;
+      case EventKind::SegmentCompleted:
+        ++counts[rs].second;
+        completing_attempt[rs] = e.attempt;
+        break;
+      default: break;
+    }
+  }
+  for (const auto& [key, c] : counts)
+    if (c.first < 1 || c.second != 1) return false;
+  for (const auto& [rs, attempt] : completing_attempt) {
+    std::tuple key(rs.first, rs.second, attempt);
+    if (launched.count(key) == 0 || killed.count(key) != 0) return false;
+  }
+  return true;
+}
+
+cluster::Finish finish_checked(cluster::Scheduler& s, int tid, int64_t expected) {
+  cluster::Finish fin = cluster::finish(s, tid, expected);
+  EXPECT_EQ(fin.exactly_once, exactly_once(s.log()));
+  return fin;
 }
 
 }  // namespace sod::testing

@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include "bytecode/builder.h"
+#include "cluster/drive.h"
 #include "cluster/loadgen.h"
+#include "cluster/scheduler.h"
 #include "prep/flatten.h"
 #include "sod/node.h"
 #include "svm/natives.h"
@@ -99,5 +101,14 @@ prep::FlattenStats flatten_program(bc::Program& p);
 /// injections are dropped (the alone-run baseline of the isolation
 /// property tests).
 cluster::Trace filter_tenant(const cluster::Trace& t, int tenant);
+
+/// The exactly-once invariant of cluster::ExactlyOnce, checked in one
+/// batch over a whole event log: the reference the streaming verdict is
+/// tested against.
+bool exactly_once(const std::vector<cluster::Event>& log);
+
+/// cluster::finish, also expecting its streaming exactly-once verdict to
+/// equal the batch reference over the scheduler's whole log.
+cluster::Finish finish_checked(cluster::Scheduler& s, int tid, int64_t expected = INT64_MIN);
 
 }  // namespace sod::testing

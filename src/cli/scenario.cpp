@@ -253,8 +253,8 @@ bool parse_scenario_flags(const std::vector<std::string>& args, ScenarioOptions&
   }
   if (opt.speculate && opt.checkpoint_every == 0) {
     std::fprintf(stderr,
-                 "sodctl: --speculate requires --checkpoint-every N (backups launch from "
-                 "the newest checkpoint)\n");
+                 "sodctl: --speculate requires --checkpoint-every N (it stops checkpointing "
+                 "stragglers)\n");
     return false;
   }
   return true;

@@ -50,8 +50,8 @@ struct ScenarioOptions {
   /// checkpointed segment resumes partial work after a worker loss
   /// instead of re-executing from its original capture.
   int64_t checkpoint_every = 0;
-  /// Launch speculative backup attempts for straggling segments from the
-  /// newest checkpoint — first completion wins, the loser is cancelled.
+  /// Stop checkpointing a segment once the span model flags it as a
+  /// straggler (DispatchOptions::speculate).
   /// Requires --checkpoint-every.
   bool speculate = false;
   /// Run cluster scenarios on the wall-clock engine (cluster::WallClockEngine)

@@ -52,9 +52,8 @@ int usage(std::FILE* to) {
                "  --checkpoint-every N      checkpoint executing segments every N guest\n"
                "                            instructions (failures resume from the newest\n"
                "                            checkpoint instead of restarting)\n"
-               "  --speculate               race straggler segments against a backup copy\n"
-               "                            from the newest checkpoint (first completion\n"
-               "                            wins); requires --checkpoint-every\n"
+               "  --speculate               stop checkpointing a segment once it is flagged\n"
+               "                            as a straggler; requires --checkpoint-every\n"
                "  --wallclock               run cluster rounds on the wall-clock thread\n"
                "                            pool (one thread per worker) instead of the\n"
                "                            virtual-time scheduler; results are identical\n"

@@ -124,11 +124,10 @@ class Cluster {
   /// Enqueues an assignment with the policy's execution-cost estimate
   /// (VDur{} when the policy has none).  Panics on non-accepting workers.
   void note_assigned(int id, VDur est_cost = {});
-  /// Dequeues one assignment, completed or cancelled (the losing side of
-  /// a speculative race frees its slot the same way); a draining worker
-  /// retires when its queue empties.  Completions can land out of FIFO
-  /// order (a speculative backup or a checkpoint resume finishes before
-  /// segments queued ahead of it), so callers that recorded the
+  /// Dequeues one completed assignment; a draining worker retires when
+  /// its queue empties.  Completions can land out of FIFO order (a
+  /// checkpoint resume finishes before segments queued ahead of it), so
+  /// callers that recorded the
   /// assignment's estimate pass it back and the first entry carrying that
   /// estimate is removed — keeping queued_cost() attributed to the
   /// assignments actually still waiting.  Without an estimate the oldest

@@ -465,8 +465,6 @@ LoadGenResult run_loadgen(const Trace& trace, const LoadGenOptions& opts) {
   res.statics_skipped = sched.statics_stats().skipped;
   res.statics_bytes = sched.statics_stats().bytes;
   res.resumed = sched.resumes();
-  res.speculated = sched.speculations();
-  res.cancelled = sched.cancellations();
   res.checkpoints = sched.checkpoints();
   if (wall) {
     mig::ShardContention total = wall->total_contention();

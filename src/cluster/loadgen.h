@@ -105,10 +105,9 @@ struct TraceConfig {
   /// Mid-trace worker losses, spread evenly across the arrival sequence.
   int failures = 0;
   /// Tail-scale app arguments: each session carries several times the
-  /// work of the default load scale, so a straggler-parked segment is
-  /// long enough that speculative rescue beats its detection latency
-  /// (the tail-latency bench's shape).  Default load scale keeps
-  /// thousand-session smokes fast instead.
+  /// work of the default load scale, so a straggler-parked segment runs
+  /// long enough to be flagged (the tail-latency bench's shape).  Default
+  /// load scale keeps thousand-session smokes fast instead.
   bool heavy = false;
 };
 
@@ -181,6 +180,8 @@ struct LoadGenResult {
   int segments = 0;
   int redispatched = 0;
   int resumed = 0;
+  /// Always 0: speculation launches no backup attempts.  Kept because the
+  /// repository benchmark (benchmark/layers.cpp) still reads them.
   int speculated = 0;
   int cancelled = 0;
   int checkpoints = 0;

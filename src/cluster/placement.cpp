@@ -109,35 +109,24 @@ class LocalityAware final : public PlacementPolicy {
 /// queued-work cost and link transfer).  Workers holding the class skip
 /// the image transfer, as in locality_aware.  Before the first
 /// observation of a class the prediction is zero and the policy
-/// degenerates to earliest-arrival.
+/// degenerates to earliest-arrival.  Ties go to the fewest in flight,
+/// then the lowest load front, then the lowest id.
 class Learned final : public PlacementPolicy {
  public:
   const char* name() const override { return "learned"; }
 
   int choose(const Cluster& c, const PlacementRequest& req) override {
-    return choose_backup(*this, c, req, /*exclude=*/-1);
+    auto key = [&](int w) {
+      bool holds = c.holds_class(w, req.cls);
+      size_t bytes = req.state_bytes + (holds ? 0 : req.class_image_bytes);
+      return std::tuple(arrival_estimate(c, w, bytes) + estimate(c, w, req), c.inflight(w),
+                        c.load(w));
+    };
+    return choose_min(c, key);
   }
 };
 
 }  // namespace
-
-int choose_backup(const PlacementPolicy& policy, const Cluster& c, const PlacementRequest& req,
-                  int exclude) {
-  int best = -1;
-  std::tuple<VDur, int, VDur> best_key{};
-  for (int w = 0; w < c.size(); ++w) {
-    if (w == exclude || !c.accepting(w)) continue;
-    bool holds = c.holds_class(w, req.cls);
-    size_t bytes = req.state_bytes + (holds ? 0 : req.class_image_bytes);
-    std::tuple key(arrival_estimate(c, w, bytes) + policy.estimate(c, w, req), c.inflight(w),
-                   c.load(w));
-    if (best < 0 || key < best_key) {
-      best = w;
-      best_key = key;
-    }
-  }
-  return best;
-}
 
 VDur PlacementPolicy::estimate(const Cluster& c, int w, const PlacementRequest& req) const {
   auto it = ewma_ns_.find(req.cls);

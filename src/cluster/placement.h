@@ -14,7 +14,8 @@
 // turns the model into per-worker predicted execution costs — recorded
 // with each assignment so queued-work costs are real for every policy —
 // and the learned policy additionally *places* by predicted completion.
-// The same model flags stragglers for the Scheduler's speculation.
+// The same model flags stragglers, which the Scheduler stops
+// checkpointing under DispatchOptions::speculate.
 #pragma once
 
 #include <cstdint>
@@ -67,7 +68,7 @@ class PlacementPolicy {
   /// straggler: older than kStragglerFactor x the class's learned
   /// reference-CPU span — the heterogeneous-fleet signal of Huang et al.
   /// (arXiv:2403.00585), where slow workers dominate completion time
-  /// unless their work is re-dispatched speculatively.  Never true before
+  /// unless the schedule plans around them.  Never true before
   /// the class's first observation: with nothing learned there is no
   /// baseline to be slow against.
   bool straggler(uint16_t cls, VDur age) const;
@@ -78,17 +79,6 @@ class PlacementPolicy {
   /// Per-class EWMA of reference-CPU execution time, in nanoseconds.
   std::unordered_map<uint16_t, double> ewma_ns_;
 };
-
-/// Deterministic placement of a speculative backup attempt: the accepting
-/// worker other than `exclude` (the straggler's host) with the earliest
-/// predicted completion — arrival estimate plus the policy's learned
-/// per-class execution estimate, so a 25x-slower device prices itself out
-/// of hosting its own backup — then the fewest in flight, the lowest load
-/// front and the lowest id.  Returns -1 when no other accepting worker
-/// exists (speculation is then skipped).  With `exclude` -1 it is the
-/// learned policy's choice.
-int choose_backup(const PlacementPolicy& policy, const Cluster& c, const PlacementRequest& req,
-                  int exclude);
 
 std::unique_ptr<PlacementPolicy> make_policy(PolicyKind kind);
 const char* policy_name(PolicyKind kind);

@@ -79,9 +79,7 @@ bool ExactlyOnce::settled(const Seg& s) {
 void ExactlyOnce::add(const Event& e) {
   switch (e.kind) {
     case EventKind::SegmentDispatched:
-    case EventKind::SpeculativeDispatched:
     case EventKind::SegmentFailed:
-    case EventKind::AttemptCancelled:
     case EventKind::SegmentCompleted: break;
     default: return;
   }
@@ -97,8 +95,7 @@ void ExactlyOnce::add(const Event& e) {
   Seg& s = segs_[seg];
   const bool was = settled(s);
   switch (e.kind) {
-    case EventKind::SegmentDispatched:
-    case EventKind::SpeculativeDispatched: s.launched.push_back(e.attempt); break;
+    case EventKind::SegmentDispatched: s.launched.push_back(e.attempt); break;
     case EventKind::SegmentCompleted:
       ++s.completions;
       s.completer = e.attempt;
@@ -153,8 +150,9 @@ struct Scheduler::Task {
   mig::SegmentSpec spec{};
   std::vector<uint8_t> state;  ///< the captured state as shipped, serialized once
   PlacementRequest req{};
-  Attempt live;                   ///< the attempt that writes back
-  std::optional<Attempt> backup;  ///< speculative backup racing `live`
+  Attempt live;  ///< the attempt that writes back
+  /// The newest checkpoint this round, which a resume restores.
+  std::optional<mig::SegmentCheckpoint> ckpt;
   int attempts = 0;
   bc::Value result{};       ///< worker-local result after execution
   bc::Value home_result{};  ///< home-translated result (ref-forwarding entry)
@@ -205,7 +203,7 @@ void Scheduler::emit(EventKind kind, VDur at, int segment, int worker, int attem
   log_.push_back(e);
   verdict_.add(e);
   // A later attempt of a segment is a re-dispatch, from its capture or a
-  // checkpoint (a speculative backup is logged as its own kind).
+  // checkpoint.
   if (kind == EventKind::SegmentDispatched && attempt > 1) ++redispatched_total_;
 }
 
@@ -236,9 +234,7 @@ void Scheduler::do_fail(int worker) {
   // image when the survivor lacks it, and the delivery-time statics
   // refresh replays earlier write-backs idempotently.  The attempt the
   // chunk loop is running is skipped: it notices the loss at the
-  // checkpoint boundary and resumes or restarts it itself.  No backup is
-  // ever live here: losses fire only at checkpoints and completions, and
-  // a race takes no checkpoints.
+  // checkpoint boundary and resumes or restarts it itself.
   int requeued = 0;
   int running = 0;
   for (size_t i = 0; i < tasks_.size(); ++i) {
@@ -268,7 +264,7 @@ void Scheduler::process_failure_plans() {
 void Scheduler::process_checkpoint_plans(int ckpt_worker) {
   for (FailurePlan& plan : plans_) {
     if (plan.fired || plan.trigger != FailurePlan::Trigger::Checkpoints) continue;
-    if (store_.total_recorded() < plan.at_count) continue;
+    if (checkpoints_total_ < plan.at_count) continue;
     plan.fired = true;
     // A negative target means "the worker that took the triggering
     // checkpoint" — killing the in-flight attempt, the case that
@@ -291,13 +287,7 @@ int Scheduler::choose_worker(const PlacementRequest& req) {
   return w;
 }
 
-PlacementRequest Scheduler::request(size_t i, const CheckpointStore::Entry* ck) const {
-  PlacementRequest req = tasks_[i].req;
-  if (ck != nullptr) req.state_bytes = ck->ckpt.state_bytes;
-  return req;
-}
-
-Scheduler::Attempt Scheduler::start_attempt(size_t i, int w, const CheckpointStore::Entry* ck) {
+Scheduler::Attempt Scheduler::start_attempt(size_t i, int w, const mig::SegmentCheckpoint* ck) {
   Task& t = tasks_[i];
   mig::SodNode& dst = c_->worker(w);
   Attempt a;
@@ -314,7 +304,7 @@ Scheduler::Attempt Scheduler::start_attempt(size_t i, int w, const CheckpointSto
   // front: a re-dispatch's original copy died with the lost worker, and a
   // checkpoint lives at home.  The class image rides along when the
   // worker lacks it.
-  std::vector<uint8_t> ck_state = ck != nullptr ? ck->ckpt.state.wire() : std::vector<uint8_t>{};
+  std::vector<uint8_t> ck_state = ck != nullptr ? ck->state.wire() : std::vector<uint8_t>{};
   a.seg = std::make_unique<mig::Segment>(dst);
   a.seg->objman().set_home_gate(home_gate());
   mig::MigrationTiming hop =
@@ -329,9 +319,11 @@ Scheduler::Attempt Scheduler::start_attempt(size_t i, int w, const CheckpointSto
   return a;
 }
 
-void Scheduler::dispatch(size_t i, const CheckpointStore::Entry* ck) {
+void Scheduler::dispatch(size_t i, const mig::SegmentCheckpoint* ck) {
   Task& t = tasks_[i];
-  int w = choose_worker(request(i, ck));
+  PlacementRequest req = t.req;
+  if (ck != nullptr) req.state_bytes = ck->state_bytes;
+  int w = choose_worker(req);
   if (t.live.seg) retire(t.live);
   t.live = start_attempt(i, w, ck);
   if (ck != nullptr) ++resumed_total_;
@@ -344,48 +336,21 @@ void Scheduler::retire(Attempt& a) {
   a.seg.reset();
 }
 
-void Scheduler::launch_backup(size_t i) {
-  Task& t = tasks_[i];
-  // The checkpoint the running attempt just took.
-  const CheckpointStore::Entry* ck = store_.latest(round_, static_cast<int>(i));
-  int w = choose_backup(*policy_, *c_, request(i, ck), t.live.pl.worker);
-  if (w < 0) return;
-  t.backup = start_attempt(i, w, ck);
-  ++speculated_total_;
-  emit(EventKind::SpeculativeDispatched, t.backup->pl.restored_at, static_cast<int>(i), w,
-       t.backup->pl.attempts);
-}
-
 bool Scheduler::take_checkpoint(size_t i) {
-  Attempt& a = tasks_[i].live;
+  Task& t = tasks_[i];
+  Attempt& a = t.live;
   mig::SodNode& home = c_->home();
-  auto ck = mig::checkpoint_segment(*a.seg, home, c_->link(a.pl.worker), a.deltas,
-                                  /*apply_at_home=*/opt_.resume_from_checkpoint);
+  t.ckpt = mig::checkpoint_segment(*a.seg, home, c_->link(a.pl.worker), a.deltas,
+                                   /*apply_at_home=*/opt_.resume_from_checkpoint);
   VDur at = home.node().clock.now();
-  store_.record(round_, static_cast<int>(i), std::move(ck), a.pl.attempts, at);
+  ++checkpoints_total_;
+  checkpoint_bytes_ += t.ckpt->state_bytes + t.ckpt->heap_bytes;
   emit(EventKind::CheckpointTaken, at, static_cast<int>(i), a.pl.worker, a.pl.attempts);
   process_checkpoint_plans(a.pl.worker);
   // Only an outright loss kills the attempt: a worker the autoscaler
   // started draining still finishes its queued work (completion is what
   // retires it).
   return c_->state(a.pl.worker) != WorkerState::Lost;
-}
-
-void Scheduler::cancel(size_t i, Attempt& loser, const Attempt& winner) {
-  // The winner's completion signal travels to home, home cancels the
-  // loser; the loser stops at its current chunk boundary or the cancel
-  // arrival, whichever is later, and never writes back.  Until then it is
-  // still computing: its worker's core stays booked.
-  VDur arrival = winner.pl.completed_at +
-                 c_->link(winner.pl.worker).transfer_time(kResultMsgBytes) +
-                 c_->link(loser.pl.worker).transfer_time(kResultMsgBytes);
-  auto& ln = c_->worker(loser.pl.worker).node();
-  if (ln.clock.now() < arrival) ln.busy(arrival - ln.clock.now());
-  emit(EventKind::AttemptCancelled, ln.clock.now(), static_cast<int>(i), loser.pl.worker,
-       loser.pl.attempts);
-  c_->note_completed(loser.pl.worker, loser.est);
-  ++cancelled_total_;
-  retire(loser);
 }
 
 void Scheduler::prepare(size_t i, const std::function<void()>& then) {
@@ -467,15 +432,16 @@ void Scheduler::run_attempts(size_t i) {
   Task& t = tasks_[i];
   running_ = static_cast<int>(i);
   auto clock_of = [&](const Attempt& a) { return c_->worker(a.pl.worker).node().clock.now(); };
-
-  // --- single-attempt phase: chunked execution with checkpoints -------
-  // Every checkpoint both bounds the work a failure can lose and is the
-  // state a speculative backup starts from.  Speculation and resume
-  // always use the *newest* checkpoint, whose heap flush is exactly
-  // home's current object state, so a restarted computation can never
-  // observe home running ahead of it.
-  while (!t.backup) {
-    if (run_chunk(t.live) == svm::StopReason::Done) break;
+  // Every checkpoint bounds the work a failure can lose.  Resume always
+  // uses the *newest* checkpoint, whose heap flush is exactly home's
+  // current object state, so a resumed computation can never observe
+  // home running ahead of it.  With speculate on, an attempt the span
+  // model flags as a straggler takes no more checkpoints: it runs on in
+  // plain chunks to completion.  Losses fire only at checkpoints and
+  // completions, so a flagged attempt is never lost mid-chunk.
+  bool checkpointing = true;
+  while (run_chunk(t.live) != svm::StopReason::Done) {
+    if (!checkpointing) continue;
     if (!take_checkpoint(i)) {
       // A checkpoint-triggered plan killed this attempt's worker.  Its
       // queue entry died with the worker; the newest checkpoint (just
@@ -483,8 +449,7 @@ void Scheduler::run_attempts(size_t i) {
       // when resume is disabled (the restart-from-capture ablation).
       emit(EventKind::SegmentFailed, c_->home_now(), static_cast<int>(i), t.live.pl.worker,
            t.live.pl.attempts);
-      const CheckpointStore::Entry* ck =
-          opt_.resume_from_checkpoint ? store_.latest(round_, static_cast<int>(i)) : nullptr;
+      const mig::SegmentCheckpoint* ck = opt_.resume_from_checkpoint ? &*t.ckpt : nullptr;
       dispatch(i, ck);
       // A restarted attempt re-executes from the original capture on its
       // new worker; its span restarts with it.
@@ -495,39 +460,8 @@ void Scheduler::run_attempts(size_t i) {
     // onto this worker; the new Segment's construction rebound the
     // node's objman natives.  Re-claim them for the running attempt.
     t.live.seg->objman().install(c_->worker(t.live.pl.worker));
-    if (opt_.speculate && policy_->straggler(t.req.cls, clock_of(t.live) - t.live.pl.executed_at))
-      launch_backup(i);
-  }
-
-  // --- race phase: first completion wins ------------------------------
-  // One loop over the two attempts, a[0] the primary and a[1] the backup.
-  // Each step advances the attempt that is not done and has the smaller
-  // (clock, index) by one chunk (no further checkpoints: a racing pair's
-  // flushes would let home run ahead of the eventual loser).  A done
-  // attempt wins once the other is done with a later (completion,
-  // index), or the other's clock has reached its completion; so ties go
-  // to the primary, which was dispatched first.
-  if (t.backup) {
-    Attempt* a[2] = {&t.live, &*t.backup};
-    bool done[2] = {false, false};
-    auto wins = [&](int k) {
-      const int o = 1 - k;
-      VDur at = a[k]->pl.completed_at;
-      return done[k] && (done[o] ? std::pair(at, k) < std::pair(a[o]->pl.completed_at, o)
-                                 : clock_of(*a[o]) >= at);
-    };
-    for (;;) {
-      if (wins(0)) break;
-      if (wins(1)) {
-        std::swap(t.live, *t.backup);
-        break;
-      }
-      auto lag = [&](int k) { return std::pair(clock_of(*a[k]), k); };
-      int k = done[0] || (!done[1] && lag(1) < lag(0)) ? 1 : 0;
-      done[k] = run_chunk(*a[k]) == svm::StopReason::Done;
-    }
-    cancel(i, *t.backup, t.live);
-    t.backup.reset();
+    checkpointing = !opt_.speculate ||
+                    !policy_->straggler(t.req.cls, clock_of(t.live) - t.live.pl.executed_at);
   }
   t.result = t.live.seg->result();
   running_ = -1;
@@ -547,8 +481,8 @@ void Scheduler::execute(size_t i) {
   if (opt_.checkpoint_every > 0) run_attempts(i);
   c_->note_completed(t.live.pl.worker, t.live.est);
   ++completed_total_;
-  // Partial spans (checkpoint resumes, winning backups) would train the
-  // span model on less than a full execution; only clean attempts teach.
+  // A checkpoint resume's span is less than a full execution and would
+  // mistrain the span model; only clean attempts teach.
   if (!t.live.partial) policy_->observe(*c_, t.req, t.live.pl);
 }
 
@@ -560,9 +494,8 @@ void Scheduler::write_back(size_t i) {
   // go home eagerly at completion, so completed work survives any later
   // worker loss and ref results are forwardable; the bottom segment's
   // write-back additionally pops the whole migrated span and makes the
-  // home thread runnable again.  Only the winning attempt ever reaches
-  // this point — a cancelled or failed attempt's write-back is suppressed
-  // by construction.
+  // home thread runnable again.  Only the live attempt ever reaches this
+  // point — a failed attempt's write-back is suppressed by construction.
   auto rep = mig::write_back(*a.seg, c_->home(), home_tid_, bottom ? t.spec.depth_hi : 0,
                              t.result, c_->link(a.pl.worker));
   out_->writeback_bytes += rep.bytes;
@@ -572,7 +505,7 @@ void Scheduler::write_back(size_t i) {
   // home-translated result is dropped here and prepare() checks none ever
   // arrives.
   if (c_->facts().class_ref_escape(a.pl.cls)) t.home_result = rep.home_result;
-  store_.drop(round_, static_cast<int>(i));
+  t.ckpt.reset();
   retire(a);
 }
 
@@ -585,8 +518,6 @@ DispatchOutcome Scheduler::run(int home_tid, const std::vector<mig::SegmentSpec>
   SOD_CHECK(!specs.empty(), "dispatch of zero segments");
   SOD_CHECK(!opt_.speculate || opt_.checkpoint_every > 0,
             "speculation requires checkpointing (checkpoint_every > 0)");
-  SOD_CHECK(!opt_.speculate || opt_.resume_from_checkpoint,
-            "speculation requires resume_from_checkpoint (backups restore from the store)");
   for (size_t i = 0; i < specs.size(); ++i) {
     SOD_CHECK(specs[i].len() >= 1, "empty segment spec");
     int expect_lo = i == 0 ? 0 : specs[i - 1].depth_hi;

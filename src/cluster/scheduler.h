@@ -25,15 +25,14 @@
 //    (no synchronous home round-trip of the payload).
 //  - checkpointing: with checkpoint_every > 0 an executing segment
 //    periodically pauses at a migration-safe point, flushes its heap
-//    delta home, and records a resumable state in the home-side
-//    CheckpointStore; a later worker loss re-dispatches from the newest
+//    delta home, and ships home a resumable state that its task keeps
+//    (the newest one only); a later worker loss re-dispatches from that
 //    checkpoint instead of the original capture, so completed partial
 //    work survives.
 //  - speculation: the placement policy's per-class span model flags
-//    straggling attempts; a backup attempt is launched from the newest
-//    checkpoint on another worker and raced in virtual time — first
-//    completion wins, the loser is cancelled at its next chunk boundary
-//    and its write-back is suppressed.
+//    straggling attempts, and a flagged attempt takes no more
+//    checkpoints — it runs on in plain chunks to completion, so a slow
+//    worker stops paying for captures it would take many times over.
 //
 // Every policy call, clock read, restore, checkpoint, and write-back runs
 // on the calling thread in one fixed order.  Four executor hooks (see the
@@ -51,7 +50,6 @@
 #include <string>
 #include <vector>
 
-#include "cluster/checkpoint.h"
 #include "cluster/cluster.h"
 
 namespace sod::cluster {
@@ -61,17 +59,15 @@ struct PlacementRequest;
 
 /// What happened at one instant of the scheduler's virtual-time loop.
 enum class EventKind {
-  SegmentDispatched,      ///< segment placed, shipped, and restored on a worker
-  SegmentCompleted,       ///< segment executed; its updates are home
-  SegmentFailed,          ///< attempt died with its worker; re-dispatching
-  WorkerJoined,           ///< autoscaler promoted a standby worker
-  WorkerDraining,         ///< autoscaler started draining a joiner
-  WorkerLost,             ///< worker failed; its queue was dropped
-  AutoscaleTick,          ///< queue-depth evaluation point
-  CheckpointTaken,        ///< in-flight segment state landed in the home store
-  SpeculativeDispatched,  ///< straggler backup attempt launched from a checkpoint
-  AttemptCancelled,       ///< losing attempt of a speculative race stopped
-  ProgramRejected,        ///< admission gate refused the program; nothing ships
+  SegmentDispatched,  ///< segment placed, shipped, and restored on a worker
+  SegmentCompleted,   ///< segment executed; its updates are home
+  SegmentFailed,      ///< attempt died with its worker; re-dispatching
+  WorkerJoined,       ///< autoscaler promoted a standby worker
+  WorkerDraining,     ///< autoscaler started draining a joiner
+  WorkerLost,         ///< worker failed; its queue was dropped
+  AutoscaleTick,      ///< queue-depth evaluation point
+  CheckpointTaken,    ///< in-flight segment state landed at home
+  ProgramRejected,    ///< admission gate refused the program; nothing ships
 };
 
 /// Wire size of the small "here is your caller's value" message forwarded
@@ -83,9 +79,9 @@ inline constexpr size_t kResultMsgBytes = 16;
 /// One entry of the scheduler's totally ordered event log.  `seq` breaks
 /// virtual-time ties deterministically; `round` counts Scheduler::run
 /// calls over the scheduler's lifetime.  `attempt` identifies which
-/// dispatch of the segment the event belongs to (1-based; speculative
-/// backups get their own id), so the attempt-aware exactly-once check can
-/// pair cancellations with the attempts they killed.
+/// dispatch of the segment the event belongs to (1-based), so the
+/// attempt-aware exactly-once check can pair failures with the attempts
+/// they killed.
 struct Event {
   EventKind kind{};
   VDur at{};
@@ -98,13 +94,13 @@ struct Event {
 
 /// The attempt-aware exactly-once invariant, kept event by event: every
 /// (round, segment) that was ever dispatched has exactly one
-/// SegmentCompleted.  Speculative duplicate *dispatches* are legal, but
-/// only one attempt per segment may complete (and write back), the
-/// completing attempt must itself have been dispatched, and no attempt
-/// that was cancelled or failed ever completes, whichever order the log
-/// puts the two in.  It holds only the current round's per-segment state:
-/// a round's verdict is final once a segment event of a later round
-/// arrives, so reading the verdict is O(1).
+/// SegmentCompleted.  Re-dispatches are legal, but only one attempt per
+/// segment may complete (and write back), the completing attempt must
+/// itself have been dispatched, and no attempt that failed ever
+/// completes, whichever order the log puts the two in.  It holds only
+/// the current round's per-segment state: a round's verdict is final
+/// once a segment event of a later round arrives, so reading the verdict
+/// is O(1).
 class ExactlyOnce {
  public:
   void add(const Event& e);
@@ -113,7 +109,7 @@ class ExactlyOnce {
  private:
   struct Seg {
     std::vector<int> launched;  ///< dispatched attempt ids
-    std::vector<int> killed;    ///< failed or cancelled attempt ids
+    std::vector<int> killed;    ///< failed attempt ids
     int completions = 0;
     int completer = 0;  ///< attempt id of the last completion
   };
@@ -130,13 +126,14 @@ class ExactlyOnce {
 struct DispatchOptions {
   /// Guest instructions between checkpoints of an executing segment
   /// (0 = checkpointing off).  Each checkpoint pauses the worker at a
-  /// migration-safe point, flushes its heap delta home, and records the
-  /// resumable state in the home-side CheckpointStore.
+  /// migration-safe point, flushes its heap delta home, and ships the
+  /// resumable state home, where its task keeps the newest one.
   uint64_t checkpoint_every = 0;
-  /// Launch a speculative backup attempt from the newest checkpoint when
-  /// the running attempt is a straggler by the policy's learned span
-  /// (PlacementPolicy::straggler); the first completion wins and the
-  /// loser is cancelled.  Requires checkpoint_every > 0.
+  /// Stop checkpointing an attempt once it is a straggler by the policy's
+  /// learned span (PlacementPolicy::straggler): it runs on in plain chunks
+  /// to completion, and a loss before the flag still resumes from its
+  /// newest checkpoint.  No backup attempt is ever launched.  Requires
+  /// checkpoint_every > 0.
   bool speculate = false;
   /// On worker loss, re-dispatch the executing attempt from its newest
   /// checkpoint (resume) instead of the original capture (restart).  Only
@@ -300,19 +297,16 @@ class Scheduler {
   int rounds() const { return round_ + 1; }
   /// Lifetime counts, each kept beside its event in the log: completions,
   /// losses, re-dispatches (SegmentDispatched with attempt > 1; resumes()
-  /// are those restored from a checkpoint), checkpoints, speculations and
-  /// cancellations.
+  /// are those restored from a checkpoint) and checkpoints.
   int completions() const { return completed_total_; }
   int workers_lost() const { return lost_total_; }
   int redispatches() const { return redispatched_total_; }
-  int checkpoints() const { return store_.total_recorded(); }
+  int checkpoints() const { return checkpoints_total_; }
   int resumes() const { return resumed_total_; }
-  int speculations() const { return speculated_total_; }
-  int cancellations() const { return cancelled_total_; }
+  /// Wire bytes shipped home for checkpoints (state + heap deltas).
+  size_t checkpoint_bytes() const { return checkpoint_bytes_; }
   /// Statics-refresh scan/skip/byte counters over the scheduler's lifetime.
   const StaticsRefreshStats& statics_stats() const { return statics_stats_; }
-  /// Home-side checkpoint store (newest resumable state per segment).
-  const CheckpointStore& store() const { return store_; }
 
   /// All home-mediated ref forwards so far, in append order.
   const std::vector<RefForward>& ref_forwards() const { return forwards_; }
@@ -352,18 +346,15 @@ class Scheduler {
   void emit(EventKind kind, VDur at, int segment, int worker, int attempt = 0);
   /// The policy's worker for `req`, checked to be an accepting member.
   int choose_worker(const PlacementRequest& req);
-  /// Segment i's placement request; from checkpoint `ck`, its state size.
-  PlacementRequest request(size_t i, const CheckpointStore::Entry* ck) const;
   /// A new attempt of segment i on worker `w`: records its queue estimate,
   /// then hops segment i's capture, or checkpoint `ck` when given (plus
   /// the class image if `w` lacks it), from home to `w`.
-  Attempt start_attempt(size_t i, int w, const CheckpointStore::Entry* ck);
+  Attempt start_attempt(size_t i, int w, const mig::SegmentCheckpoint* ck);
   /// Places segment i's live attempt, replacing (and retiring) any earlier
   /// one: from its capture, or resumed from checkpoint `ck` when given.
-  void dispatch(size_t i, const CheckpointStore::Entry* ck = nullptr);
+  void dispatch(size_t i, const mig::SegmentCheckpoint* ck = nullptr);
   /// Adds `a`'s object faults to the round's count and releases its
-  /// segment; every attempt retires once, replaced, cancelled or written
-  /// back.
+  /// segment; every attempt retires once, replaced or written back.
   void retire(Attempt& a);
   /// Home-side prelude of segment i's live attempt (natives, statics
   /// refresh, result relay, ref forward), then one guest job that delivers
@@ -372,9 +363,6 @@ class Scheduler {
   void execute(size_t i);
   void run_attempts(size_t i);
   bool take_checkpoint(size_t i);
-  void launch_backup(size_t i);
-  /// Stops the race's `loser` once `winner`'s completion reaches it.
-  void cancel(size_t i, Attempt& loser, const Attempt& winner);
   svm::StopReason run_chunk(Attempt& a);
   void write_back(size_t i);
   void do_fail(int worker);
@@ -391,7 +379,6 @@ class Scheduler {
   std::vector<Event> log_;
   ExactlyOnce verdict_;
   std::vector<RefForward> forwards_;
-  CheckpointStore store_;
   StaticsRefreshStats statics_stats_;
   int seq_ = 0;
   int round_ = -1;
@@ -399,8 +386,8 @@ class Scheduler {
   int lost_total_ = 0;
   int redispatched_total_ = 0;
   int resumed_total_ = 0;
-  int speculated_total_ = 0;
-  int cancelled_total_ = 0;
+  int checkpoints_total_ = 0;
+  size_t checkpoint_bytes_ = 0;
 
   // Live only inside run(); do_fail consults them for mid-run re-dispatch.
   int home_tid_ = -1;

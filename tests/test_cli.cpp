@@ -226,8 +226,8 @@ TEST(ClusterApps, FibRunsOnTheWallClockEngine) {
   EXPECT_NE(::testing::internal::GetCapturedStderr().find("--autoscale"), std::string::npos);
 }
 
-// Speculative backups launch from the newest checkpoint, so --speculate
-// without a checkpoint cadence is a configuration error, not a no-op.
+// --speculate stops checkpointing stragglers, so without a checkpoint
+// cadence it is a configuration error, not a no-op.
 TEST(Flags, SpeculateRequiresCheckpointEvery) {
   ScenarioOptions opt;
   EXPECT_FALSE(parse_scenario_flags({"--speculate"}, opt, ""));

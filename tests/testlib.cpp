@@ -111,14 +111,10 @@ bool exactly_once(const std::vector<cluster::Event>& log) {
     auto rs = std::pair(e.round, e.segment);
     switch (e.kind) {
       case EventKind::SegmentDispatched:
-      case EventKind::SpeculativeDispatched:
         ++counts[rs].first;
         launched.insert({e.round, e.segment, e.attempt});
         break;
-      case EventKind::SegmentFailed:
-      case EventKind::AttemptCancelled:
-        killed.insert({e.round, e.segment, e.attempt});
-        break;
+      case EventKind::SegmentFailed: killed.insert({e.round, e.segment, e.attempt}); break;
       case EventKind::SegmentCompleted:
         ++counts[rs].second;
         completing_attempt[rs] = e.attempt;
